@@ -31,7 +31,7 @@ from repro.errors import (EXIT_FAILURE, EXIT_INTERRUPTED, EXIT_OK,
 from repro.harness.runner import detected
 from repro.pipeline.timing import InOrderPipeline
 from repro.schemes import SCHEMES, compile_source
-from repro.sim.machine import Machine
+from repro.sim import DEFAULT_ENGINE, ENGINES, make_machine
 from repro.workloads import WORKLOADS
 
 
@@ -126,8 +126,6 @@ def cmd_run(args) -> int:
         phases = PhaseTimers(metrics=metrics, tracer=tracer)
     program = compile_source(source, args.scheme, _config(args),
                              phases=phases)
-    from repro.sim import make_machine
-
     timing = None if args.no_timing else InOrderPipeline(metrics=metrics)
     machine = make_machine(args.engine, timing=timing,
                            trace_depth=args.trace, metrics=metrics,
@@ -183,7 +181,7 @@ def cmd_stats(args) -> int:
     program = compile_source(source, args.scheme, _config(args),
                              phases=phases)
     timing = None if args.no_timing else InOrderPipeline(metrics=metrics)
-    machine = Machine(timing=timing, metrics=metrics)
+    machine = make_machine(timing=timing, metrics=metrics)
     result = machine.run(program, max_instructions=args.max_instructions)
     print(f"{args.file} under {args.scheme}: {result.status} "
           f"({result.instret} instructions, {result.cycles} cycles)")
@@ -548,10 +546,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--elide-checks", action="store_true",
                        help="statically remove proven-redundant checks")
     run_p.add_argument("--no-timing", action="store_true")
-    run_p.add_argument("--engine", default="ref", choices=("ref", "fast"),
-                       help="execution core: 'ref' (per-instruction "
-                       "reference interpreter) or 'fast' (translation-"
-                       "cached superblock interpreter; same observables)")
+    run_p.add_argument("--engine", default=DEFAULT_ENGINE,
+                       choices=sorted(ENGINES),
+                       help="execution core: 'fast' (translation-cached "
+                       "superblock interpreter, the default) or 'ref' "
+                       "(per-instruction reference interpreter; same "
+                       "observables)")
     run_p.add_argument("--trace", type=int, default=0, metavar="N",
                        help="keep the last N instructions for post-mortem")
     run_p.add_argument("--max-instructions", type=int,
@@ -659,9 +659,10 @@ def build_parser() -> argparse.ArgumentParser:
     fault_p.add_argument("--out", metavar="OUT.JSON",
                          help="write the repro.faultinject/v1 report")
     fault_p.add_argument("--engine-lockstep", action="store_true",
-                         help="before injecting, re-run every golden "
-                         "on the fast engine and abort on any "
-                         "observable mismatch (report bytes unchanged)")
+                         help="before injecting, run every golden on "
+                         "the reference and the fast engine and abort "
+                         "on any observable mismatch (report bytes "
+                         "unchanged)")
     fault_p.add_argument("--heartbeat", type=float, default=0.0,
                          metavar="SECONDS",
                          help="emit JSON progress heartbeats on stderr "
@@ -688,8 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the repro.fuzz/v1 report")
     fuzz_p.add_argument("--engine-lockstep", action="store_true",
                         help="add the ref-vs-fast engine oracle to "
-                        "every probe (hwst128 build re-executed on the "
-                        "fast engine; must match including instret)")
+                        "every probe (hwst128 build run on both "
+                        "engines; must match including instret)")
     fuzz_p.add_argument("--spec-lockstep", action="store_true",
                         help="add the executable golden spec "
                         "(repro.spec) as an oracle: the hwst128 build "

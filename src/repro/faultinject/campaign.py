@@ -47,7 +47,8 @@ from repro.faultinject.faults import (
     FaultSpec, LINK_KINDS, RuntimeInjector, apply_link_fault, kinds_for,
 )
 from repro.faultinject.oracle import (
-    CLASSES, CRASH, HANG, RunProfile, classify, golden_run, profile_run,
+    CLASSES, CRASH, HANG, RunProfile, classify, engine_pair, golden_run,
+    profile_run,
 )
 from repro.faultinject.targets import DEFAULT_TARGETS, TARGETS
 
@@ -99,8 +100,13 @@ class InjectionCell:
         return self.target
 
     def execute(self) -> CellResult:
-        """Compile (cached), inject, run, classify. Runs in the worker."""
-        from repro.sim.machine import Machine
+        """Compile (cached), inject, run, classify. Runs in the worker.
+
+        A runtime fault hook observes every instruction, so those cells
+        run on the reference loop whatever the engine (see
+        :class:`~repro.sim.fastmachine.FastMachine`); link-time faults
+        run on the default engine like any other build."""
+        from repro.sim import make_machine
 
         config = self.config or HwstConfig()
         program = process_cache().compile(self.source, self.scheme,
@@ -111,7 +117,7 @@ class InjectionCell:
             # The cache hands back a fresh object graph — mutating the
             # program cannot leak into other cells.
             note = apply_link_fault(program, self.fault)
-        machine = Machine(config=config, timing=None)
+        machine = make_machine(config=config, timing=None)
         if self.fault.kind not in LINK_KINDS:
             injector = RuntimeInjector(self.fault)
             machine.fault_hook = injector
@@ -263,8 +269,8 @@ def run_campaign(scheme: str = "hwst128",
     stderr/telemetry only; the ``repro.faultinject/v1`` report stays
     byte-identical with or without it.
 
-    ``engine_lockstep`` (opt-in, default off) re-runs every golden
-    profile on the fast translation-cached engine before the campaign
+    ``engine_lockstep`` (opt-in, default off) runs every golden target
+    on both the reference and the fast engine before the campaign
     starts and raises :class:`ReproError` on any observable mismatch
     (including instret). It never changes the report bytes — it either
     passes silently or aborts loudly.
@@ -293,9 +299,7 @@ def run_campaign(scheme: str = "hwst128",
         from repro.errors import ReproError
 
         for name in target_names:
-            fast = golden_run(TARGETS[name], scheme, config,
-                              engine="fast")
-            ref = goldens[name]
+            ref, fast = engine_pair(TARGETS[name], scheme, config)
             if not (ref.matches(fast) and ref.instret == fast.instret):
                 raise ReproError(
                     f"engine lockstep failed on golden {name!r}/"

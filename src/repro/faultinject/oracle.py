@@ -33,13 +33,14 @@ campaigns produce byte-identical scoreboards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.core.config import HwstConfig
 from repro.sim.machine import Machine, STATUS_LIMIT, STATUS_SPATIAL, \
     STATUS_TEMPORAL
 
-__all__ = ["RunProfile", "classify", "golden_run", "profile_run",
+__all__ = ["RunProfile", "classify", "engine_pair", "golden_run",
+           "profile_run",
            "DETECTED", "MASKED", "SILENT_CORRUPTION", "CRASH", "HANG",
            "CLASSES"]
 
@@ -107,27 +108,47 @@ def profile_run(machine: Machine, result) -> RunProfile:
     )
 
 
-def golden_run(source: str, scheme: str,
-               config: Optional[HwstConfig] = None,
-               max_instructions: int = 50_000_000,
-               cache=None, engine: str = "ref") -> RunProfile:
-    """Compile + run ``source`` uninjected and profile the outcome.
-
-    Untimed (``timing=None``) — the oracle compares architectural
-    state, and injected runs use the same machine construction so the
-    comparison is apples-to-apples. ``engine`` selects the execution
-    core; the campaign's opt-in lockstep check re-runs each golden on
-    the fast engine and demands an identical profile.
-    """
+def _untimed_profiles(engines: Tuple[Optional[str], ...], source: str,
+                      scheme: str, config: Optional[HwstConfig],
+                      max_instructions: int, cache) -> List[RunProfile]:
     from repro.harness.compile_cache import process_cache
     from repro.sim import make_machine
 
     config = config or HwstConfig()
     cache = cache if cache is not None else process_cache()
     program = cache.compile(source, scheme, config)
-    machine = make_machine(engine, config=config, timing=None)
-    result = machine.run(program, max_instructions=max_instructions)
-    return profile_run(machine, result)
+    profiles = []
+    for engine in engines:
+        machine = make_machine(engine, config=config, timing=None)
+        result = machine.run(program, max_instructions=max_instructions)
+        profiles.append(profile_run(machine, result))
+    return profiles
+
+
+def golden_run(source: str, scheme: str,
+               config: Optional[HwstConfig] = None,
+               max_instructions: int = 50_000_000,
+               cache=None) -> RunProfile:
+    """Compile + run ``source`` uninjected and profile the outcome.
+
+    Untimed (``timing=None``) — the oracle compares architectural
+    state, and injected runs use the same machine construction so the
+    comparison is apples-to-apples.
+    """
+    return _untimed_profiles((None,), source, scheme, config,
+                             max_instructions, cache)[0]
+
+
+def engine_pair(source: str, scheme: str,
+                config: Optional[HwstConfig] = None,
+                max_instructions: int = 50_000_000,
+                cache=None) -> Tuple[RunProfile, RunProfile]:
+    """The engine-lockstep oracle's two sides: ``(ref, fast)`` profiles
+    of one untimed build. Both engines are named explicitly, so the
+    default engine can never turn the check into fast-vs-fast."""
+    ref, fast = _untimed_profiles(("ref", "fast"), source, scheme, config,
+                                  max_instructions, cache)
+    return ref, fast
 
 
 def classify(golden: RunProfile, injected: RunProfile) -> str:

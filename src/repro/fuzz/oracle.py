@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import FieldWidths, HwstConfig
-from repro.faultinject.oracle import RunProfile, profile_run
+from repro.faultinject.oracle import RunProfile, engine_pair, profile_run
 from repro.sim.machine import (
     STATUS_EXIT, STATUS_LIMIT, STATUS_SPATIAL, STATUS_TEMPORAL,
 )
@@ -106,8 +106,7 @@ class ProgramProbe:
 
 def _profile(cache, source: str, scheme: str, config: HwstConfig,
              max_instructions: int, timed: bool = False,
-             profiler=None, engine: str = "ref"
-             ) -> Tuple[RunProfile, object]:
+             profiler=None) -> Tuple[RunProfile, object]:
     from repro.sim import make_machine
 
     program = cache.compile(source, scheme, config)
@@ -115,8 +114,7 @@ def _profile(cache, source: str, scheme: str, config: HwstConfig,
     if timed:
         from repro.pipeline.timing import InOrderPipeline
         timing = InOrderPipeline()
-    machine = make_machine(engine, config=config, timing=timing,
-                           profiler=profiler)
+    machine = make_machine(config=config, timing=timing, profiler=profiler)
     result = machine.run(program, max_instructions=max_instructions)
     return profile_run(machine, result), program
 
@@ -134,8 +132,9 @@ def probe_program(source: str,
 
     ``engine_lockstep`` (opt-in, off by default so existing
     ``repro.fuzz/v1`` reports stay byte-identical) adds a fifth oracle
-    axis: the hwst128 build re-executed on the fast translation-cached
-    engine, which must match the reference run on every observable
+    axis: the hwst128 build executed on the reference engine and on
+    the fast translation-cached engine (each named explicitly, whatever
+    the default engine), which must match on every observable
     including instret and the heap digest.
 
     ``spec_lockstep`` (opt-in, same byte-compatibility contract) adds
@@ -157,9 +156,9 @@ def probe_program(source: str,
     spec_record: Optional[dict] = None
     if "hwst128" in schemes:
         if engine_lockstep:
-            profiles["hwst128@fast"], _ = _profile(
-                cache, source, "hwst128", config, max_instructions,
-                engine="fast")
+            profiles["hwst128@ref"], profiles["hwst128@fast"] = \
+                engine_pair(source, "hwst128", config, max_instructions,
+                            cache)
         if spec_lockstep:
             from repro.sim import make_machine
             from repro.spec.lockstep import run_lockstep
@@ -310,10 +309,10 @@ def classify_program(kind: str, expect: str, probe: ProgramProbe,
     }
 
     # -- reference vs fast engine (opt-in lockstep) ------------------------
-    # The verdict key appears only when the probe carried the fast-
-    # engine profile, so default campaign reports stay byte-identical.
-    if "hwst128" in profiles and "hwst128@fast" in profiles:
-        a, b = profiles["hwst128"], profiles["hwst128@fast"]
+    # The verdict key appears only when the probe carried the engine
+    # pair, so default campaign reports stay byte-identical.
+    if "hwst128@ref" in profiles and "hwst128@fast" in profiles:
+        a, b = profiles["hwst128@ref"], profiles["hwst128@fast"]
         if a.matches(b) and a.instret == b.instret:
             verdicts["engine"] = "agree"
         else:

@@ -288,7 +288,7 @@ def _spec_identity(spec) -> Tuple[str, Optional[str], str]:
 def _run_cellspec(spec: CellSpec) -> CellResult:
     """The classic compile-and-simulate cell body (may raise)."""
     from repro.pipeline.timing import InOrderPipeline
-    from repro.sim.machine import Machine
+    from repro.sim import make_machine
     from repro.workloads import WORKLOADS
 
     if spec.source is not None:
@@ -306,7 +306,7 @@ def _run_cellspec(spec: CellSpec) -> CellResult:
                                       metrics=registry)
     pipeline = InOrderPipeline(spec.timing_params, metrics=registry) \
         if spec.timing else None
-    machine = Machine(config=config, timing=pipeline, metrics=registry)
+    machine = make_machine(config=config, timing=pipeline, metrics=registry)
     result = machine.run(program,
                          max_instructions=spec.max_instructions)
     return CellResult(

@@ -10,7 +10,7 @@ from repro.core.config import HwstConfig
 from repro.pipeline.timing import InOrderPipeline, TimingParams
 from repro.schemes import compile_source
 from repro.sim.machine import (
-    Machine, RunResult, STATUS_ABORT, STATUS_FAULT, STATUS_SPATIAL,
+    RunResult, STATUS_ABORT, STATUS_FAULT, STATUS_SPATIAL,
     STATUS_TEMPORAL,
 )
 from repro.workloads import WORKLOADS
@@ -22,9 +22,9 @@ def run_program(source: str, scheme: str,
                 timing_params: Optional[TimingParams] = None,
                 max_instructions: int = 200_000_000,
                 metrics=None, tracer=None, profiler=None,
-                phases=None, cache=None,
-                engine: str = "ref") -> RunResult:
-    """Compile + execute one program under one scheme.
+                phases=None, cache=None) -> RunResult:
+    """Compile + execute one program under one scheme, on the default
+    engine (:func:`repro.sim.make_machine`).
 
     Observability hooks (``metrics``/``tracer``/``profiler``/compile
     ``phases``) are optional and off by default; when a shared
@@ -35,10 +35,6 @@ def run_program(source: str, scheme: str,
     reuses an identical compiled ``Program`` instead of rebuilding it;
     a custom ``phases`` object is ignored on that path (the cache
     times only work it actually performs).
-
-    ``engine`` selects the execution core (``ref`` | ``fast``, see
-    :func:`repro.sim.make_machine`); every architecturally visible
-    outcome is engine-independent.
     """
     from repro.sim import make_machine
 
@@ -53,7 +49,7 @@ def run_program(source: str, scheme: str,
         program = compile_source(source, scheme, config, phases=phases)
     pipeline = InOrderPipeline(timing_params, metrics=metrics) \
         if timing else None
-    machine = make_machine(engine, config=config, timing=pipeline,
+    machine = make_machine(config=config, timing=pipeline,
                            metrics=metrics, tracer=tracer,
                            profiler=profiler)
     return machine.run(program, max_instructions=max_instructions)

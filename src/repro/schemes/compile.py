@@ -15,7 +15,8 @@ from repro.minic import analyze, tokenize
 from repro.minic.parser import Parser
 from repro.obs.phases import NULL_PHASES
 from repro.pipeline.timing import InOrderPipeline, TimingParams
-from repro.sim.machine import Machine, RunResult
+from repro.sim import make_machine
+from repro.sim.machine import RunResult
 from repro.sim.memory import DEFAULT_LAYOUT
 
 
@@ -204,6 +205,6 @@ def run_source(source: str, scheme: str = "baseline",
                              phases=phases)
     pipeline = InOrderPipeline(timing_params, metrics=metrics) \
         if timing else None
-    machine = Machine(config=config, timing=pipeline, metrics=metrics,
-                      tracer=tracer, profiler=profiler)
+    machine = make_machine(config=config, timing=pipeline, metrics=metrics,
+                           tracer=tracer, profiler=profiler)
     return machine.run(program, max_instructions=max_instructions)

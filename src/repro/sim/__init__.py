@@ -8,11 +8,14 @@
 * :mod:`repro.sim.program` — linked program images (text + data + symbols);
 * :mod:`repro.sim.machine` — the instruction-set simulator executing the
   RV64 subset plus the HWST128/MPX/AVX extensions, in the role the
-  augmented SPIKE plays in the paper (the *reference engine*);
+  augmented SPIKE plays in the paper (the *reference engine*: the
+  single-step path and the lockstep oracle);
 * :mod:`repro.sim.fastmachine` — the translation-cached superblock
   engine, architecturally identical to the reference but decoding each
-  basic block once (``--engine fast``).
+  basic block once; the default production engine.
 """
+
+from typing import Optional
 
 from repro.sim.memory import Memory, MemoryLayout
 from repro.sim.keybuffer import KeyBuffer
@@ -26,15 +29,21 @@ ENGINES = {
     "ref": Machine,
     "fast": FastMachine,
 }
-DEFAULT_ENGINE = "ref"
+#: The engine every run gets unless it names one. Lockstep oracles name
+#: ``"ref"`` explicitly, so this default can never turn them into
+#: same-engine checks.
+DEFAULT_ENGINE = "fast"
 
 
-def make_machine(engine: str = DEFAULT_ENGINE, **kwargs) -> Machine:
-    """Construct a simulator by engine name (``ref`` | ``fast``).
+def make_machine(engine: Optional[str] = None, **kwargs) -> Machine:
+    """Construct a simulator by engine name (``ref`` | ``fast``;
+    :data:`DEFAULT_ENGINE` when omitted).
 
     Every keyword argument is forwarded to the engine's constructor —
     the two engines take identical arguments by design.
     """
+    if engine is None:
+        engine = DEFAULT_ENGINE
     try:
         cls = ENGINES[engine]
     except KeyError:

@@ -3,26 +3,34 @@
 :class:`FastMachine` is the QEMU-style dynamic-binary-translation
 answer to the classic fetch/decode/execute loop in
 :class:`~repro.sim.machine.Machine` (which stays untouched as the
-golden reference engine): the first time execution reaches a pc, the
-basic block starting there is decoded **once** into a list of bound
-Python closures with every static operand (pc, rd, rs1, rs2, imm,
-branch targets, link values) pre-extracted, and the block is cached by
-entry pc. Subsequent visits replay the closures with no per-instruction
-fetch, dispatch-dict lookup, operand decoding, or budget bookkeeping —
-instret advances in one bulk add per block.
+golden reference engine): the second time execution enters a pc, the
+basic block starting there is decoded **once** into a list of Python
+functions with every static operand (pc, rd, rs1, rs2, imm, branch
+targets, link values) pre-bound as a default argument, and the block is
+cached by entry pc. Later visits replay the functions with no
+per-instruction fetch, dispatch-dict lookup, operand decoding, or budget
+bookkeeping — instret advances in one bulk add per block.
 
-Design points (docs/fast-iss.md covers the full contract):
+It is the default engine (:data:`repro.sim.DEFAULT_ENGINE`). Design
+points (docs/fast-iss.md covers the full contract):
 
+* **Cold entries.** The first entry at a pc runs its basic block on
+  the reference ``_dispatch_loop``: decoding code that runs once costs
+  more than interpreting it, and most of a short program (a Juliet
+  case) runs once. Blocks and reference-loop stretches interleave
+  exactly, as they already do for budget tails and wrapped ops.
 * **Superblocks.** Traces extend across unconditional direct jumps
   (``jal``): a call or a ``j`` does not end the trace, so a hot
   caller+callee sequence becomes one block (bounded by
   :data:`MAX_TRACE`, and a trace never revisits a pc — loops translate
-  once, not unrolled). Conditional branches, ``jalr``, ``ecall`` and
-  ``ebreak`` terminate a trace; their successors chain through the
-  pc-indexed block cache.
+  once, not unrolled). A jump target that already heads a block, or was
+  already copied into another trace, ends the trace instead: a callee
+  is translated at most twice, not once per call site. Conditional
+  branches, ``jalr``, ``ecall`` and ``ebreak`` terminate a trace; their
+  successors chain through the pc-indexed block cache.
 * **Fusion.** The instrumentation idiom ``tchk rs1`` followed by a
   fused-check access (``ld.chk``/``sd.chk`` …) is translated into a
-  *single* closure — one Python call performs the temporal check, the
+  *single* function — one Python call performs the temporal check, the
   spatial check and the memory access, while still retiring as two
   instructions with two distinct trap pcs.
 * **Exactness.** Every architecturally visible observable is
@@ -35,13 +43,20 @@ Design points (docs/fast-iss.md covers the full contract):
   *translate time*: everything ``retire()`` charges that is static per
   instruction (base cost, structural extras, mul/div latency, jump
   redirects, intra-block interlocks) is summed into one per-block
-  **fold** applied once per replay, with an exact per-position unwind
-  for mid-block traps; only the D-cache outcome, the tchk
-  keybuffer-miss beat and taken-branch redirects stay in the closures.
-  Reference-wrapped ops self-account through the real ``retire()`` and
-  therefore occupy a block alone in timed mode, reading interlock
-  state the fold materialises at block boundaries.
-* **Invalidation.** ``load()`` registers a store watch on the text
+  **fold** applied once per replay; a mid-block trap recomputes and
+  applies the fold of the completed prefix. Only the D-cache outcome,
+  the tchk keybuffer-miss beat and taken-branch redirects stay in the
+  per-instruction functions. Reference-wrapped ops self-account
+  through the real ``retire()`` and therefore occupy a block alone in
+  timed mode, reading interlock state the fold materialises at block
+  boundaries.
+* **Compact, GC-quiet cache.** Operands are default arguments, not
+  closure cells, so a translated instruction costs about two
+  GC-tracked objects (the function and its defaults tuple); no
+  per-position cost records outlive translation; and the cache is
+  dropped when ``run()`` returns, so the function → machine references
+  never form a cycle that only a full collection could reclaim.
+* **Invalidation.** While blocks execute, a store watch covers the text
   window; any store overlapping a translated block drops that block
   from the cache. (Instruction *semantics* cannot change — both
   engines fetch from the decoded ``Program.instrs`` list, not from
@@ -49,9 +64,9 @@ Design points (docs/fast-iss.md covers the full contract):
   the contract a future fetch-from-memory engine will need.)
 * **Fallbacks.** Per-instruction observers — a fault-injection hook,
   a trace ring buffer, an event tracer, a cycle profiler (whose
-  ``record`` must fire exactly once per retired pc) — and the budget
-  tail (fewer remaining instructions than the next block retires) all
-  run on the reference ``_dispatch_loop``, which is also what
+  ``record`` must fire exactly once per retired pc) — cold entries and
+  the budget tail (fewer remaining instructions than the next block
+  retires) all run on the reference ``_dispatch_loop``, which is also what
   ``step()`` uses: semantics cannot drift because there is only one
   single-instruction path, and observed runs pay zero translation
   overhead on top of what the reference engine costs.
@@ -59,13 +74,14 @@ Design points (docs/fast-iss.md covers the full contract):
 
 from __future__ import annotations
 
+import functools
+from itertools import islice
 from typing import Callable, Dict, List, Optional
 
 from repro import bits
 from repro.core.config import ALIGN_SHIFT
 from repro.errors import (
     IllegalInstruction, MemoryFault, ReproError, ShadowMemoryExhausted,
-    SimTrap,
 )
 from repro.isa import csr as csrdef
 from repro.isa.instructions import Instr, SPEC_TABLE
@@ -91,6 +107,8 @@ _ALU_I_OPS = frozenset((
     "slli", "srli", "srai", "addiw", "slliw", "srliw", "sraiw",
 ))
 _BRANCH_OPS = frozenset(("beq", "bne", "blt", "bge", "bltu", "bgeu"))
+#: Instructions that end a basic block on the reference loop.
+_BLOCK_ENDS = _BRANCH_OPS | {"jal", "jalr", "ecall", "ebreak"}
 
 _M64 = bits.MASK64
 
@@ -100,18 +118,24 @@ _M64 = bits.MASK64
 _PLAIN = "plain"   # no timing model
 _TIMED = "timed"   # timing model attached
 
+#: ``fast_stats()`` keys, published as ``sim.fast.*`` gauges.
+FAST_STATS = ("blocks", "translations", "translated_instrs", "fused_pairs",
+              "invalidated_blocks", "block_runs")
+
 
 # ----------------------------------------------------------------------
-# Specialised ALU closure factories (exec-compiled once per mnemonic)
+# Specialised function makers (exec-compiled once per mnemonic)
 # ----------------------------------------------------------------------
 #
 # The generic reference path costs three calls per ALU instruction
-# (closure -> _alu_fn lambda -> bits helper). These templates inline the
-# operation *expression* into the closure body, so the hot ops are one
+# (handler -> _alu_fn lambda -> bits helper). These templates inline the
+# operation *expression* into the function body, so the hot ops are one
 # call with only arithmetic inside. Semantics are forced equal by
 # construction: every expression below is the reference _alu_table
 # lambda with bits.to_u64/to_s64/sext unfolded (``(x ^ SIGN) - SIGN`` is
 # sign extension; signed compares drop the common ``- SIGN`` term).
+# mulh*/div*/rem* call the reference lambda ``fn`` instead: rare, and
+# their latency dwarfs a function call anyway.
 
 _ALU_EXPR = {
     "add": "(a + b) & 0xFFFFFFFFFFFFFFFF",
@@ -159,13 +183,12 @@ _ALU_EXPR = {
              " - 0x80000000) & 0xFFFFFFFFFFFFFFFF",
     "sraiw": "((((a & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
              " >> (b & 31)) & 0xFFFFFFFFFFFFFFFF",
-    # (mulh*/div*/rem* stay on the reference lambdas: rare, and their
-    # latency dwarfs a function call anyway)
 }
 
-_TPL_R_PLAIN = """\
-def _mk(regs, srf, srf_wide, rd, rs1, rs2, INVALID=INVALID):
-    def run():
+_TPL_R = """\
+def _mk(regs, srf, srf_wide, rd, rs1, rs2, fn):
+    def run(regs=regs, srf=srf, srf_wide=srf_wide, rd=rd, rs1=rs1,
+            rs2=rs2, fn=fn, INVALID=INVALID):
         a = regs[rs1]; b = regs[rs2]
         regs[rd] = {expr}
         e1 = srf[rs1]
@@ -185,9 +208,9 @@ def _mk(regs, srf, srf_wide, rd, rs1, rs2, INVALID=INVALID):
     return run
 """
 
-_TPL_I_PLAIN = """\
-def _mk(regs, srf, srf_wide, rd, rs1, b):
-    def run():
+_TPL_I = """\
+def _mk(regs, srf, srf_wide, rd, rs1, b, fn):
+    def run(regs=regs, srf=srf, srf_wide=srf_wide, rd=rd, rs1=rs1, b=b):
         a = regs[rs1]
         regs[rd] = {expr}
         srf[rd] = srf[rs1]
@@ -195,24 +218,61 @@ def _mk(regs, srf, srf_wide, rd, rs1, b):
     return run
 """
 
-def _compile_alu_makers():
-    """(op -> closure maker) from the expression table.
+# Branch conditions over u64 register values; signed compares flip the
+# sign bit instead of calling bits.to_s64.
+_BRANCH_COND = {
+    "beq": "regs[rs1] == regs[rs2]",
+    "bne": "regs[rs1] != regs[rs2]",
+    "blt": "(regs[rs1] ^ 0x8000000000000000)"
+           " < (regs[rs2] ^ 0x8000000000000000)",
+    "bge": "(regs[rs1] ^ 0x8000000000000000)"
+           " >= (regs[rs2] ^ 0x8000000000000000)",
+    "bltu": "regs[rs1] < regs[rs2]",
+    "bgeu": "regs[rs1] >= regs[rs2]",
+}
 
-    One (semantics-only) maker per mnemonic: timed blocks use the same
-    closures — every cycle an ALU op costs is static and lives in the
-    block's timing fold, not in the per-instruction closure.
-    """
-    makers = {}
-    for op, expr in _ALU_EXPR.items():
-        tpl = _TPL_I_PLAIN if op in _ALU_I_OPS else _TPL_R_PLAIN
-        ns = {"INVALID": SRF_INVALID}
-        exec(compile(tpl.format(expr=expr),
-                     f"<fastmachine:{op}>", "exec"), ns)
-        makers[op] = ns["_mk"]
-    return makers
+# ct_branches, the base cost and the interlock are static (the fold);
+# only the taken-path redirect penalty is dynamic (timed mode).
+_TPL_BRANCH = """\
+def _mk(regs, rs1, rs2, taken_pc, ct_taken, pl, bk_redirect, penalty):
+    def run(regs=regs, rs1=rs1, rs2=rs2, taken_pc=taken_pc,
+            ct_taken=ct_taken{timed_args}):
+        if {cond}:
+            ct_taken.value += 1{timed_body}
+            return taken_pc
+        return None
+    return run
+"""
+_BRANCH_TIMED_ARGS = ", pl=pl, bk_redirect=bk_redirect, penalty=penalty"
+_BRANCH_TIMED_BODY = """
+            pl.cycles += penalty
+            bk_redirect.value += penalty"""
 
 
-_ALU_MAKERS = _compile_alu_makers()
+def _compile_maker(name: str, source: str):
+    ns = {"INVALID": SRF_INVALID}
+    exec(compile(source, f"<fastmachine:{name}>", "exec"), ns)
+    return ns["_mk"]
+
+
+# Makers compile on first use (a process that never translates, or
+# never meets a mnemonic, pays nothing at import).
+
+@functools.lru_cache(maxsize=None)
+def _alu_maker(op: str):
+    """One (semantics-only) ALU maker per mnemonic: timed blocks use the
+    same functions — every cycle an ALU op costs is static and lives in
+    the block's timing fold, not in the per-instruction function."""
+    tpl = _TPL_I if op in _ALU_I_OPS else _TPL_R
+    return _compile_maker(op, tpl.format(expr=_ALU_EXPR.get(op, "fn(a, b)")))
+
+
+@functools.lru_cache(maxsize=None)
+def _branch_maker(op: str, timed: bool):
+    return _compile_maker(op, _TPL_BRANCH.format(
+        cond=_BRANCH_COND[op],
+        timed_args=_BRANCH_TIMED_ARGS if timed else "",
+        timed_body=_BRANCH_TIMED_BODY if timed else ""))
 
 _SPECIALISED_OPS = frozenset(
     ("tchk", "lui", "auipc", "bndrs", "bndrt",
@@ -235,22 +295,20 @@ def _is_specialised(op: str, spec) -> bool:
 
 
 class _Block:
-    """One translated trace: straight-line closures + terminator."""
+    """One translated trace: straight-line functions + terminator."""
 
-    __slots__ = ("body", "term", "n", "pos", "end_pc", "lo", "hi",
-                 "fold", "unwind")
+    __slots__ = ("body", "term", "n", "pos", "end_pc", "lo", "hi", "fold")
 
-    def __init__(self, body, term, n, pos, end_pc, lo, hi,
-                 fold=None, unwind=None):
-        self.body = body      # tuple of 0-arg closures (returns ignored)
-        self.term = term      # 0-arg closure -> next pc | None, or None
+    def __init__(self, body, term, n, pos, end_pc, lo, hi, fold):
+        self.body = body      # tuple of 0-arg functions (returns ignored)
+        self.term = term      # 0-arg function -> next pc | None, or None
         self.n = n            # instructions this block retires
-        self.pos = pos        # pc -> instructions completed before it
+        self.pos = pos        # pc -> instructions completed before it,
+        #                       in retire order
         self.end_pc = end_pc  # successor pc when term falls through
         self.lo = lo          # lowest pc in the trace (invalidation)
         self.hi = hi          # one past the highest pc in the trace
         self.fold = fold      # applies the block's static costs, or None
-        self.unwind = unwind  # fold prefix for a trap after k instrs
 
 
 class FastMachine(Machine):
@@ -262,16 +320,23 @@ class FastMachine(Machine):
     """
 
     MAX_TRACE = MAX_TRACE
+    #: Entry count at which a block is translated; the entries before
+    #: run its basic block on the reference loop. Translating code that
+    #: runs once costs more than interpreting it (most of a Juliet
+    #: case, a fifth to two fifths of a Fig. 4 workload).
+    TRANSLATE_ON_VISIT = 2
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._blocks: Dict[int, _Block] = {}
+        # Per run: entries of not-yet-translated pcs, and jump targets
+        # already copied into some superblock.
+        self._visits: Dict[int, int] = {}
+        self._inlined: set = set()
         self._mode = _PLAIN
-        self._translations = 0
-        self._translated_instrs = 0
-        self._fused_pairs = 0
-        self._invalidated_blocks = 0
-        self._block_runs = 0
+        self._stats = dict.fromkeys(FAST_STATS, 0)
+        scope = self._sim.scope("fast")
+        self._gauges = tuple(scope.gauge(name) for name in FAST_STATS)
 
     # ------------------------------------------------------------------
     # Cache management
@@ -279,20 +344,8 @@ class FastMachine(Machine):
 
     def load(self, program: Program):
         super().load(program)
-        # A fresh run translates from scratch: reset() replaced the
-        # memory/keybuffer/dcache objects the closures capture.
-        self._blocks.clear()
-        self._translations = 0
-        self._translated_instrs = 0
-        self._fused_pairs = 0
-        self._invalidated_blocks = 0
-        self._block_runs = 0
-        self._mode = self._pick_mode()
-        self.memory.watch_stores(program.text_base, program.text_end,
-                                 self._on_text_store)
-
-    def _pick_mode(self) -> str:
-        return _TIMED if self.timing is not None else _PLAIN
+        self._stats = dict.fromkeys(FAST_STATS, 0)
+        self._mode = _TIMED if self.timing is not None else _PLAIN
 
     def _on_text_store(self, addr: int, size: int):
         """Store into the text window: drop every overlapping block."""
@@ -301,18 +354,12 @@ class FastMachine(Machine):
                  if addr < block.hi and end > block.lo]
         for entry in stale:
             del self._blocks[entry]
-        self._invalidated_blocks += len(stale)
+        self._stats["invalidated_blocks"] += len(stale)
 
     def fast_stats(self) -> Dict[str, int]:
-        """Translation-cache statistics (deterministic per run)."""
-        return {
-            "blocks": len(self._blocks),
-            "translations": self._translations,
-            "translated_instrs": self._translated_instrs,
-            "fused_pairs": self._fused_pairs,
-            "invalidated_blocks": self._invalidated_blocks,
-            "block_runs": self._block_runs,
-        }
+        """Translation-cache statistics of the last run (deterministic
+        per run); ``blocks`` is the cache size when the run ended."""
+        return dict(self._stats)
 
     # ------------------------------------------------------------------
     # Execution engine
@@ -327,11 +374,16 @@ class FastMachine(Machine):
             # profilers recording every retired pc): the reference
             # loop is the only honest way to run these — and it is
             # also *faster* than wrapping reference handlers in block
-            # closures, so observed runs skip translation entirely.
+            # functions, so observed runs skip translation entirely.
             self._dispatch_loop(max_instructions, max_instructions)
             return
+        program = self.program
+        self.memory.watch_stores(program.text_base, program.text_end,
+                                 self._on_text_store)
         blocks = self._blocks
+        visits = self._visits
         translate = self._translate
+        hot = self.TRANSLATE_ON_VISIT
         remaining = max_instructions
         pc = self.pc
         runs = 0
@@ -340,14 +392,23 @@ class FastMachine(Machine):
                 self.pc = pc
                 block = blocks.get(pc)
                 if block is None:
+                    seen = visits.get(pc, 0) + 1
+                    if seen < hot:
+                        # Cold entry: run the basic block on the
+                        # reference loop, which keeps the same pipeline
+                        # and counter state a block's fold reads.
+                        visits[pc] = seen
+                        n = self._basic_block_length(pc)
+                        if remaining < n:
+                            break
+                        self._dispatch_loop(n, None)
+                        remaining -= n
+                        pc = self.pc
+                        continue
                     block = translate(pc)
                 n = block.n
                 if remaining < n:
-                    # Budget tail: fewer instructions left than this
-                    # block retires — finish (and overrun-trap) on the
-                    # reference loop, reporting the run-level limit.
-                    self._dispatch_loop(remaining, max_instructions)
-                    return
+                    break
                 runs += 1
                 try:
                     for fn in block.body:
@@ -361,8 +422,7 @@ class FastMachine(Machine):
                     # same prefix of the block's folded static costs.
                     completed = block.pos[self.pc]
                     self.instret += completed
-                    if block.unwind is not None:
-                        block.unwind(completed)
+                    self._unwind(block, completed)
                     raise
                 # The fold (block-level static cycles/counters and the
                 # end-of-block interlock state) applies after the body
@@ -385,15 +445,40 @@ class FastMachine(Machine):
                 self.instret += n
                 remaining -= n
                 pc = block.end_pc if tpc is None else tpc
+            # Budget tail: fewer instructions left than the next block
+            # retires — finish (and overrun-trap) on the reference
+            # loop, reporting the run-level limit.
+            self._dispatch_loop(remaining, max_instructions)
         finally:
-            self._block_runs += runs
-            scope = self._sim.scope("fast")
-            scope.gauge("blocks").set(len(self._blocks))
-            scope.gauge("translations").set(self._translations)
-            scope.gauge("translated_instrs").set(self._translated_instrs)
-            scope.gauge("fused_pairs").set(self._fused_pairs)
-            scope.gauge("invalidated_blocks").set(self._invalidated_blocks)
-            scope.gauge("block_runs").set(self._block_runs)
+            # Drop the cache with the run: its functions reference the
+            # machine, so a cache that outlived run() would keep a
+            # machine -> block -> function -> machine cycle (and every
+            # translated function) alive until a full collection.
+            stats = self._stats
+            stats["block_runs"] += runs
+            stats["blocks"] = len(self._blocks)
+            self._blocks = {}
+            self._visits = {}
+            self._inlined = set()
+            self.memory.watch_stores(0, 0, None)
+            for gauge, name in zip(self._gauges, FAST_STATS):
+                gauge.set(stats[name])
+
+    def _basic_block_length(self, pc: int) -> int:
+        """Instructions from ``pc`` through the first control transfer
+        (at most :attr:`MAX_TRACE`, and at least one, so a pc outside
+        text or an illegal opcode traps on the reference loop exactly
+        as the translator would raise)."""
+        program = self.program
+        instrs = program.instrs
+        index = program.index_of(pc)
+        n = 0
+        while 0 <= index < len(instrs) and n < self.MAX_TRACE:
+            n += 1
+            if instrs[index].op in _BLOCK_ENDS:
+                break
+            index += 1
+        return max(n, 1)
 
     # ------------------------------------------------------------------
     # Translation
@@ -413,6 +498,8 @@ class FastMachine(Machine):
         instrs = program.instrs
         dispatch = self._dispatch
         timed = self._mode is _TIMED
+        blocks = self._blocks
+        inlined = self._inlined
         body: List[Callable] = []
         term: Optional[Callable] = None
         pos: Dict[int, int] = {}
@@ -420,40 +507,6 @@ class FastMachine(Machine):
         pc = entry_pc
         end_pc = entry_pc
         lo, hi = entry_pc, entry_pc
-        # Per-position static-cost records feeding the block fold:
-        # statics[i] = (cycles, ((counter, delta), ...)) for position
-        # i; states[k] = the pipeline's load-producer state after k
-        # instructions (states[0] is a never-read placeholder — a trap
-        # at position 0 leaves the previous block's state in place).
-        statics: List = []
-        states: List = [(-1, -1)]
-        prev_state = None
-        first_desc = None
-        spec_count = 0
-
-        def push(ins2):
-            """Record one specialised instruction's static costs."""
-            nonlocal prev_state, first_desc, spec_count
-            spec2 = SPEC_TABLE[ins2.op]
-            pairs = self._static_counters(ins2, spec2)
-            if timed:
-                cyc, tpairs = self._static_timing(ins2, spec2,
-                                                  prev_state)
-                pairs = pairs + tpairs
-                if first_desc is None:
-                    first_desc = self._boundary_desc(ins2, spec2)
-                prev_state = (
-                    ins2.rd if (spec2.is_load and spec2.writes_rd
-                                and not spec2.srf_write) else -1,
-                    ins2.rd if (spec2.srf_write and spec2.is_load)
-                    else -1,
-                )
-                states.append(prev_state)
-            else:
-                cyc = 0
-            statics.append((cyc, tuple(pairs)))
-            spec_count += 1
-
         while True:
             idx = program.index_of(pc)
             if idx < 0 or (count and pc in pos) or count >= self.MAX_TRACE:
@@ -492,7 +545,7 @@ class FastMachine(Machine):
                 body.append(self._emit_wrapped(ins, pc))
                 end_pc = pc + 4
                 break
-            # tchk + fused-check access -> one fused closure.
+            # tchk + fused-check access -> one fused function.
             if op == "tchk" and idx + 1 < len(instrs) \
                     and count + 2 <= self.MAX_TRACE \
                     and (pc + 4) not in pos:
@@ -502,40 +555,39 @@ class FastMachine(Machine):
                         and dispatch.get(nxt.op) is not None:
                     pos[pc] = count
                     pos[pc + 4] = count + 1
-                    push(ins)
-                    push(nxt)
                     body.append(self._emit_fused(ins, pc, nxt, nspec))
                     count += 2
                     if pc + 8 > hi:
                         hi = pc + 8
                     pc += 8
-                    self._fused_pairs += 1
+                    self._stats["fused_pairs"] += 1
                     continue
             pos[pc] = count
             count += 1
             if op in _BRANCH_OPS:
-                push(ins)
                 term = self._emit_branch(ins, pc)
                 end_pc = pc + 4
                 break
             if op == "jal":
-                push(ins)
                 target = (pc + ins.imm) & _M64
                 if program.index_of(target) >= 0 and target not in pos \
-                        and count < self.MAX_TRACE:
+                        and count < self.MAX_TRACE \
+                        and target not in blocks \
+                        and target not in inlined:
                     # Superblock extension: the jump does not end the
-                    # trace — translation continues at its target.
-                    closure = self._emit_jal(ins, pc, target,
-                                             terminator=False)
-                    if closure is not None:
-                        body.append(closure)
+                    # trace — translation continues at its target. A
+                    # target already translated elsewhere chains
+                    # through the cache instead of being copied again.
+                    inlined.add(target)
+                    fn = self._emit_jal(ins, pc, target, terminator=False)
+                    if fn is not None:
+                        body.append(fn)
                     pc = target
                     continue
                 term = self._emit_jal(ins, pc, target, terminator=True)
                 end_pc = target
                 break
             if op == "jalr":
-                push(ins)
                 term = self._emit_jalr(ins, pc)
                 end_pc = pc + 4  # unused: jalr always returns a target
                 break
@@ -543,33 +595,62 @@ class FastMachine(Machine):
                 # May raise or (SYS_WRITE) fall through; rare enough
                 # that the reference handler is the right tool. Its
                 # retire self-accounts *after* the fold ran (the term
-                # slot runs post-fold), so it needs no statics — just a
-                # placeholder keeping unwind prefixes aligned.
-                statics.append((0, ()))
+                # slot runs post-fold).
                 term = self._emit_wrapped(ins, pc)
                 end_pc = pc + 4
                 break
-            if _is_specialised(op, SPEC_TABLE.get(op)):
-                push(ins)
-            else:
-                # Plain-mode wrapped op mid-block: the reference
-                # handler does its own census, so its fold record is
-                # an alignment placeholder.
-                statics.append((0, ()))
-            closure = self._emit_straightline(ins, pc)
-            if closure is not None:
-                body.append(closure)
+            fn = self._emit_straightline(ins, pc)
+            if fn is not None:
+                body.append(fn)
             pc += 4
-        fold, unwind = self._build_fold(statics, states, first_desc,
-                                        spec_count)
         block = _Block(tuple(body), term, count, pos, end_pc, lo, hi,
-                       fold, unwind)
-        self._blocks[entry_pc] = block
-        self._translations += 1
-        self._translated_instrs += count
+                       self._make_fold(self._static_records(pos)))
+        blocks[entry_pc] = block
+        self._stats["translations"] += 1
+        self._stats["translated_instrs"] += count
         return block
 
     # -- block-level static cost fold ----------------------------------
+
+    def _static_records(self, pcs):
+        """Static cost records of one trace's instructions at ``pcs``
+        (in retire order): ``(ins, spec, cycles, counter pairs, state)``
+        per specialised instruction, ``state`` being the pipeline's
+        load-producer state after it. Reference-wrapped instructions
+        (ecall/ebreak included) account for themselves: no record."""
+        program = self.program
+        instrs = program.instrs
+        timed = self._mode is _TIMED
+        state = None
+        records = []
+        for pc in pcs:
+            ins = instrs[program.index_of(pc)]
+            op = ins.op
+            spec = SPEC_TABLE.get(op)
+            if op in ("ecall", "ebreak") or not _is_specialised(op, spec):
+                continue
+            pairs = self._static_counters(ins, spec)
+            cycles = 0
+            if timed:
+                cycles, tpairs = self._static_timing(ins, spec, state)
+                pairs += tpairs
+                state = (
+                    ins.rd if (spec.is_load and spec.writes_rd
+                               and not spec.srf_write) else -1,
+                    ins.rd if (spec.srf_write and spec.is_load) else -1,
+                )
+            records.append((ins, spec, cycles, pairs, state))
+        return records
+
+    def _unwind(self, block: _Block, completed: int) -> None:
+        """Apply the static costs of the first ``completed`` instructions
+        of ``block`` after a trap stopped it there. Traps are rare, so
+        the prefix is recomputed from the program instead of keeping
+        per-position records alive for every block."""
+        fold = self._make_fold(
+            self._static_records(islice(block.pos, completed)))
+        if fold is not None:
+            fold()
 
     def _static_counters(self, ins: Instr, spec):
         """The sim-census increments of one specialised instruction, as
@@ -609,7 +690,7 @@ class FastMachine(Machine):
         specialised instruction: ``(cycles, [(counter, delta), ...])``.
 
         Mirrors :meth:`InOrderPipeline.retire` term by term; what is
-        *not* here stays dynamic in the closures — the D-cache outcome,
+        *not* here stays dynamic in the functions — the D-cache outcome,
         the tchk keybuffer-miss beat, and the taken-branch redirect.
         ``prev_state`` is the load-producer state after the previous
         instruction of the trace, or ``None`` for the first one (whose
@@ -641,7 +722,7 @@ class FastMachine(Machine):
             deltas.append((bk["muldiv"], params.div_latency))
         if spec.is_jump:
             # jal/jalr always redirect; a taken *branch* pays its
-            # penalty dynamically in the terminator closure.
+            # penalty dynamically in the terminator function.
             cyc += params.jump_penalty
             deltas.append((bk["redirect"], params.jump_penalty))
         if prev_state is not None:
@@ -675,54 +756,43 @@ class FastMachine(Machine):
             else (ins.rs2 if op in ("sbdl", "sbdu") else -3),
         )
 
-    def _build_fold(self, statics, states, first_desc, spec_count):
-        """Compile the per-block ``(fold, unwind)`` pair.
+    def _make_fold(self, records):
+        """Compile the ``fold()`` of a run of static records.
 
-        ``fold()`` applies the whole block's static costs in one shot:
-        the merged counter deltas, the static cycle total plus the
+        ``fold()`` applies all of their static costs in one shot: the
+        merged counter deltas, the static cycle total plus the
         dynamically resolved first-instruction boundary interlock, and
-        the end-of-block producer state. ``unwind(k)`` applies the same
-        for the k-instruction prefix that completed before a mid-block
-        trap. Returns ``(None, None)`` when there is nothing to fold
-        (reference-wrapped sole blocks self-account)."""
-        if spec_count == 0:
-            return None, None
+        the end-of-run producer state. Returns ``None`` when there is
+        nothing to fold (reference-wrapped sole blocks self-account)."""
+        if not records:
+            return None
+        merged: Dict[object, int] = {}
         total = 0
-        merged: Dict[int, list] = {}
-        for cyc, pairs in statics:
-            total += cyc
+        for _, _, cycles, pairs, _ in records:
+            total += cycles
             for counter, delta in pairs:
-                key = id(counter)
-                entry = merged.get(key)
-                if entry is None:
-                    merged[key] = [counter, delta]
-                else:
-                    entry[1] += delta
-        merged_pairs = tuple((counter, delta)
-                             for counter, delta in merged.values())
+                merged[counter] = merged.get(counter, 0) + delta
+        counters = tuple(merged.items())
         if self._mode is not _TIMED:
-            if not merged_pairs:
-                return None, None
+            if not counters:
+                return None
 
-            def fold_plain():
-                for counter, delta in merged_pairs:
+            def fold_plain(counters=counters):
+                for counter, delta in counters:
                     counter.value += delta
 
-            def unwind_plain(completed):
-                for i in range(completed):
-                    for counter, delta in statics[i][1]:
-                        counter.value += delta
-
-            return fold_plain, unwind_plain
+            return fold_plain
         pl = self.timing
-        bk_lu = pl._bk["load_use"]
         params = pl.params
-        lu_stall = params.load_use_stall
-        srf_stall = params.srf_load_use_stall
-        a, b, srf_c = first_desc
-        end_state = states[-1]
+        first_ins, first_spec = records[0][:2]
+        a, b, srf_c = self._boundary_desc(first_ins, first_spec)
+        end_load, end_srf_load = records[-1][4]
 
-        def fold():
+        def fold(pl=pl, bk_lu=pl._bk["load_use"],
+                 lu_stall=params.load_use_stall,
+                 srf_stall=params.srf_load_use_stall, a=a, b=b,
+                 srf_c=srf_c, counters=counters, total=total,
+                 end_load=end_load, end_srf_load=end_srf_load):
             extra = 0
             last = pl._last_load_rd
             if last > 0 and (a == last or b == last):
@@ -732,55 +802,35 @@ class FastMachine(Machine):
             if last >= 0 and srf_c == last:
                 extra += srf_stall
                 bk_lu.value += srf_stall
-            for counter, delta in merged_pairs:
+            for counter, delta in counters:
                 counter.value += delta
             pl.cycles += total + extra
-            pl._last_load_rd, pl._last_srf_load_rd = end_state
+            pl._last_load_rd = end_load
+            pl._last_srf_load_rd = end_srf_load
 
-        def unwind(completed):
-            if not completed:
-                return
-            cyc = 0
-            for i in range(completed):
-                ci, pairs = statics[i]
-                cyc += ci
-                for counter, delta in pairs:
-                    counter.value += delta
-            last = pl._last_load_rd
-            if last > 0 and (a == last or b == last):
-                cyc += lu_stall
-                bk_lu.value += lu_stall
-            last = pl._last_srf_load_rd
-            if last >= 0 and srf_c == last:
-                cyc += srf_stall
-                bk_lu.value += srf_stall
-            pl.cycles += cyc
-            pl._last_load_rd, pl._last_srf_load_rd = states[completed]
-
-        return fold, unwind
+        return fold
 
     # ------------------------------------------------------------------
-    # Closure emitters — straight-line ops
+    # Function emitters — straight-line ops
     # ------------------------------------------------------------------
+    #
+    # Every emitted function binds its operands as default arguments:
+    # no closure cells (``LOAD_FAST`` on replay, and one defaults tuple
+    # instead of a cell per operand), and shared machine objects are
+    # passed whole — never as per-instruction bound methods.
 
     def _emit_straightline(self, ins: Instr, pc: int):
-        """Closure for one non-control-flow instruction (or None when
+        """Function for one non-control-flow instruction (or None when
         the instruction is architecturally dead, e.g. a plain-mode
         nop: it still counts in instret via the block's bulk add)."""
         op = ins.op
-        if op in _ALU_R_OPS:
-            return self._emit_alu_r(ins, pc)
-        if op in _ALU_I_OPS:
-            return self._emit_alu_i(ins, pc)
+        if op in _ALU_R_OPS or op in _ALU_I_OPS:
+            return self._emit_alu(ins)
         spec = SPEC_TABLE[op]
-        if spec.is_load and spec.opcode == 0x03:
-            return self._emit_load(ins, pc, spec, checked=False)
-        if spec.is_store and spec.opcode == 0x23:
-            return self._emit_store(ins, pc, spec, checked=False)
-        if spec.checked and spec.is_load:
-            return self._emit_load(ins, pc, spec, checked=True)
-        if spec.checked and spec.is_store:
-            return self._emit_store(ins, pc, spec, checked=True)
+        if spec.is_load and (spec.opcode == 0x03 or spec.checked):
+            return self._emit_load(ins, pc, spec)
+        if spec.is_store and (spec.opcode == 0x23 or spec.checked):
+            return self._emit_store(ins, pc, spec)
         if op == "tchk":
             return self._emit_tchk(ins, pc)
         if op in ("lui", "auipc"):
@@ -798,10 +848,7 @@ class FastMachine(Machine):
     def _emit_wrapped(self, ins: Instr, pc: int):
         """Reference handler pre-bound to its operands. Used for every
         op without a specialised emitter."""
-        handler = self._dispatch[ins.op]
-        m = self
-
-        def run():
+        def run(m=self, pc=pc, handler=self._dispatch[ins.op], ins=ins):
             m.pc = pc
             return handler(ins)
 
@@ -812,99 +859,71 @@ class FastMachine(Machine):
 
         The compressor object lives for the machine's lifetime and its
         field widths are fixed at construction, so the masks can be
-        burned into closures. Returns ``(base_mask, base_width,
+        burned into functions. Returns ``(base_mask, base_width,
         range_mask)``; the inline expansion is exactly
         :meth:`MetadataCompressor.decompress_spatial`.
         """
         comp = self.compressor
         return comp._base_mask, comp._widths.base, comp._range_mask
 
-    # -- timing fragments ----------------------------------------------
+    def _temporal_consts(self):
+        """Translate-time constants for an inlined ``_temporal_check``:
+        ``(lock_mask, lock_width, key_mask, lock_base)``.
 
-    def _interlock_ops(self):
-        """Captured pipeline internals for partially evaluated timing.
+        Valid only on the fast block path, which never runs with a
+        tracer attached (``_exec_loop`` falls back to the reference
+        dispatch loop then), so the kb-trace emission in the reference
+        helper is unreachable here by construction.
+        """
+        comp = self.compressor
+        return (comp._lock_mask, comp._widths.lock, comp._key_mask,
+                comp._config.lock_base)
 
-        The emitted closures read/write the same ``_last_load_rd`` /
-        ``_last_srf_load_rd`` attributes and breakdown counters the
-        reference ``InOrderPipeline.retire`` uses, so specialised and
-        reference-handled instructions interleave with exact interlock
-        and cycle accounting.
+    def _timed_refs(self):
+        """``(pipeline, dcache, dcache miss penalty, dmiss counter)``
+        for the dynamic timing fragments; ``pipeline`` is None untimed.
+
+        The emitted functions update the same pipeline attributes and
+        breakdown counters the reference ``InOrderPipeline.retire``
+        uses, so specialised and reference-handled instructions
+        interleave with exact cycle accounting.
         """
         pl = self.timing
-        p = pl.params
-        return (pl, pl.dcache.access, pl._bk, p.load_use_stall,
-                p.srf_load_use_stall, p.dcache_miss_penalty)
+        if self._mode is not _TIMED:
+            return None, None, 0, None
+        return (pl, pl.dcache, pl.params.dcache_miss_penalty,
+                pl._bk["dmiss"])
 
-    def _emit_alu_r(self, ins: Instr, pc: int):
+    def _emit_alu(self, ins: Instr):
         """Semantics-only in both modes: every cycle an ALU op costs
         (base, mul/div latency, the intra-block interlock) is static
         and lives in the block's timing fold."""
-        regs, srf, srf_wide = self.regs, self.srf, self.srf_wide
-        rd, rs1, rs2 = ins.rd, ins.rs1, ins.rs2
-        if rd == 0:
+        if ins.rd == 0:
             return None  # architectural nop (the fold still bills it)
-        maker = _ALU_MAKERS.get(ins.op)
-        if maker is not None:
-            return maker(regs, srf, srf_wide, rd, rs1, rs2)
-        fn = self._alu_fn(ins.op)
+        op = ins.op
+        operand = ins.imm & _M64 if op in _ALU_I_OPS else ins.rs2
+        fn = None if op in _ALU_EXPR else self._alu_fn(op)
+        return _alu_maker(op)(self.regs, self.srf, self.srf_wide, ins.rd,
+                              ins.rs1, operand, fn)
 
-        def run():
-            regs[rd] = fn(regs[rs1], regs[rs2])
-            e1 = srf[rs1]
-            w1 = srf_wide[rs1]
-            if e1[2] or e1[3] or w1 is not None:
-                srf[rd] = e1
-                srf_wide[rd] = w1
-            else:
-                e2 = srf[rs2]
-                w2 = srf_wide[rs2]
-                if e2[2] or e2[3] or w2 is not None:
-                    srf[rd] = e2
-                    srf_wide[rd] = w2
-                else:
-                    srf[rd] = SRF_INVALID
-                    srf_wide[rd] = None
-
-        return run
-
-    def _emit_alu_i(self, ins: Instr, pc: int):
-        regs, srf, srf_wide = self.regs, self.srf, self.srf_wide
-        rd, rs1 = ins.rd, ins.rs1
-        imm_u = ins.imm & _M64
-        if rd == 0:
-            return None
-        maker = _ALU_MAKERS.get(ins.op)
-        if maker is not None:
-            return maker(regs, srf, srf_wide, rd, rs1, imm_u)
-        fn = self._alu_fn(ins.op)
-
-        def run():
-            regs[rd] = fn(regs[rs1], imm_u)
-            srf[rd] = srf[rs1]
-            srf_wide[rd] = srf_wide[rs1]
-
-        return run
-
-    def _emit_load(self, ins: Instr, pc: int, spec, checked: bool):
-        m = self
-        regs, srf, srf_wide = self.regs, self.srf, self.srf_wide
-        rd, rs1, imm = ins.rd, ins.rs1, ins.imm
+    def _emit_load(self, ins: Instr, pc: int, spec):
         nbytes = spec.mem_bytes
-        mem_load = self.memory.load_uint
-        # Sign extension is the identity for 8-byte loads; for narrower
-        # loads ``((v ^ sb) - sb) & M64`` is bits.sext unfolded (the
-        # loaded value is already < 2**width).
-        signed = spec.mem_signed and nbytes < 8
-        sb = 1 << (8 * nbytes - 1)
         base_mask, base_w, range_mask = self._spatial_consts()
         # Only the D-cache outcome is dynamic: base cost, interlocks
         # and the sim counters are static per block (the timing fold).
-        timed = self._mode is _TIMED
-        if timed:
-            pl, dc_access, _, _, _, miss = self._interlock_ops()
-            bk_dmiss = pl._bk["dmiss"]
+        pl, dcache, miss, bk_dmiss = self._timed_refs()
 
-        def run():
+        # Sign extension is the identity for 8-byte loads; for narrower
+        # loads ``((v ^ sb) - sb) & M64`` is bits.sext unfolded (the
+        # loaded value is already < 2**width).
+        def run(m=self, pc=pc, regs=self.regs, srf=self.srf,
+                srf_wide=self.srf_wide, rd=ins.rd, rs1=ins.rs1,
+                imm=ins.imm, nbytes=nbytes, memory=self.memory,
+                checked=spec.checked,
+                signed=spec.mem_signed and nbytes < 8,
+                sb=1 << (8 * nbytes - 1), base_mask=base_mask,
+                base_w=base_w, range_mask=range_mask, pl=pl,
+                dcache=dcache, miss=miss, bk_dmiss=bk_dmiss):
             m.pc = pc
             addr = (regs[rs1] + imm) & _M64
             if checked:
@@ -917,33 +936,30 @@ class FastMachine(Machine):
                     (((lower >> base_w) & range_mask) << ALIGN_SHIFT)
                 if addr < base or addr + nbytes > bound:
                     m._spatial_fail(addr, base, bound)
-            value = mem_load(addr, nbytes)
+            value = memory.load_uint(addr, nbytes)
             if signed:
                 value = ((value ^ sb) - sb) & _M64
             if rd:
                 regs[rd] = value
                 srf[rd] = SRF_INVALID
                 srf_wide[rd] = None
-            if timed and not dc_access(addr, False):
+            if pl is not None and not dcache.access(addr, False):
                 pl.cycles += miss
                 bk_dmiss.value += miss
 
         return run
 
-    def _emit_store(self, ins: Instr, pc: int, spec, checked: bool):
-        m = self
-        regs, srf = self.regs, self.srf
-        rs1, rs2, imm = ins.rs1, ins.rs2, ins.imm
+    def _emit_store(self, ins: Instr, pc: int, spec):
         nbytes = spec.mem_bytes
-        mem_store = self.memory.store_uint
         base_mask, base_w, range_mask = self._spatial_consts()
-        snoop = nbytes == 8
-        timed = self._mode is _TIMED
-        if timed:
-            pl, dc_access, _, _, _, miss = self._interlock_ops()
-            bk_dmiss = pl._bk["dmiss"]
+        pl, dcache, miss, bk_dmiss = self._timed_refs()
 
-        def run():
+        def run(m=self, pc=pc, regs=self.regs, srf=self.srf,
+                rs1=ins.rs1, rs2=ins.rs2, imm=ins.imm, nbytes=nbytes,
+                memory=self.memory, checked=spec.checked,
+                snoop=nbytes == 8, base_mask=base_mask, base_w=base_w,
+                range_mask=range_mask, pl=pl, dcache=dcache, miss=miss,
+                bk_dmiss=bk_dmiss):
             m.pc = pc
             addr = (regs[rs1] + imm) & _M64
             if checked:
@@ -957,48 +973,35 @@ class FastMachine(Machine):
                 if addr < base or addr + nbytes > bound:
                     m._spatial_fail(addr, base, bound)
             value = regs[rs2]
-            mem_store(addr, nbytes, value)
+            memory.store_uint(addr, nbytes, value)
             if snoop and m._lock_lo <= addr < m._lock_hi:
                 m._snoop_lock_store(addr, value)
-            if timed and not dc_access(addr, True):
+            if pl is not None and not dcache.access(addr, True):
                 pl.cycles += miss
                 bk_dmiss.value += miss
 
         return run
 
-    def _temporal_consts(self):
-        """Translate-time constants for an inlined ``_temporal_check``.
-
-        Valid only on the fast block path, which never runs with a
-        tracer attached (``_exec_loop`` falls back to the reference
-        dispatch loop then), so the kb-trace emission in the reference
-        helper is unreachable here by construction.
-        """
-        comp = self.compressor
-        return (comp._lock_mask, comp._widths.lock, comp._key_mask,
-                comp._config.lock_base, self.keybuffer.lookup,
-                self.keybuffer.fill, self.memory.load_u64)
-
     def _emit_tchk(self, ins: Instr, pc: int):
-        m = self
-        srf = self.srf
-        rs1 = ins.rs1
-        ct_tchk = self._ct["tchk"]
-        ct_hwst = self._ct["hwst_ops"]
-        lock_mask, lock_w, key_mask, lock_base, kb_lookup, kb_fill, \
-            mem_load_u64 = self._temporal_consts()
+        lock_mask, lock_w, key_mask, lock_base = self._temporal_consts()
         # ct_tchk/ct_hwst stay inline (not folded): the reference
         # handler counts a tchk *before* a temporal trap can raise.
         # Base cost, occupancy and interlocks are static (the fold);
         # only the keybuffer-miss beat — the secondary key load through
         # the D-cache — is dynamic.
-        timed = self._mode is _TIMED
-        if timed:
-            pl, dc_access, bk, _, _, miss = self._interlock_ops()
-            bk_dmiss, bk_tchk_miss = bk["dmiss"], bk["tchk_miss"]
+        pl, dcache, miss, bk_dmiss = self._timed_refs()
+        bk_tchk_miss = kb_extra = None
+        if pl is not None:
+            bk_tchk_miss = pl._bk["tchk_miss"]
             kb_extra = pl.params.keybuffer_miss_extra
 
-        def run():
+        def run(m=self, pc=pc, srf=self.srf, rs1=ins.rs1,
+                ct_tchk=self._ct["tchk"], ct_hwst=self._ct["hwst_ops"],
+                lock_mask=lock_mask, lock_w=lock_w, key_mask=key_mask,
+                lock_base=lock_base, kb=self.keybuffer,
+                memory=self.memory, pl=pl, dcache=dcache, miss=miss,
+                bk_dmiss=bk_dmiss, bk_tchk_miss=bk_tchk_miss,
+                kb_extra=kb_extra):
             m.pc = pc
             ct_tchk.value += 1
             ct_hwst.value += 1
@@ -1011,18 +1014,18 @@ class FastMachine(Machine):
             if lock_idx == 0:
                 m._temporal_fail(key, 0, 0)
             lock = lock_base + ((lock_idx - 1) << 3)
-            cached = kb_lookup(lock)
+            cached = kb.lookup(lock)
             if cached is not None:
                 if cached != key:
                     m._temporal_fail(key, cached, lock)
             else:
-                stored = mem_load_u64(lock)
-                kb_fill(lock, stored)
+                stored = memory.load_u64(lock)
+                kb.fill(lock, stored)
                 if stored != key:
                     m._temporal_fail(key, stored, lock)
-                if timed:
+                if pl is not None:
                     extra = 1 + kb_extra
-                    if not dc_access(lock, False):
+                    if not dcache.access(lock, False):
                         extra += miss
                         bk_dmiss.value += miss
                     bk_tchk_miss.value += kb_extra + 1
@@ -1032,21 +1035,19 @@ class FastMachine(Machine):
 
     def _emit_bind(self, ins: Instr, pc: int, temporal: bool):
         """bndrs/bndrt: compress + SRF write (census side effects stay
-        in the compressor's bound method). The SRF write is unguarded —
-        the reference handlers write ``srf[0]`` too."""
-        m = self
-        regs, srf, srf_wide = self.regs, self.srf, self.srf_wide
-        rd, rs1, rs2 = ins.rd, ins.rs1, ins.rs2
-        compress = self.compressor.compress_temporal if temporal \
-            else self.compressor.compress_spatial
-
-        def run():
+        in the compressor). The SRF write is unguarded — the reference
+        handlers write ``srf[0]`` too."""
+        def run(m=self, pc=pc, regs=self.regs, srf=self.srf,
+                srf_wide=self.srf_wide, rd=ins.rd, rs1=ins.rs1,
+                rs2=ins.rs2, comp=self.compressor, temporal=temporal):
             m.pc = pc  # compress may raise MetadataRangeError
-            packed = compress(regs[rs1], regs[rs2])
-            e = srf[rd]
             if temporal:
+                packed = comp.compress_temporal(regs[rs1], regs[rs2])
+                e = srf[rd]
                 srf[rd] = (e[0], packed, e[2], True)
             else:
+                packed = comp.compress_spatial(regs[rs1], regs[rs2])
+                e = srf[rd]
                 srf[rd] = (packed, e[1], True, e[3])
                 srf_wide[rd] = None
 
@@ -1056,21 +1057,14 @@ class FastMachine(Machine):
         """sbdl/sbdu: SRF half -> shadow memory (Eq. 1 address). The
         SMAC budget guard is inlined; like the reference handler, the
         shadow store does not snoop the lock window."""
-        m = self
-        regs, srf = self.regs, self.srf
-        rs1, rs2, imm = ins.rs1, ins.rs2, ins.imm
-        off = 8 if upper else 0
-        csrs = self.csrs  # mutated in place by csrrw — read per access
-        sm_key = csrdef.HWST_SM_OFFSET
-        budget = self.config.shadow_budget
-        memory = self.memory
-        store_u64 = memory.store_u64
-        timed = self._mode is _TIMED
-        if timed:
-            pl, dc_access, _, _, _, miss = self._interlock_ops()
-            bk_dmiss = pl._bk["dmiss"]
+        pl, dcache, miss, bk_dmiss = self._timed_refs()
 
-        def run():
+        # ``csrs`` is mutated in place by csrrw — read per access.
+        def run(m=self, pc=pc, regs=self.regs, srf=self.srf, rs1=ins.rs1,
+                rs2=ins.rs2, imm=ins.imm, off=8 if upper else 0,
+                upper=upper, csrs=self.csrs, sm_key=csrdef.HWST_SM_OFFSET,
+                budget=self.config.shadow_budget, memory=self.memory,
+                pl=pl, dcache=dcache, miss=miss, bk_dmiss=bk_dmiss):
             m.pc = pc
             container = (regs[rs1] + imm) & _M64
             sa = (container << 2) + csrs[sm_key] + off
@@ -1082,8 +1076,8 @@ class FastMachine(Machine):
                 value = e[1] if e[3] else 0
             else:
                 value = e[0] if e[2] else 0
-            store_u64(sa, value)
-            if timed and not dc_access(sa, True):
+            memory.store_u64(sa, value)
+            if pl is not None and not dcache.access(sa, True):
                 pl.cycles += miss
                 bk_dmiss.value += miss
 
@@ -1092,76 +1086,67 @@ class FastMachine(Machine):
     def _emit_lbds(self, ins: Instr, pc: int, upper: bool):
         """lbdls/lbdus: shadow memory -> SRF half (no decompression).
         Writes ``srf[rd]`` unguarded, exactly like the reference."""
-        m = self
-        regs, srf, srf_wide = self.regs, self.srf, self.srf_wide
-        rd, rs1, imm = ins.rd, ins.rs1, ins.imm
-        off = 8 if upper else 0
-        csrs = self.csrs
-        sm_key = csrdef.HWST_SM_OFFSET
-        budget = self.config.shadow_budget
-        memory = self.memory
-        load_u64 = memory.load_u64
-        timed = self._mode is _TIMED
-        if timed:
-            pl, dc_access, _, _, _, miss = self._interlock_ops()
-            bk_dmiss = pl._bk["dmiss"]
+        pl, dcache, miss, bk_dmiss = self._timed_refs()
 
-        def run():
+        def run(m=self, pc=pc, regs=self.regs, srf=self.srf,
+                srf_wide=self.srf_wide, rd=ins.rd, rs1=ins.rs1,
+                imm=ins.imm, off=8 if upper else 0, upper=upper,
+                csrs=self.csrs, sm_key=csrdef.HWST_SM_OFFSET,
+                budget=self.config.shadow_budget, memory=self.memory,
+                pl=pl, dcache=dcache, miss=miss, bk_dmiss=bk_dmiss):
             m.pc = pc
             container = (regs[rs1] + imm) & _M64
             sa = (container << 2) + csrs[sm_key] + off
             if budget and memory.shadow_bytes_touched > budget:
                 raise ShadowMemoryExhausted(
                     memory.shadow_bytes_touched, budget)
-            value = load_u64(sa)
+            value = memory.load_u64(sa)
             e = srf[rd]
             if upper:
                 srf[rd] = (e[0], value, e[2], True)
             else:
                 srf[rd] = (value, e[1], True, e[3])
             srf_wide[rd] = None
-            if timed and not dc_access(sa, False):
+            if pl is not None and not dcache.access(sa, False):
                 pl.cycles += miss
                 bk_dmiss.value += miss
 
         return run
 
     def _emit_fused(self, tchk_ins: Instr, pc: int, acc: Instr, aspec):
-        """One closure for a ``tchk`` + fused-check access pair.
+        """One function for a ``tchk`` + fused-check access pair.
 
         Retires as two instructions: ``self.pc`` steps from the tchk to
         the access before the spatial check, so a trap in either half
         reports its own pc and the block's position map credits the
-        completed half (the fold's unwind then bills exactly the
-        completed half's static costs — the access half's never stall,
-        because the tchk clears both interlock producers). Only the
-        tchk census counters and the two dynamic D-cache beats stay in
-        the closure.
+        completed half (the unwind then bills exactly the completed
+        half's static costs — the access half's never stall, because
+        the tchk clears both interlock producers). Only the tchk census
+        counters and the two dynamic D-cache beats stay in the
+        function.
         """
-        m = self
-        regs, srf, srf_wide = self.regs, self.srf, self.srf_wide
-        rs1_t = tchk_ins.rs1
-        pc_acc = pc + 4
-        rd, rs1, rs2, imm = acc.rd, acc.rs1, acc.rs2, acc.imm
         nbytes = aspec.mem_bytes
         is_load = aspec.is_load
-        signed = aspec.mem_signed and nbytes < 8
-        sb = 1 << (8 * nbytes - 1)
-        mem_load = self.memory.load_uint
-        mem_store = self.memory.store_uint
         base_mask, base_w, range_mask = self._spatial_consts()
-        lock_mask, lock_w, key_mask, lock_base, kb_lookup, kb_fill, \
-            mem_load_u64 = self._temporal_consts()
-        snoop = (not is_load) and nbytes == 8
-        ct_tchk = self._ct["tchk"]
-        ct_hwst = self._ct["hwst_ops"]
-        timed = self._mode is _TIMED
-        if timed:
-            pl, dc_access, bk, _, _, miss = self._interlock_ops()
-            bk_dmiss, bk_tchk_miss = bk["dmiss"], bk["tchk_miss"]
+        lock_mask, lock_w, key_mask, lock_base = self._temporal_consts()
+        pl, dcache, miss, bk_dmiss = self._timed_refs()
+        bk_tchk_miss = kb_extra = None
+        if pl is not None:
+            bk_tchk_miss = pl._bk["tchk_miss"]
             kb_extra = pl.params.keybuffer_miss_extra
 
-        def run():
+        def run(m=self, pc=pc, pc_acc=pc + 4, regs=self.regs, srf=self.srf,
+                srf_wide=self.srf_wide, rs1_t=tchk_ins.rs1, rd=acc.rd,
+                rs1=acc.rs1, rs2=acc.rs2, imm=acc.imm, nbytes=nbytes,
+                is_load=is_load, signed=aspec.mem_signed and nbytes < 8,
+                sb=1 << (8 * nbytes - 1), memory=self.memory,
+                snoop=(not is_load) and nbytes == 8,
+                ct_tchk=self._ct["tchk"], ct_hwst=self._ct["hwst_ops"],
+                base_mask=base_mask, base_w=base_w, range_mask=range_mask,
+                lock_mask=lock_mask, lock_w=lock_w, key_mask=key_mask,
+                lock_base=lock_base, kb=self.keybuffer, pl=pl,
+                dcache=dcache, miss=miss, bk_dmiss=bk_dmiss,
+                bk_tchk_miss=bk_tchk_miss, kb_extra=kb_extra):
             m.pc = pc
             ct_tchk.value += 1
             ct_hwst.value += 1
@@ -1174,18 +1159,18 @@ class FastMachine(Machine):
             if lock_idx == 0:
                 m._temporal_fail(key, 0, 0)
             lock = lock_base + ((lock_idx - 1) << 3)
-            cached = kb_lookup(lock)
+            cached = kb.lookup(lock)
             if cached is not None:
                 if cached != key:
                     m._temporal_fail(key, cached, lock)
             else:
-                stored = mem_load_u64(lock)
-                kb_fill(lock, stored)
+                stored = memory.load_u64(lock)
+                kb.fill(lock, stored)
                 if stored != key:
                     m._temporal_fail(key, stored, lock)
-                if timed:
+                if pl is not None:
                     extra = 1 + kb_extra
-                    if not dc_access(lock, False):
+                    if not dcache.access(lock, False):
                         extra += miss
                         bk_dmiss.value += miss
                     bk_tchk_miss.value += kb_extra + 1
@@ -1202,7 +1187,7 @@ class FastMachine(Machine):
             if addr < base or addr + nbytes > bound:
                 m._spatial_fail(addr, base, bound)
             if is_load:
-                value = mem_load(addr, nbytes)
+                value = memory.load_uint(addr, nbytes)
                 if signed:
                     value = ((value ^ sb) - sb) & _M64
                 if rd:
@@ -1211,10 +1196,10 @@ class FastMachine(Machine):
                     srf_wide[rd] = None
             else:
                 value = regs[rs2]
-                mem_store(addr, nbytes, value)
+                memory.store_uint(addr, nbytes, value)
                 if snoop and m._lock_lo <= addr < m._lock_hi:
                     m._snoop_lock_store(addr, value)
-            if timed and not dc_access(addr, not is_load):
+            if pl is not None and not dcache.access(addr, not is_load):
                 pl.cycles += miss
                 bk_dmiss.value += miss
 
@@ -1222,16 +1207,14 @@ class FastMachine(Machine):
 
     def _emit_const_write(self, ins: Instr, pc: int):
         """lui/auipc: the written value is a translate-time constant."""
-        regs, srf, srf_wide = self.regs, self.srf, self.srf_wide
-        rd = ins.rd
-        if ins.op == "lui":
-            value = bits.sext(ins.imm << 12, 32) & _M64
-        else:
-            value = (pc + bits.sext(ins.imm << 12, 32)) & _M64
-        if rd == 0:
+        if ins.rd == 0:
             return None
+        value = bits.sext(ins.imm << 12, 32) & _M64
+        if ins.op == "auipc":
+            value = (pc + value) & _M64
 
-        def run():
+        def run(regs=self.regs, srf=self.srf, srf_wide=self.srf_wide,
+                rd=ins.rd, value=value):
             regs[rd] = value
             srf[rd] = SRF_INVALID
             srf_wide[rd] = None
@@ -1239,76 +1222,40 @@ class FastMachine(Machine):
         return run
 
     # ------------------------------------------------------------------
-    # Closure emitters — control flow
+    # Function emitters — control flow
     # ------------------------------------------------------------------
 
     def _emit_branch(self, ins: Instr, pc: int):
-        regs = self.regs
-        rs1, rs2 = ins.rs1, ins.rs2
-        op = ins.op
-        taken_pc = (pc + ins.imm) & _M64
-        S = bits.to_s64
-        compare = {
-            "beq": lambda a, b: a == b,
-            "bne": lambda a, b: a != b,
-            "blt": lambda a, b: S(a) < S(b),
-            "bge": lambda a, b: S(a) >= S(b),
-            "bltu": lambda a, b: a < b,
-            "bgeu": lambda a, b: a >= b,
-        }[op]
-        # ct_branches, the base cost and the interlock are static (the
-        # fold); only the taken-path redirect penalty is dynamic.
-        ct_taken = self._ct["taken"]
-        if self._mode is _PLAIN:
-            def run():
-                if compare(regs[rs1], regs[rs2]):
-                    ct_taken.value += 1
-                    return taken_pc
-                return None
-
-            return run
-        pl, _, bk, _, _, _ = self._interlock_ops()
-        bk_redirect = bk["redirect"]
-        penalty = pl.params.branch_penalty
-
-        def run_timed():
-            if compare(regs[rs1], regs[rs2]):
-                ct_taken.value += 1
-                pl.cycles += penalty
-                bk_redirect.value += penalty
-                return taken_pc
-            return None
-
-        return run_timed
+        pl, _, _, _ = self._timed_refs()
+        return _branch_maker(ins.op, pl is not None)(
+            self.regs, ins.rs1, ins.rs2, (pc + ins.imm) & _M64,
+            self._ct["taken"], pl,
+            pl._bk["redirect"] if pl is not None else None,
+            pl.params.branch_penalty if pl is not None else 0)
 
     def _emit_jal(self, ins: Instr, pc: int, target: int,
                   terminator: bool):
-        regs, srf, srf_wide = self.regs, self.srf, self.srf_wide
-        rd = ins.rd
-        link = (pc + 4) & _M64
         # ct_calls and the full cost (a jal always redirects) are
         # static — a plain ``j`` inside a superblock costs nothing at
         # run time.
-        if not terminator and rd == 0:
+        if not terminator and ins.rd == 0:
             return None
 
-        def run():
+        def run(regs=self.regs, srf=self.srf, srf_wide=self.srf_wide,
+                rd=ins.rd, link=(pc + 4) & _M64,
+                target=target if terminator else None):
             if rd:
                 regs[rd] = link
                 srf[rd] = SRF_INVALID
                 srf_wide[rd] = None
-            if terminator:
-                return target
-            return None
+            return target
 
         return run
 
     def _emit_jalr(self, ins: Instr, pc: int):
-        regs, srf, srf_wide = self.regs, self.srf, self.srf_wide
-        rd, rs1, imm = ins.rd, ins.rs1, ins.imm
-        link = (pc + 4) & _M64
-
-        def run():
+        def run(regs=self.regs, srf=self.srf, srf_wide=self.srf_wide,
+                rd=ins.rd, rs1=ins.rs1, imm=ins.imm,
+                link=(pc + 4) & _M64):
             target = ((regs[rs1] + imm) & _M64) & ~1
             if rd:
                 regs[rd] = link

@@ -11,20 +11,30 @@ stores into text, branches into the middle of a cached block,
 superblock extension across ``jal``, traps inside a fused
 ``tchk``+checked-access pair, and CSR reads of the live instret.
 
+Because the fast engine is the default, three more contracts live
+here: the translation cache stays compact and leaves no cyclic garbage
+behind, the lockstep oracles keep a real reference side, and the
+figure/coverage/serve outputs are byte-identical on either engine.
+
 The nightly CI job runs the same fuzz-lockstep loop at 200 programs
 via ``REPRO_LOCKSTEP_FUZZ_N``; the tier-1 default keeps it small.
 """
 
+import collections
+import dataclasses
+import gc
+import json
 import os
 
 import pytest
 
+import repro.sim
 from repro.core.config import HwstConfig
-from repro.harness.runner import run_program
 from repro.isa import csr as csrdef
 from repro.isa.instructions import Instr, li_sequence
+from repro.pipeline.timing import InOrderPipeline
 from repro.schemes import compile_source
-from repro.sim import ENGINES, FastMachine, make_machine
+from repro.sim import DEFAULT_ENGINE, ENGINES, FastMachine, make_machine
 from repro.sim.machine import (
     Machine, STATUS_EXIT, STATUS_FAULT, STATUS_LIMIT, STATUS_SPATIAL,
     STATUS_TEMPORAL,
@@ -32,6 +42,7 @@ from repro.sim.machine import (
 from repro.sim.memory import DEFAULT_LAYOUT
 from repro.sim.program import Program
 from repro.workloads import WORKLOADS
+from repro.workloads.juliet.generator import _build_case
 
 TEXT = DEFAULT_LAYOUT.text_base
 #: First byte of the unmapped gap between heap and stack.
@@ -65,11 +76,21 @@ def assert_results_equal(ref, fast, context=""):
     assert not diffs, f"{context}: counter census diverged: {diffs}"
 
 
+def eager_fast(**kwargs):
+    """A FastMachine that translates every block on its first entry, so
+    run-once code (most traps, every hand-built sequence here) runs
+    translated instead of on the cold-entry reference loop."""
+    machine = FastMachine(**kwargs)
+    machine.TRANSLATE_ON_VISIT = 1
+    return machine
+
+
 def run_both(instrs, **kwargs):
-    """Run an instruction sequence on both engines; return machines
-    and results after asserting observational equivalence."""
+    """Run an instruction sequence on the reference and the (eagerly
+    translating) fast engine; return machines and results after
+    asserting observational equivalence."""
     ref = Machine(**kwargs)
-    fast = FastMachine(**kwargs)
+    fast = eager_fast(**kwargs)
     a = ref.run(make_program(instrs))
     b = fast.run(make_program(instrs))
     assert_results_equal(a, b)
@@ -90,11 +111,28 @@ class TestEngineRegistry:
         with pytest.raises(ValueError, match="unknown engine"):
             make_machine("qemu")
 
+    def test_default_engine_is_fast(self, monkeypatch):
+        assert DEFAULT_ENGINE == "fast"
+        assert type(make_machine()) is FastMachine
+        # Read at call time, so one assignment reroutes every run.
+        monkeypatch.setattr(repro.sim, "DEFAULT_ENGINE", "ref")
+        assert type(make_machine()) is Machine
+
     def test_fast_is_drop_in(self):
         # Same constructor surface: FastMachine must accept everything
         # Machine does (make_machine forwards kwargs blindly).
         machine = make_machine("fast", config=HwstConfig(), timing=None)
         assert isinstance(machine, Machine)
+
+
+def run_on(new_machine, source, scheme, timed, cache=None, **kwargs):
+    """Compile ``source`` and run it on ``new_machine(config, timing)``."""
+    config = HwstConfig()
+    program = cache.compile(source, scheme, config) if cache is not None \
+        else compile_source(source, scheme, config)
+    machine = new_machine(config=config,
+                          timing=InOrderPipeline() if timed else None)
+    return machine.run(program, **kwargs)
 
 
 class TestWorkloadLockstep:
@@ -106,8 +144,8 @@ class TestWorkloadLockstep:
                              ids=("untimed", "timed"))
     def test_lockstep(self, workload, scheme, timed):
         source = WORKLOADS[workload].source("small")
-        ref = run_program(source, scheme, timing=timed, engine="ref")
-        fast = run_program(source, scheme, timing=timed, engine="fast")
+        ref = run_on(Machine, source, scheme, timed)
+        fast = run_on(FastMachine, source, scheme, timed)
         assert ref.status == STATUS_EXIT and ref.exit_code == 0
         assert_results_equal(ref, fast, f"{workload}/{scheme}")
 
@@ -117,13 +155,21 @@ class TestFuzzLockstep:
 
     Planted programs end in spatial/temporal traps, so this sweep
     exercises the fast engine's trap-boundary instret accounting on
-    every violation class the generator can plant. CI runs the same
-    loop at 200 programs (REPRO_LOCKSTEP_FUZZ_N=200).
+    every violation class the generator can plant — translated, with
+    eager translation, or after cold entries on the reference loop, as
+    the default engine runs them. CI runs the same loop at 200 programs
+    (REPRO_LOCKSTEP_FUZZ_N=200).
     """
 
     N = int(os.environ.get("REPRO_LOCKSTEP_FUZZ_N", "20"))
 
     def test_lockstep_over_generated_corpus(self):
+        self._sweep(FastMachine)
+
+    def test_eager_translation_lockstep_over_generated_corpus(self):
+        self._sweep(eager_fast)
+
+    def _sweep(self, new_fast):
         from repro.fuzz.gen import generate_program, plan_programs
         from repro.harness.compile_cache import CompileCache
 
@@ -133,12 +179,10 @@ class TestFuzzLockstep:
         for index, kind in plan_programs(seed=29, count=self.N):
             program = generate_program(29, index, kind)
             for scheme in ("hwst128", "sbcets"):
-                ref = run_program(program.source, scheme, timing=False,
-                                  engine="ref", cache=cache,
-                                  max_instructions=2_000_000)
-                fast = run_program(program.source, scheme, timing=False,
-                                   engine="fast", cache=cache,
-                                   max_instructions=2_000_000)
+                ref = run_on(Machine, program.source, scheme, False,
+                             cache=cache, max_instructions=2_000_000)
+                fast = run_on(new_fast, program.source, scheme, False,
+                              cache=cache, max_instructions=2_000_000)
                 if ref.status in (STATUS_SPATIAL, STATUS_TEMPORAL):
                     trapping += 1
                 for key in OBSERVABLES:
@@ -255,12 +299,11 @@ class TestTrapAccounting:
         seq = setup + [Instr("ld", rd=7, rs1=5, imm=0)]
         pinned = len(setup)
         trap_pc = TEXT + 4 * len(setup)
-        for engine in ("ref", "fast"):
-            machine = make_machine(engine)
-            result = machine.run(make_program(seq + exit_seq()))
-            assert result.status == STATUS_FAULT, engine
-            assert result.instret == pinned, engine
-            assert result.trap_pc == trap_pc, engine
+        for new_machine in (Machine, FastMachine, eager_fast):
+            result = new_machine().run(make_program(seq + exit_seq()))
+            assert result.status == STATUS_FAULT, new_machine
+            assert result.instret == pinned, new_machine
+            assert result.trap_pc == trap_pc, new_machine
 
     def test_instret_pinned_mid_block(self):
         # Same, but the trap fires deep inside one straight-line block
@@ -293,14 +336,14 @@ class TestTrapAccounting:
     ), ids=("temporal", "spatial"))
     def test_trap_inside_fused_pair(self, source, status):
         # hwst128_tchk emits tchk immediately before every checked
-        # access, which the translator fuses into one closure. A UAF
+        # access, which the translator fuses into one function. A UAF
         # traps in the first half (tchk), an OOB in the second (the
         # checked access) — both must report the reference instret.
         config = HwstConfig()
         program = compile_source(source, "hwst128_tchk", config)
         results = {}
-        for engine in ("ref", "fast"):
-            machine = make_machine(engine, config=HwstConfig())
+        for engine, new_machine in (("ref", Machine), ("fast", eager_fast)):
+            machine = new_machine(config=HwstConfig())
             results[engine] = machine.run(program)
             if engine == "fast":
                 assert machine.fast_stats()["fused_pairs"] > 0
@@ -383,3 +426,236 @@ class TestObservedModes:
         # Hook saw every instruction; nothing was block-executed.
         assert len(fired) == result.instret + 1  # +1: trapping ecall
         assert machine.fast_stats()["block_runs"] == 0
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Count machine constructions by engine class name."""
+    counts = collections.Counter()
+    init = Machine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counts[type(self).__name__] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Machine, "__init__", counting_init)
+    return counts
+
+
+def _cyclic_garbage(new_machine, program, run: bool) -> int:
+    """Objects a dropped machine leaves for the cyclic collector."""
+    gc.collect()
+    before = len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        machine = new_machine(config=HwstConfig())
+        if run:
+            machine.run(program)
+        del machine
+        gc.collect()
+        return len(gc.garbage) - before
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[before:]
+
+
+class TestCompactCache:
+    """The translation cache is compact, per run and GC-neutral."""
+
+    def test_run_leaves_no_more_cyclic_garbage_than_reference(self):
+        case = _build_case(416, "uaf_fresh", 0)
+        program = compile_source(case.bad_source, "hwst128_tchk",
+                                 HwstConfig())
+        # What run() itself leaves behind (both engines keep the
+        # handler-table cycle of an unused machine). Eager translation,
+        # so every block of this run-once program is translated.
+        left = {name: _cyclic_garbage(new, program, run=True)
+                - _cyclic_garbage(new, program, run=False)
+                for name, new in (("ref", Machine), ("fast", eager_fast))}
+        assert left["fast"] <= left["ref"], left
+
+    def test_tracked_objects_per_translated_instruction(self):
+        program = compile_source(WORKLOADS["hmmer"].source("small"),
+                                 "sbcets", HwstConfig())
+        machine = FastMachine(config=HwstConfig(),
+                              timing=InOrderPipeline())
+        kept = []
+        translate = machine._translate
+
+        def keep(pc):
+            block = translate(pc)
+            kept.append(block)
+            return block
+
+        machine._translate = keep
+        machine.run(program)
+        # Operands are default arguments, never closure cells.
+        assert all(fn is None or fn.__closure__ is None
+                   for block in kept
+                   for fn in block.body + (block.term, block.fold))
+        gc.collect()
+        with_blocks = len(gc.get_objects())
+        kept.clear()
+        gc.collect()
+        per_instr = (with_blocks - len(gc.get_objects())) \
+            / machine.fast_stats()["translated_instrs"]
+        assert per_instr <= 6, per_instr
+
+    def test_stats_survive_the_dropped_cache(self):
+        seq = [
+            Instr("addi", rd=6, rs1=0, imm=5),
+            Instr("addi", rd=6, rs1=6, imm=-1),
+            Instr("bne", rs1=6, rs2=0, imm=-4),
+        ] + exit_seq()
+        machine = eager_fast()
+        result = machine.run(make_program(seq))
+        assert machine._blocks == {}
+        stats = machine.fast_stats()
+        assert stats["blocks"] == stats["translations"] == 3
+        assert stats["block_runs"] > stats["translations"]
+        for name, value in stats.items():
+            assert result.metrics[f"sim.fast.{name}"] == value
+
+    def test_callee_is_copied_into_one_superblock_only(self):
+        # Three calls to one callee: the first call site's superblock
+        # copies it, later ones chain to its own (single) block.
+        callee = TEXT + 20
+        seq = [Instr("jal", rd=1, imm=callee - (TEXT + 4 * i))
+               for i in range(3)]
+        seq += exit_seq()
+        seq += [Instr("addi", rd=5, rs1=5, imm=1),
+                Instr("jalr", rd=0, rs1=1, imm=0)]
+        ref, fast, _, _ = run_both(seq)
+        assert ref.regs[5] == 3
+        stats = fast.fast_stats()
+        # [jal, addi, jalr] [jal] [addi, jalr] [jal] [addi, ecall]
+        assert stats["translations"] == 5
+        assert stats["translated_instrs"] == 9
+
+
+class TestColdEntries:
+    """The default engine runs a block's first entry on the reference
+    loop and translates it on the second."""
+
+    def _run(self, seq):
+        ref = Machine().run(make_program(seq))
+        machine = FastMachine()
+        fast = machine.run(make_program(seq))
+        assert_results_equal(ref, fast)
+        return machine.fast_stats()
+
+    def test_run_once_code_is_never_translated(self):
+        stats = self._run(li_sequence(5, 0x12345678) + exit_seq())
+        assert stats["translations"] == stats["block_runs"] == 0
+
+    def test_block_translated_on_second_entry(self):
+        seq = [
+            Instr("addi", rd=6, rs1=0, imm=3),
+            Instr("addi", rd=5, rs1=5, imm=1),             # loop head
+            Instr("addi", rd=6, rs1=6, imm=-1),
+            Instr("bne", rs1=6, rs2=0, imm=-8),
+        ] + exit_seq()
+        # Entries: TEXT (cold), loop head (cold), loop head (translated
+        # and run), exit (cold).
+        stats = self._run(seq)
+        assert stats["translations"] == stats["block_runs"] == 1
+        assert stats["translated_instrs"] == 3
+
+    def test_budget_tail_after_cold_entries(self):
+        seq = [Instr("addi", rd=5, rs1=5, imm=1),
+               Instr("jal", rd=0, imm=-4)]
+        for budget in (1, 2, 3, 4, 5):
+            ref = Machine().run(make_program(seq),
+                                max_instructions=budget)
+            fast = FastMachine().run(make_program(seq),
+                                     max_instructions=budget)
+            assert ref.status == STATUS_LIMIT
+            assert_results_equal(ref, fast, f"budget {budget}")
+
+
+class TestLockstepOracles:
+    """Engine-lockstep oracles build both engines explicitly, so the
+    default engine cannot turn them into same-engine checks."""
+
+    SOURCE = TestObservedModes.SOURCE
+
+    @pytest.fixture(params=("ref", "fast"))
+    def default_engine(self, request, monkeypatch):
+        monkeypatch.setattr(repro.sim, "DEFAULT_ENGINE", request.param)
+        return request.param
+
+    @staticmethod
+    def _extra_machines(built, run):
+        """Machines ``run(True)`` builds beyond ``run(False)``."""
+        built.clear()
+        run(False)
+        without = collections.Counter(built)
+        built.clear()
+        run(True)
+        return dict(built - without)
+
+    def test_fuzz_probe(self, built, default_engine):
+        from repro.fuzz.oracle import probe_program
+
+        extra = self._extra_machines(built, lambda lockstep: probe_program(
+            self.SOURCE, schemes=("hwst128",), collect_coverage=False,
+            engine_lockstep=lockstep))
+        assert extra == {"Machine": 1, "FastMachine": 1}
+
+    def test_fault_campaign(self, built, default_engine):
+        from repro.faultinject.campaign import run_campaign
+
+        extra = self._extra_machines(built, lambda lockstep: run_campaign(
+            "hwst128", n=1, seed=3, targets=["vecsum"],
+            wallclock_budget=None, engine_lockstep=lockstep))
+        assert extra == {"Machine": 1, "FastMachine": 1}
+
+    def test_conform_lockstep_cell(self, built, default_engine):
+        from repro.harness.conform import ConformLockstepCell
+
+        cell = ConformLockstepCell(tag="t", source=self.SOURCE,
+                                   scheme="hwst128_tchk")
+        assert cell.execute().ok
+        assert dict(built) == {"Machine": 1, "FastMachine": 1}
+
+
+class TestEngineIdentity:
+    """Figures, coverage and serve envelopes are the same bytes on
+    either default engine."""
+
+    @staticmethod
+    def _on_both(monkeypatch, built, produce):
+        docs = {}
+        for engine in ("ref", "fast"):
+            monkeypatch.setattr(repro.sim, "DEFAULT_ENGINE", engine)
+            built.clear()
+            docs[engine] = json.dumps(produce(), sort_keys=True,
+                                      separators=(",", ":"))
+            assert set(built) == {ENGINES[engine].__name__}
+        assert docs["ref"] == docs["fast"]
+        return docs["fast"]
+
+    def test_fig4_rows(self, monkeypatch, built):
+        from repro.harness.experiments import fig4_overhead
+
+        doc = self._on_both(monkeypatch, built, lambda: fig4_overhead(
+            scale="small", workloads=["treeadd"]))
+        assert "sim.fast" not in doc
+
+    def test_juliet_coverage(self, monkeypatch, built):
+        from repro.harness.coverage import evaluate_coverage
+        from repro.harness.experiments import FIG6_SCHEMES
+
+        cases = [_build_case(121, "loop_to_canary", 0),
+                 _build_case(416, "uaf_fresh", 1),
+                 _build_case(761, "free_offset", 2)]
+        self._on_both(monkeypatch, built, lambda: {
+            scheme: dataclasses.asdict(result)
+            for scheme, result in evaluate_coverage(
+                FIG6_SCHEMES, cases=cases, check_good=True).items()})
+
+    def test_serve_evaluate(self, monkeypatch, built):
+        from repro.serve.protocol import evaluate
+
+        self._on_both(monkeypatch, built,
+                      lambda: evaluate(TestObservedModes.SOURCE))
