@@ -1,7 +1,8 @@
 """Program assembly: lay out globals, emit stubs, resolve symbols.
 
 ``build_program`` turns a (possibly instrumented) IR module plus the
-runtime into a loadable :class:`Program`:
+runtime library, lowered once by :func:`lower_runtime` into a
+:class:`RuntimeImage`, into a loadable :class:`Program`:
 
 1. globals (user + runtime + string literals) are placed in the data
    segment with their alignment;
@@ -17,7 +18,8 @@ runtime into a loadable :class:`Program`:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro import bits
 from repro.core.config import HwstConfig
@@ -25,7 +27,8 @@ from repro.errors import LinkError
 from repro.isa import csr as csrdef
 from repro.isa.instructions import Instr, SPEC_TABLE, li_sequence
 from repro.isa.registers import A0, A7, RA, T0, ZERO
-from repro.ir.ir import Module
+from repro.ir.ir import GlobalData, Module
+from repro.ir.verify import Interface, interface
 from repro.codegen.lower import CodegenOptions, compile_function
 from repro.sim.memory import DEFAULT_LAYOUT, MemoryLayout
 from repro.sim.machine import SYS_ABORT, SYS_EXIT, SYS_WRITE
@@ -171,13 +174,59 @@ def _start_code(config: HwstConfig) -> List[Instr]:
     return out
 
 
-def build_program(module: Module,
+@dataclass(frozen=True)
+class RuntimeImage:
+    """A runtime library lowered once, to be linked into many programs.
+
+    It keeps only what linking needs: the globals in layout order, the
+    call :class:`~repro.ir.verify.Interface`, and each function's RV64
+    body with its ``call``/``hi``/``lo`` relocations still open. The IR
+    is dropped. :func:`build_program` never mutates the bodies, so one
+    image serves every program built from it.
+    """
+
+    globals: Mapping[str, GlobalData]
+    bodies: Mapping[str, Tuple[Instr, ...]]
+    interface: Interface
+
+
+def lower_runtime(module: Module, options: CodegenOptions,
+                  phases=None) -> RuntimeImage:
+    """Lower a verified runtime-library ``module`` into an image."""
+    from repro.obs.phases import NULL_PHASES
+
+    phases = phases if phases is not None else NULL_PHASES
+    with phases.phase("lower"):
+        bodies = {name: tuple(compile_function(fn, options))
+                  for name, fn in module.functions.items()}
+    return RuntimeImage(globals=dict(module.globals), bodies=bodies,
+                        interface=interface(module))
+
+
+def _check_no_clash(module: Module, runtime: RuntimeImage) -> None:
+    """A program may not define what the runtime library defines."""
+    for kind, ours, theirs in (("function", module.functions,
+                                runtime.bodies),
+                               ("global", module.globals,
+                                runtime.globals)):
+        for name in theirs:
+            if name in ours:
+                raise LinkError(
+                    f"{kind} {name!r} is defined by both the program "
+                    f"and the runtime library")
+
+
+def build_program(module: Module, runtime: RuntimeImage,
                   config: Optional[HwstConfig] = None,
                   layout: MemoryLayout = DEFAULT_LAYOUT,
                   options: Optional[CodegenOptions] = None,
                   meta: Optional[dict] = None,
                   phases=None):
-    """Link ``module`` into an executable :class:`Program`.
+    """Link ``module`` against ``runtime`` into a :class:`Program`.
+
+    The runtime's functions and globals are placed after the module's.
+    A module may not define a name the runtime defines (``LinkError``);
+    it may override an assembly stub.
 
     ``phases`` (a :class:`repro.obs.phases.PhaseTimers`) splits the
     backend wall time into the per-function ``lower`` phase and the
@@ -190,17 +239,18 @@ def build_program(module: Module,
     options = options or CodegenOptions()
     phases = phases if phases is not None else NULL_PHASES
 
+    _check_no_clash(module, runtime)
     if "main" not in module.functions:
         raise LinkError("no main() in module")
-    if "__rt_init" not in module.functions:
-        raise LinkError("no __rt_init() — runtime not linked in")
+    if "__rt_init" not in runtime.bodies:
+        raise LinkError("no __rt_init() in the runtime library")
 
     # 1. Data segment layout.
     with phases.phase("link"):
         global_addr: Dict[str, int] = {}
         cursor = layout.data_base
         blob = bytearray()
-        for data in module.globals.values():
+        for data in (*module.globals.values(), *runtime.globals.values()):
             align = max(data.align, 8 if not data.is_string else 1)
             aligned = bits.align_up(cursor, align)
             blob += b"\x00" * (aligned - cursor)
@@ -218,11 +268,12 @@ def build_program(module: Module,
     with phases.phase("lower"):
         chunks: List[tuple] = [("_start", _start_code(config))]
         for name, code in asm_stubs(config, layout).items():
-            if name in module.functions:
+            if name in module.functions or name in runtime.bodies:
                 continue  # a runtime/user definition overrides the stub
             chunks.append((name, code))
         for name, fn in module.functions.items():
             chunks.append((name, compile_function(fn, options)))
+        chunks += runtime.bodies.items()
 
     with phases.phase("link"):
         # 3. Place sequentially.
@@ -235,7 +286,9 @@ def build_program(module: Module,
         if text_end > layout.data_base:
             raise LinkError(f"text overflows data base ({text_end:#x})")
 
-        # 4. Patch relocations.
+        # 4. Patch relocations. A patched instruction is a new object:
+        # the original may belong to a runtime image that every
+        # program linked against it shares.
         for index, ins in enumerate(instrs):
             if ins.sym is None:
                 continue
@@ -244,24 +297,23 @@ def build_program(module: Module,
                 target = func_addr.get(ins.sym)
                 if target is None:
                     raise LinkError(f"undefined function {ins.sym!r}")
-                offset = target - pc
-                if not bits.fits_signed(offset, 21):
+                imm = target - pc
+                if not bits.fits_signed(imm, 21):
                     raise LinkError(f"call to {ins.sym!r} out of jal range")
-                ins.imm = offset
             elif ins.sym_kind in ("hi", "lo"):
                 addr = global_addr.get(ins.sym)
                 if addr is None:
                     raise LinkError(f"undefined global {ins.sym!r}")
                 hi = (addr + 0x800) >> 12
                 if ins.sym_kind == "hi":
-                    ins.imm = hi & 0xFFFFF
+                    imm = hi & 0xFFFFF
                 else:
-                    ins.imm = addr - (hi << 12)
+                    imm = addr - (hi << 12)
             else:
                 raise LinkError(
                     f"unresolved local label {ins.sym!r} escaped codegen")
-            ins.sym = None
-            ins.sym_kind = ""
+            instrs[index] = Instr(ins.op, ins.rd, ins.rs1, ins.rs2, imm,
+                                  comment=ins.comment)
 
     symbols = dict(func_addr)
     symbols.update(global_addr)

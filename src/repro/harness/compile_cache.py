@@ -6,23 +6,30 @@ unit is identical across all workloads, the front-end result of a
 workload source is identical across all schemes, and whole programs
 repeat verbatim across experiments (fig4's baseline build is fig2's,
 abl_compression's and abl_shadow's too). :class:`CompileCache` keys
-each artefact by SHA-256 of everything that can change it and stores
-*pickled* blobs, so a hit always hands back a fresh object graph that
-downstream passes may mutate freely:
+each artefact by SHA-256 of everything that can change it. The unit and
+program tiers store *pickled* blobs, so a hit always hands back a fresh
+object graph that downstream passes may mutate freely:
 
 * **unit tier** — the front-end ``Module`` (lex/parse/sema/irgen) of
   one translation unit, keyed by source text + unit name. Scheme- and
   config-independent: instrumentation runs after this stage.
+* **runtime tier** — each scheme's runtime library as a
+  :class:`~repro.codegen.link.RuntimeImage` (front end, verification
+  and lowering done once), keyed by the runtime source + the
+  ``CodegenOptions``. It holds live objects, not blobs: the linker
+  never mutates an image (it copies the instructions it patches), so
+  every program linked against one shares it.
 * **program tier** — the fully linked ``Program``, keyed by source +
   scheme + a fingerprint of the complete :class:`HwstConfig` (any
   config change conservatively invalidates, including runtime-only
   knobs like ``keybuffer_entries`` — the unit tier still hits).
 
 Counters land under ``compile.cache.*`` (``hits`` = unit + program
-hits) via :meth:`CompileCache.stats_snapshot`, which the sweep
-executor merges into the parent registry.
+hits; the runtime tier counts ``runtime_hits``/``runtime_misses``) via
+:meth:`CompileCache.stats_snapshot`, which the sweep executor merges
+into the parent registry.
 
-A third, **cross-process** tier is optional: :class:`DiskArtifactStore`
+An optional **cross-process** tier, :class:`DiskArtifactStore`,
 is an on-disk content-addressed store of the same sealed blobs, shared
 by every worker of a ``repro serve`` pool (and any other process
 pointed at the same directory). It is hardened for long-lived service
@@ -80,8 +87,9 @@ def _digest(*parts: str) -> str:
 
 #: Bump when the shape of cached entries changes: entries written by
 #: an older layout are treated as corrupt (-> recompile), never
-#: unpickled blind.
-CACHE_FORMAT = 1
+#: unpickled blind. 2: a ``Program`` pickles its instructions as plain
+#: field tuples.
+CACHE_FORMAT = 2
 
 
 def _seal(payload) -> tuple:
@@ -304,7 +312,7 @@ class DiskArtifactStore:
 
 
 class CompileCache:
-    """Two-tier content-addressed cache of compile artefacts.
+    """Three-tier content-addressed cache of compile artefacts.
 
     One instance is process-local (see :func:`process_cache`); pool
     workers each grow their own copy, and the sweep executor folds the
@@ -324,10 +332,14 @@ class CompileCache:
         # raising UnpicklingError mid-sweep.
         self._programs: Dict[str, tuple] = {}
         self._units: Dict[str, tuple] = {}
+        # key -> RuntimeImage, shared read-only by every program.
+        self._runtimes: Dict[str, object] = {}
         self.program_hits = 0
         self.unit_hits = 0
+        self.runtime_hits = 0
         self.misses = 0
         self.unit_misses = 0
+        self.runtime_misses = 0
         self.corrupt = 0
 
     def _open(self, store: Dict[str, tuple], key: str):
@@ -363,6 +375,11 @@ class CompileCache:
     def unit_key(source: str, name: str) -> str:
         return _digest("unit", source, name)
 
+    @staticmethod
+    def runtime_key(source: str, options) -> str:
+        return _digest("runtime", source,
+                       json.dumps(asdict(options), sort_keys=True))
+
     # -- unit tier (used by schemes.compile_source) -------------------------
 
     def load_unit(self, source: str, name: str):
@@ -377,6 +394,22 @@ class CompileCache:
     def store_unit(self, source: str, name: str, module) -> None:
         if len(self._units) < self.max_entries:
             self._units[self.unit_key(source, name)] = _seal(module)
+
+    # -- runtime tier (used by schemes.compile.runtime_image) ---------------
+
+    def load_runtime(self, source: str, options):
+        """The shared runtime image for ``source`` lowered under
+        ``options`` (a ``CodegenOptions``), or None on miss."""
+        image = self._runtimes.get(self.runtime_key(source, options))
+        if image is None:
+            self.runtime_misses += 1
+        else:
+            self.runtime_hits += 1
+        return image
+
+    def store_runtime(self, source: str, options, image) -> None:
+        if len(self._runtimes) < self.max_entries:
+            self._runtimes[self.runtime_key(source, options)] = image
 
     # -- program tier -------------------------------------------------------
 
@@ -465,7 +498,7 @@ class CompileCache:
 
             phases = PhaseTimers(metrics=metrics, tracer=tracer)
         return compile_source(source, scheme, config, program_name,
-                              phases=phases, unit_cache=self)
+                              phases=phases, cache=self)
 
     @staticmethod
     def _replay_analyze(program, metrics) -> None:
@@ -492,6 +525,8 @@ class CompileCache:
             "compile.cache.unit_hits": self.unit_hits,
             "compile.cache.misses": self.misses,
             "compile.cache.unit_misses": self.unit_misses,
+            "compile.cache.runtime_hits": self.runtime_hits,
+            "compile.cache.runtime_misses": self.runtime_misses,
             "compile.cache.corrupt": self.corrupt,
         }
         if self.disk is not None:
@@ -501,8 +536,9 @@ class CompileCache:
     def clear(self) -> None:
         self._programs.clear()
         self._units.clear()
-        self.program_hits = self.unit_hits = 0
-        self.misses = self.unit_misses = 0
+        self._runtimes.clear()
+        self.program_hits = self.unit_hits = self.runtime_hits = 0
+        self.misses = self.unit_misses = self.runtime_misses = 0
         self.corrupt = 0
 
 

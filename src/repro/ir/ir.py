@@ -497,13 +497,6 @@ class Module:
             raise ValueError(f"duplicate global {data.name!r}")
         self.globals[data.name] = data
 
-    def merge(self, other: "Module"):
-        """Link another module's contents into this one."""
-        for func in other.functions.values():
-            self.add_function(func)
-        for data in other.globals.values():
-            self.add_global(data)
-
     def dump(self) -> str:
         lines = []
         for func in self.functions.values():

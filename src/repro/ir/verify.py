@@ -12,7 +12,10 @@ Checks the invariants the -O0 code generator relies on:
   differ only by case silently shadow each other);
 * locals referenced by AddrLocal exist in the frame;
 * calls to in-module functions pass the right number of arguments
-  (unknown callees — runtime helpers — are skipped);
+  (unknown callees — assembly stubs — are skipped). A unit verified
+  on its own (the runtime library) exports an :class:`Interface`, and
+  ``verify_module(module, linked=...)`` checks the calls between the
+  two units as if they were one module;
 * optionally (``allow_unreachable=False``) no block is unreachable
   from the entry block.  The default is permissive because irgen
   deliberately emits ``dead.*`` landing blocks for statements after a
@@ -21,10 +24,51 @@ Checks the invariants the -O0 code generator relies on:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import IRError
 from repro.ir.ir import AddrLocal, Br, Call, Function, Jmp, Module
+
+
+@dataclass(frozen=True)
+class Interface:
+    """The call contract of a separately verified unit.
+
+    ``arities`` maps each function the unit defines to its parameter
+    count; ``calls`` lists, in verification order, the unit's calls to
+    names it does not define as ``(function/block, callee, argc)``.
+    """
+
+    arities: Mapping[str, int]
+    calls: Tuple[Tuple[str, str, int], ...]
+
+
+def _arities(module: Module) -> Dict[str, int]:
+    return {name: len(fn.param_names)
+            for name, fn in module.functions.items()}
+
+
+def interface(module: Module) -> Interface:
+    """``module``'s :class:`Interface`."""
+    calls = []
+    for fn in module.functions.values():
+        for blk in fn.blocks:
+            for ins in blk.instrs:
+                if isinstance(ins, Call) and \
+                        ins.name not in module.functions:
+                    calls.append((f"{fn.name}/{blk.label}", ins.name,
+                                  len(ins.args)))
+    return Interface(arities=_arities(module), calls=tuple(calls))
+
+
+def _check_call(where: str, callee: str, passed: int,
+                arities: Mapping[str, int]) -> None:
+    takes = arities.get(callee)
+    if takes is not None and passed != takes:
+        raise IRError(
+            f"{where}: call to {callee!r} passes {passed} argument(s) "
+            f"but its definition takes {takes}")
 
 
 def unreachable_blocks(fn: Function) -> List[str]:
@@ -52,7 +96,15 @@ def unreachable_blocks(fn: Function) -> List[str]:
 
 
 def verify_function(fn: Function, module: Optional[Module] = None, *,
-                    allow_unreachable: bool = True):
+                    allow_unreachable: bool = True,
+                    arities: Optional[Mapping[str, int]] = None):
+    """Verify one function; raises IRError on the first violation.
+
+    Call sites are checked against ``arities`` (callee -> parameter
+    count), by default the functions of ``module`` when one is given.
+    """
+    if arities is None:
+        arities = _arities(module) if module is not None else {}
     labels = {blk.label for blk in fn.blocks}
     if len(labels) != len(fn.blocks):
         counts: Dict[str, int] = {}
@@ -89,14 +141,9 @@ def verify_function(fn: Function, module: Optional[Module] = None, *,
             if isinstance(ins, AddrLocal) and ins.name not in fn.locals:
                 raise IRError(
                     f"{fn.name}/{blk.label}: unknown local {ins.name!r}")
-            if isinstance(ins, Call) and module is not None:
-                callee = module.functions.get(ins.name)
-                if callee is not None and \
-                        len(ins.args) != len(callee.param_names):
-                    raise IRError(
-                        f"{fn.name}/{blk.label}: call to {ins.name!r} "
-                        f"passes {len(ins.args)} argument(s) but its "
-                        f"definition takes {len(callee.param_names)}")
+            if isinstance(ins, Call):
+                _check_call(f"{fn.name}/{blk.label}", ins.name,
+                            len(ins.args), arities)
             if isinstance(ins, Br):
                 for target in (ins.then_label, ins.else_label):
                     if target not in labels:
@@ -137,7 +184,22 @@ def verify_function(fn: Function, module: Optional[Module] = None, *,
                 f"entry {fn.blocks[0].label!r}")
 
 
-def verify_module(module: Module, *, allow_unreachable: bool = True):
-    """Verify every function; raises IRError on the first violation."""
+def verify_module(module: Module, *, allow_unreachable: bool = True,
+                  linked: Optional[Interface] = None):
+    """Verify every function; raises IRError on the first violation.
+
+    ``linked`` is the :class:`Interface` of a unit verified on its own
+    that ``module`` will be linked with. Calls are then checked as in
+    the module the two would merge into, ``module``'s functions first:
+    its calls into the linked unit, then the linked unit's calls to
+    names ``module`` defines.
+    """
+    arities = _arities(module)
+    if linked is not None:
+        arities = {**linked.arities, **arities}
     for fn in module.functions.values():
-        verify_function(fn, module, allow_unreachable=allow_unreachable)
+        verify_function(fn, module, allow_unreachable=allow_unreachable,
+                        arities=arities)
+    if linked is not None:
+        for where, callee, passed in linked.calls:
+            _check_call(where, callee, passed, arities)

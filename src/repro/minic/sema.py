@@ -95,13 +95,9 @@ class SemaResult:
     strings: Dict[str, bytes] = field(default_factory=dict)
 
 
-_STRING_COUNTER = [0]
-
-
-def _fresh_string_symbol() -> str:
-    """Process-unique string-literal symbol (units are later linked)."""
-    _STRING_COUNTER[0] += 1
-    return f"__str{_STRING_COUNTER[0]}"
+#: Prefix of a user unit's string-literal symbols. The dot keeps every
+#: such name out of reach of mini-C identifiers.
+LITERAL_PREFIX = "__str."
 
 
 class _Scope:
@@ -124,8 +120,10 @@ class _Scope:
 
 
 class Analyzer:
-    def __init__(self, unit: ast.TranslationUnit):
+    def __init__(self, unit: ast.TranslationUnit,
+                 literal_prefix: str = LITERAL_PREFIX):
         self.unit = unit
+        self.literal_prefix = literal_prefix
         self.func_types: Dict[str, FuncType] = dict(BUILTIN_FUNCS)
         self.globals: Dict[str, ast.GlobalVar] = {}
         self.strings: Dict[str, bytes] = {}
@@ -297,7 +295,8 @@ class Analyzer:
             return LONG if abs(expr.value) > 0x7FFF_FFFF else INT
         if isinstance(expr, ast.StrLit):
             if not expr.symbol:
-                expr.symbol = _fresh_string_symbol()
+                expr.symbol = \
+                    f"{self.literal_prefix}{len(self.strings) + 1}"
                 self.strings[expr.symbol] = expr.value + b"\x00"
             return ArrayType(CHAR, len(expr.value) + 1)
         if isinstance(expr, ast.Ident):
@@ -505,6 +504,13 @@ class Analyzer:
         raise SemanticError(f"cannot assign {value} to {target}")
 
 
-def analyze(unit: ast.TranslationUnit) -> SemaResult:
-    """Type-check and annotate ``unit``; returns the sema tables."""
-    return Analyzer(unit).run()
+def analyze(unit: ast.TranslationUnit,
+            literal_prefix: str = LITERAL_PREFIX) -> SemaResult:
+    """Type-check and annotate ``unit``; returns the sema tables.
+
+    String literals become globals named ``<literal_prefix><n>``,
+    numbered from 1 in the order this unit's analysis meets them, so
+    the names depend on the unit alone. Units linked into one program
+    need distinct prefixes (the runtime library has its own).
+    """
+    return Analyzer(unit, literal_prefix).run()

@@ -2,7 +2,8 @@
 
 ``schemes.compile_source`` wraps lex/parse/sema/irgen/instrument and
 the backend's lower/link in :meth:`PhaseTimers.phase` spans. Timings
-accumulate (user unit + runtime unit both pass through the front end),
+accumulate (the user unit and an uncached runtime unit both pass
+through the front end),
 land in ``compile.<phase>.ms`` histograms when a registry is attached,
 and appear as ``compile``-category spans in an attached tracer.
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from repro.codegen.link import build_program
+from repro.codegen.link import RuntimeImage, build_program, lower_runtime
 from repro.codegen.lower import CodegenOptions
 from repro.codegen.runtime import runtime_source
 from repro.core.config import HwstConfig
@@ -13,6 +13,7 @@ from repro.ir.irgen import lower_unit
 from repro.ir.verify import verify_module
 from repro.minic import analyze, tokenize
 from repro.minic.parser import Parser
+from repro.minic.sema import LITERAL_PREFIX
 from repro.obs.phases import NULL_PHASES
 from repro.pipeline.timing import InOrderPipeline, TimingParams
 from repro.sim import make_machine
@@ -73,16 +74,21 @@ def scheme_names():
     return list(SCHEMES)
 
 
+#: String-literal prefix of the runtime library, distinct from the
+#: user unit's (``repro.minic.sema.LITERAL_PREFIX``).
+RUNTIME_LITERAL_PREFIX = "__rt.str."
+
+
 def _compile_unit(source: str, name: str, phases=NULL_PHASES,
-                  unit_cache=None):
+                  cache=None, literal_prefix: str = LITERAL_PREFIX):
     """Front end for one translation unit, phase-timed stage by stage.
 
-    ``unit_cache`` (a :class:`repro.harness.compile_cache.CompileCache`)
+    ``cache`` (a :class:`repro.harness.compile_cache.CompileCache`)
     memoises the scheme-independent front-end result; a hit returns a
     fresh unpickled ``Module`` that later passes may mutate freely.
     """
-    if unit_cache is not None:
-        module = unit_cache.load_unit(source, name)
+    if cache is not None:
+        module = cache.load_unit(source, name)
         if module is not None:
             return module
     with phases.phase("lex"):
@@ -90,24 +96,50 @@ def _compile_unit(source: str, name: str, phases=NULL_PHASES,
     with phases.phase("parse"):
         unit = Parser(tokens).parse_translation_unit()
     with phases.phase("sema"):
-        sema = analyze(unit)
+        sema = analyze(unit, literal_prefix)
     with phases.phase("irgen"):
         module = lower_unit(sema, name)
-    if unit_cache is not None:
-        unit_cache.store_unit(source, name, module)
+    if cache is not None:
+        cache.store_unit(source, name, module)
     return module
+
+
+def runtime_image(spec: SchemeSpec, options: CodegenOptions,
+                  phases=NULL_PHASES, cache=None) -> RuntimeImage:
+    """``spec``'s runtime library, compiled, verified and lowered.
+
+    With a ``cache`` the image is built once per cache and shared by
+    every program linked against it; without one, every call does the
+    full work.
+    """
+    source = runtime_source(spec.runtime, spec.sbcets_shadow)
+    if cache is not None:
+        image = cache.load_runtime(source, options)
+        if image is not None:
+            return image
+    module = _compile_unit(source, "runtime", phases,
+                           literal_prefix=RUNTIME_LITERAL_PREFIX)
+    verify_module(module)
+    image = lower_runtime(module, options, phases)
+    if cache is not None:
+        cache.store_runtime(source, options, image)
+    return image
 
 
 def compile_source(source: str, scheme: str = "baseline",
                    config: Optional[HwstConfig] = None,
                    program_name: str = "program",
-                   phases=None, unit_cache=None):
+                   phases=None, cache=None):
     """Compile mini-C ``source`` under ``scheme`` into a Program.
 
     ``phases`` is an optional :class:`repro.obs.phases.PhaseTimers`;
     when attached, lex/parse/sema/irgen/instrument/lower/link wall
     times accumulate into its ``compile.*`` metrics (the user unit and
-    the runtime unit both pass through the front-end phases).
+    an uncached runtime unit both pass through the front-end phases).
+
+    ``cache`` (a :class:`repro.harness.compile_cache.CompileCache`)
+    supplies the user unit's front end and the scheme's runtime image
+    when it holds them; the program comes out the same either way.
 
     When ``config.elide_checks`` is set and the scheme's pass is
     elidable, the static memory-safety analysis runs before
@@ -123,7 +155,7 @@ def compile_source(source: str, scheme: str = "baseline",
     config = config or HwstConfig()
     phases = phases if phases is not None else NULL_PHASES
 
-    module = _compile_unit(source, program_name, phases, unit_cache)
+    module = _compile_unit(source, program_name, phases, cache)
     if spec.instrument is not None:
         from repro.ir.instrument import PASSES, instrument_module
 
@@ -164,20 +196,18 @@ def compile_source(source: str, scheme: str = "baseline",
             if scope is not None:
                 for key, value in module.meta["analyze"].items():
                     scope.counter(f"analyze.{key}").inc(value)
-    runtime = _compile_unit(
-        runtime_source(spec.runtime, spec.sbcets_shadow), "runtime",
-        phases, unit_cache)
-    module.merge(runtime)
-    verify_module(module)
+    options = CodegenOptions(spill_meta=spec.spill_meta)
+    image = runtime_image(spec, options, phases, cache)
+    verify_module(module, linked=image.interface)
 
     meta: Dict[str, object] = {"scheme": scheme, "name": program_name}
     if "analyze" in module.meta:
         # Keep the elision summary on the Program so cached builds can
         # replay the compile.analyze.* counters without re-analysing.
         meta["analyze"] = dict(module.meta["analyze"])
-    options = CodegenOptions(spill_meta=spec.spill_meta)
-    program = build_program(module, config=config, layout=DEFAULT_LAYOUT,
-                            options=options, meta=meta, phases=phases)
+    program = build_program(module, image, config=config,
+                            layout=DEFAULT_LAYOUT, options=options,
+                            meta=meta, phases=phases)
     return program
 
 

