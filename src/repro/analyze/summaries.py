@@ -180,9 +180,6 @@ class SymItv:
         return SymItv(sb_add(self.lo, other.lo, -1),
                       sb_add(self.hi, other.hi, +1))
 
-    def add_const(self, c) -> "SymItv":
-        return self.add(SymItv.const(c))
-
     def mul_const(self, k: int) -> "SymItv":
         lo, hi = sb_mul_const(self.lo, k), sb_mul_const(self.hi, k)
         return SymItv(lo, hi) if k >= 0 else SymItv(hi, lo)
@@ -283,13 +280,6 @@ class FunctionSummary:
     havocs: bool = False
     frees_unknown: bool = False
     ret: RetSummary = field(default_factory=RetSummary)
-
-    @property
-    def frees_anything(self) -> bool:
-        return bool(self.frees_may) or self.frees_unknown
-
-    def derefs_of(self, param: str) -> List[Deref]:
-        return [d for p, d in self.derefs if p == param]
 
 
 def conservative_summary(name: str,

@@ -45,11 +45,6 @@ def sext(value: int, bits: int) -> int:
     return value
 
 
-def zext(value: int, bits: int) -> int:
-    """Zero-extend (truncate) ``value`` to ``bits`` bits."""
-    return value & ((1 << bits) - 1)
-
-
 def fits_signed(value: int, bits: int) -> bool:
     """True when ``value`` is representable as a signed ``bits``-bit int."""
     lo = -(1 << (bits - 1))

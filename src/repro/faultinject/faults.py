@@ -97,10 +97,6 @@ class FaultSpec:
     def is_link_fault(self) -> bool:
         return self.kind in LINK_KINDS
 
-    def brief(self) -> str:
-        return (f"{self.kind}@{self.trigger} "
-                f"bit={self.bit} select={self.select}")
-
 
 class _CorruptingCompressor:
     """Proxy around :class:`MetadataCompressor` that XORs one bit into

@@ -459,9 +459,6 @@ class Function:
         self.locals[name] = slot
         return slot
 
-    def instr_count(self) -> int:
-        return sum(len(blk.instrs) for blk in self.blocks)
-
     def __repr__(self):
         return f"<Function {self.name}: {len(self.blocks)} blocks>"
 

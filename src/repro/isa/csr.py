@@ -29,17 +29,6 @@ ALL_CSRS = (
     HWST_LOCK_BASE, HWST_LOCK_LIMIT, HWST_STATUS,
 )
 
-CSR_NAMES = {
-    CYCLE: "cycle",
-    TIME: "time",
-    INSTRET: "instret",
-    HWST_SM_OFFSET: "hwst.sm.offset",
-    HWST_META_WIDTHS: "hwst.meta.widths",
-    HWST_LOCK_BASE: "hwst.lock.base",
-    HWST_LOCK_LIMIT: "hwst.lock.limit",
-    HWST_STATUS: "hwst.status",
-}
-
 # Layout of HWST_META_WIDTHS: four 6-bit width fields packed into 24 bits.
 # [5:0] base width, [11:6] range width, [17:12] lock width, [23:18] key width.
 _WIDTH_FIELD_BITS = 6
@@ -67,8 +56,3 @@ def unpack_meta_widths(value: int):
         bits.extract(value, 12, _WIDTH_FIELD_BITS),
         bits.extract(value, 18, _WIDTH_FIELD_BITS),
     )
-
-
-def csr_name(addr: int) -> str:
-    """Human-readable CSR name (falls back to hex)."""
-    return CSR_NAMES.get(addr, f"csr{addr:#x}")

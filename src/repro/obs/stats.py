@@ -73,10 +73,6 @@ class HitMissStats:
         for counter in self._extra_stats:
             counter.reset()
 
-    def hit_miss_stats(self) -> Dict[str, int]:
-        """Back-compat dict view."""
-        return {"hits": self._hits.value, "misses": self._misses.value}
-
 
 def derived_rates(stats: Dict[str, int], instret: int = 0,
                   cycles: int = 0) -> Dict[str, float]:

@@ -20,14 +20,22 @@ Fused-check accesses (``ld.chk`` …) cost the same as plain accesses: the
 SCU compares in EX off the decompressed SRF metadata, in parallel with
 address generation, which is exactly the SHORE/HWST128 design point (the
 price is paid in critical-path ns, not cycles — see ``hwcost``).
+
+This module is the only place that knows what an instruction costs:
+everything static per mnemonic is one :class:`CostRow` of
+:attr:`InOrderPipeline.rows`, which both engines read (DESIGN.md,
+"Timing calibration"; ``tests/test_pipeline_timing.py`` checks every
+row against it).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from types import MappingProxyType
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
-from repro.isa.instructions import Instr, SPEC_TABLE
+from repro.isa.instructions import Instr, InstrSpec, SPEC_TABLE
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.cache import CacheParams, DataCache
 
@@ -75,8 +83,92 @@ class TimingParams:
         size_bytes=2048, ways=2, line_bytes=32))
 
 
+class CostRow(NamedTuple):
+    """One mnemonic's row of :attr:`InOrderPipeline.rows`: its static
+    cost and its interlock roles."""
+
+    cycles: int        # static cycles: the base cycle + ``extra``
+    extra: int         # structural extras, latency or jump redirect ...
+    bucket: str        # ... and the BREAKDOWN_KEYS bucket they bill
+    gpr_rs1: bool      # rs1 stalls on a GPR load retired just before
+    gpr_rs2: bool      # rs2 likewise
+    srf_rs1: bool      # SRF[rs1] stalls on a shadow load retired just before
+    srf_rs2: bool      # SRF[rs2] likewise (sbdl/sbdu)
+    gpr_load: bool     # rd receives a GPR load result
+    srf_load: bool     # SRF[rd] receives a shadow-memory load result
+    branch: bool       # a taken branch pays InOrderPipeline.redirect
+
+
+def _cost_row(spec: InstrSpec, params: TimingParams) -> CostRow:
+    if spec.is_jump:
+        # jal/jalr always redirect; a branch pays only when taken.
+        bucket, extra = "redirect", params.jump_penalty
+    elif spec.mul_like:
+        bucket, extra = "muldiv", params.mul_latency
+    elif spec.div_like:
+        bucket, extra = "muldiv", params.div_latency
+    else:
+        bucket, extra = "wide", 0
+        if spec.shadow_access:
+            # Eq. 1 address generation (SMAC) in front of the AGU.
+            extra += params.smac_extra
+        if spec.srf_write and not spec.is_load:
+            # bndrs/bndrt: the configurable field packer (COMP) sits in
+            # front of the SRF write port.
+            extra += params.bind_extra
+        if spec.mnemonic == "tchk":
+            # tchk occupies the MEM stage for its keybuffer CAM lookup
+            # even on a hit (the win is skipping the DCache access,
+            # Section 3.5).
+            extra += params.tchk_occupancy
+        if spec.mem_bytes > 8:
+            extra += params.wide_access_extra
+        if spec.ext == "mpx" and spec.shadow_access:
+            # bndldx/bndstx: the MPX bound-table walk is slow silicon.
+            extra += params.mpx_walk_extra
+        elif spec.ext == "avx" and not spec.shadow_access:
+            # vchk: compare all four metadata fields.
+            extra += params.avx_check_extra
+    return CostRow(
+        cycles=1 + extra,
+        extra=extra,
+        bucket=bucket,
+        gpr_rs1=spec.reads_rs1,
+        gpr_rs2=spec.reads_rs2,
+        # Metadata arriving from the shadow loads (lbdls/lbdus) is
+        # consumed by a fused check, tchk or sbd in the very next cycle
+        # — the bypass network cannot cover a MEM-stage producer.
+        srf_rs1=spec.checked or spec.mnemonic == "tchk",
+        srf_rs2=spec.mnemonic in ("sbdl", "sbdu"),
+        # (shadow metadata loads write the SRF, not the GPR file)
+        gpr_load=spec.is_load and spec.writes_rd and not spec.srf_write,
+        srf_load=spec.is_load and spec.srf_write,
+        branch=spec.is_branch,
+    )
+
+
+@functools.lru_cache(maxsize=32)
+def _cost_tables(params: TimingParams) -> Tuple[Mapping[str, CostRow],
+                                                Dict[str, tuple]]:
+    """``(rows, the same rows as exact tuples)`` for ``params``, shared
+    read-only by every pipeline built with them."""
+    rows = {op: _cost_row(spec, params) for op, spec in SPEC_TABLE.items()}
+    # retire() unpacks the rows as exact tuples: CPython specialises
+    # tuple unpacking for those, not for subclasses.
+    return MappingProxyType(rows), {op: tuple(row)
+                                    for op, row in rows.items()}
+
+
 class InOrderPipeline:
-    """Cycle accumulator fed by the ISS retire stream."""
+    """Cycle accumulator fed by the ISS retire stream.
+
+    :attr:`rows` is the cost policy: one :class:`CostRow` per
+    ``SPEC_TABLE`` mnemonic, built once per :attr:`params`. Both
+    engines charge from it — :meth:`retire` per instruction, the fast
+    engine's block fold through :meth:`static_cost` and
+    :meth:`operands` at translate time — and both charge the rare
+    dynamic costs through :meth:`dcache_miss` and :meth:`key_load`.
+    """
 
     def __init__(self, params: Optional[TimingParams] = None,
                  metrics: Optional[MetricsRegistry] = None):
@@ -88,11 +180,21 @@ class InOrderPipeline:
         # replace).
         self._bk = {key: self._scope.counter(name)
                     for key, name in BREAKDOWN_METRICS.items()}
+        self._base = self._bk["base"]
+        self.rows, self._rows = _cost_tables(self.params)
+        #: Interlock stalls: ``(GPR load-use cycles, SRF load-use
+        #: cycles, counter)``.
+        self.stalls = (self.params.load_use_stall,
+                       self.params.srf_load_use_stall, self._bk["load_use"])
+        #: Taken-branch redirect: ``(cycles, counter)``.
+        self.redirect = (self.params.branch_penalty, self._bk["redirect"])
         self.dcache = DataCache(self.params.cache,
                                 metrics=self._scope.scope("dcache"))
         self.cycles = 0
-        self._last_load_rd = -1
-        self._last_srf_load_rd = -1
+        # Load-producer state: the rd of the previous instruction if it
+        # was a GPR (resp. shadow) load, else -1.
+        self.last_load_rd = -1
+        self.last_srf_load_rd = -1
 
     @property
     def breakdown(self) -> Dict[str, int]:
@@ -103,8 +205,8 @@ class InOrderPipeline:
         self.dcache = DataCache(self.params.cache,
                                 metrics=self._scope.scope("dcache"))
         self.cycles = 0
-        self._last_load_rd = -1
-        self._last_srf_load_rd = -1
+        self.last_load_rd = -1
+        self.last_srf_load_rd = -1
         for counter in self._bk.values():
             counter.reset()
 
@@ -113,103 +215,108 @@ class InOrderPipeline:
                mem2: Optional[int]) -> int:
         """Account one retired instruction; returns its total cost in
         cycles (base + stalls + penalties) for cycle attribution."""
-        params = self.params
-        bk = self._bk
-        spec = SPEC_TABLE[ins.op]
-        cost = 1
-        bk["base"].value += 1
-
-        # Load-use interlock against the previous instruction.
-        last = self._last_load_rd
-        if last > 0 and (
-            (spec.reads_rs1 and ins.rs1 == last)
-            or (spec.reads_rs2 and ins.rs2 == last)
-        ):
-            cost += params.load_use_stall
-            bk["load_use"].value += params.load_use_stall
-        # (shadow metadata loads write the SRF, not the GPR file — they
-        # are tracked by the SRF interlock below instead)
-        self._last_load_rd = ins.rd if (
-            spec.is_load and spec.writes_rd and not spec.srf_write) else -1
-
-        # SRF load-use interlock: metadata arriving from the shadow
-        # loads (lbdls/lbdus) is consumed by a fused check, tchk or sbd
-        # in the very next cycle — the bypass network cannot cover a
-        # MEM-stage producer.
-        srf_last = self._last_srf_load_rd
-        if srf_last >= 0:
-            consumes_srf = (
-                ((spec.checked or ins.op == "tchk") and ins.rs1 == srf_last)
-                or (ins.op in ("sbdl", "sbdu") and ins.rs2 == srf_last)
-            )
-            if consumes_srf:
-                cost += params.srf_load_use_stall
-                bk["load_use"].value += params.srf_load_use_stall
-        self._last_srf_load_rd = ins.rd if (spec.srf_write and spec.is_load) \
-            else -1
-
-        if spec.shadow_access:
-            # Eq. 1 address generation (SMAC) in front of the AGU.
-            cost += params.smac_extra
-            bk["wide"].value += params.smac_extra
-        if spec.ext == "mpx" and spec.shadow_access:
-            # bndldx/bndstx: the MPX bound-table walk is slow silicon.
-            cost += params.mpx_walk_extra
-            bk["wide"].value += params.mpx_walk_extra
-        elif spec.ext == "avx" and not spec.shadow_access:
-            # vchk: compare all four metadata fields.
-            cost += params.avx_check_extra
-            bk["wide"].value += params.avx_check_extra
-
-        if spec.mul_like:
-            cost += params.mul_latency
-            bk["muldiv"].value += params.mul_latency
-        elif spec.div_like:
-            cost += params.div_latency
-            bk["muldiv"].value += params.div_latency
-
-        if spec.srf_write and not spec.is_load:
-            # bndrs/bndrt: the configurable field packer (COMP) sits in
-            # front of the SRF write port.
-            cost += params.bind_extra
-            bk["wide"].value += params.bind_extra
-
-        if taken and (spec.is_branch or spec.is_jump):
-            penalty = params.branch_penalty if spec.is_branch \
-                else params.jump_penalty
+        (cost, extra, bucket, gpr_rs1, gpr_rs2, srf_rs1, srf_rs2,
+         gpr_load, srf_load, branch) = self._rows[ins.op]
+        self._base.value += 1
+        if extra:
+            self._bk[bucket].value += extra
+        # Load-use interlocks against the previous instruction.
+        last = self.last_load_rd
+        if last > 0 and ((gpr_rs1 and ins.rs1 == last)
+                         or (gpr_rs2 and ins.rs2 == last)):
+            stall, _, counter = self.stalls
+            cost += stall
+            counter.value += stall
+        last = self.last_srf_load_rd
+        if last >= 0 and ((srf_rs1 and ins.rs1 == last)
+                          or (srf_rs2 and ins.rs2 == last)):
+            _, stall, counter = self.stalls
+            cost += stall
+            counter.value += stall
+        self.last_load_rd = ins.rd if gpr_load else -1
+        self.last_srf_load_rd = ins.rd if srf_load else -1
+        if taken and branch:
+            penalty, counter = self.redirect
             cost += penalty
-            bk["redirect"].value += penalty
-
-        if mem_addr is not None:
-            if not self.dcache.access(mem_addr, is_store):
-                cost += params.dcache_miss_penalty
-                bk["dmiss"].value += params.dcache_miss_penalty
-            if spec.mem_bytes > 8:
-                cost += params.wide_access_extra
-                bk["wide"].value += params.wide_access_extra
-
-        # tchk occupies the MEM stage for its keybuffer CAM lookup even
-        # on a hit (the win is skipping the DCache access, Section 3.5).
-        if kb_hit is not None:
-            cost += params.tchk_occupancy
-            bk["wide"].value += params.tchk_occupancy
-
-        # Secondary access: tchk key load on keybuffer miss, MPX bound
-        # table walk second beat, WDL in-check key load.
-        if mem2 is not None:
-            extra = 1  # the additional memory operation itself
-            if not self.dcache.access(mem2, False):
-                extra += params.dcache_miss_penalty
-                bk["dmiss"].value += params.dcache_miss_penalty
-            if kb_hit is False:
-                extra += params.keybuffer_miss_extra
-                bk["tchk_miss"].value += params.keybuffer_miss_extra + 1
-            else:
-                bk["wide"].value += 1
-            cost += extra
-
+            counter.value += penalty
+        if mem2 is not None and kb_hit is None:
+            # Secondary access beat: the MPX bound-table walk's second
+            # word, or WDL's in-check key load.
+            cost += 1
+            self._bk["wide"].value += 1
         self.cycles += cost
+        if mem_addr is not None and not self.dcache.access(mem_addr,
+                                                           is_store):
+            cost += self.dcache_miss()
+        if mem2 is not None:
+            if kb_hit is False:
+                cost += self.key_load(mem2)
+            elif not self.dcache.access(mem2, False):
+                cost += self.dcache_miss()
         return cost
+
+    def dcache_miss(self) -> int:
+        """Charge one D-cache miss (an access just returned False);
+        returns the cycles charged."""
+        penalty = self.params.dcache_miss_penalty
+        self._bk["dmiss"].value += penalty
+        self.cycles += penalty
+        return penalty
+
+    def key_load(self, lock: int) -> int:
+        """Charge a ``tchk`` keybuffer miss: the key load from ``lock``
+        through the D-cache plus the fill cycle (Section 3.5 — a hit
+        bypasses the DCache access). Returns the cycles charged."""
+        cost = 1 + self.params.keybuffer_miss_extra
+        self._bk["tchk_miss"].value += cost
+        self.cycles += cost
+        if not self.dcache.access(lock, False):
+            cost += self.dcache_miss()
+        return cost
+
+    # -- translate-time view (the fast engine's block fold) --------------
+
+    def operands(self, ins: Instr) -> Tuple[int, int, int]:
+        """Interlock descriptor of ``ins``: the two registers that stall
+        on a GPR load retired just before it, and the one that stalls on
+        a shadow load. Sentinels (-2/-3) never match a producer: the GPR
+        test requires ``last > 0``, the SRF one ``last >= 0``."""
+        row = self.rows[ins.op]
+        return (ins.rs1 if row.gpr_rs1 else -2,
+                ins.rs2 if row.gpr_rs2 else -2,
+                ins.rs1 if row.srf_rs1 else ins.rs2 if row.srf_rs2 else -3)
+
+    def static_cost(self, ins: Instr, prev: Optional[Tuple[int, int]]):
+        """Everything :meth:`retire` charges ``ins`` that is known
+        before it runs: ``(cycles, [(bucket, cycles), ...], state)``.
+
+        ``prev`` is the load-producer state ``(last_load_rd,
+        last_srf_load_rd)`` the previous instruction left, or ``None``
+        when it is only known at run time (the interlock is then not
+        charged here); ``state`` is the one ``ins`` leaves. The taken
+        redirect of a branch, D-cache outcomes and secondary accesses
+        are dynamic and not included.
+        """
+        row = self.rows[ins.op]
+        cycles = row.cycles
+        deltas = [(self._base, 1)]
+        if row.extra:
+            deltas.append((self._bk[row.bucket], row.extra))
+        if prev is not None:
+            gpr_stall, srf_stall, counter = self.stalls
+            a, b, srf_c = self.operands(ins)
+            last, srf_last = prev
+            stall = 0
+            if last > 0 and (a == last or b == last):
+                stall += gpr_stall
+            if srf_last >= 0 and srf_c == srf_last:
+                stall += srf_stall
+            if stall:
+                cycles += stall
+                deltas.append((counter, stall))
+        state = (ins.rd if row.gpr_load else -1,
+                 ins.rd if row.srf_load else -1)
+        return cycles, deltas, state
 
     def stats(self) -> Dict[str, int]:
         """Legacy stats view; also publishes the cycle-total gauge."""

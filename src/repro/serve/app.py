@@ -115,10 +115,6 @@ class ServeApp:
         registered on the loop (``loop.add_signal_handler``)."""
         self._shutdown.set()
 
-    def request_shutdown_threadsafe(self) -> None:
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._shutdown.set)
-
     async def run(self) -> None:
         """Serve until :meth:`request_shutdown`, then drain.
 

@@ -39,17 +39,17 @@ points (docs/fast-iss.md covers the full contract):
   credits exactly the instructions that completed before it), trap
   class/pc/detail, ``sim.*`` counters, keybuffer and shadow statistics,
   and — when a timing model is attached — cycles and the full
-  ``cyc_*``/dcache breakdown. The timing model is evaluated at
-  *translate time*: everything ``retire()`` charges that is static per
-  instruction (base cost, structural extras, mul/div latency, jump
-  redirects, intra-block interlocks) is summed into one per-block
-  **fold** applied once per replay; a mid-block trap recomputes and
-  applies the fold of the completed prefix. Only the D-cache outcome,
-  the tchk keybuffer-miss beat and taken-branch redirects stay in the
-  per-instruction functions. Reference-wrapped ops self-account
-  through the real ``retire()`` and therefore occupy a block alone in
-  timed mode, reading interlock state the fold materialises at block
-  boundaries.
+  ``cyc_*``/dcache breakdown. The timing model is read at *translate
+  time*: each instruction's static cost comes from the pipeline's
+  per-mnemonic cost rows (the table ``retire()`` reads), plus the
+  intra-block interlocks, and is summed into one per-block **fold**
+  applied once per replay; a mid-block trap recomputes and applies the
+  fold of the completed prefix. Only the D-cache outcome, the tchk
+  keybuffer miss and taken-branch redirects stay in the
+  per-instruction functions, charged through the same pipeline
+  methods and rows. Reference-wrapped ops self-account through the
+  real ``retire()`` and therefore occupy a block alone in timed mode,
+  reading interlock state the fold materialises at block boundaries.
 * **Compact, GC-quiet cache.** Operands are default arguments, not
   closure cells, so a translated instruction costs about two
   GC-tracked objects (the function and its defaults tuple); no
@@ -232,7 +232,8 @@ _BRANCH_COND = {
 }
 
 # ct_branches, the base cost and the interlock are static (the fold);
-# only the taken-path redirect penalty is dynamic (timed mode).
+# only the taken-path redirect (the pipeline's ``redirect`` charge) is
+# dynamic (timed mode).
 _TPL_BRANCH = """\
 def _mk(regs, rs1, rs2, taken_pc, ct_taken, pl, bk_redirect, penalty):
     def run(regs=regs, rs1=rs1, rs2=rs2, taken_pc=taken_pc,
@@ -614,13 +615,15 @@ class FastMachine(Machine):
 
     def _static_records(self, pcs):
         """Static cost records of one trace's instructions at ``pcs``
-        (in retire order): ``(ins, spec, cycles, counter pairs, state)``
-        per specialised instruction, ``state`` being the pipeline's
-        load-producer state after it. Reference-wrapped instructions
-        (ecall/ebreak included) account for themselves: no record."""
+        (in retire order): ``(ins, cycles, counter pairs, state)`` per
+        specialised instruction — the sim census plus, timed, the
+        pipeline's :meth:`~repro.pipeline.timing.InOrderPipeline.static_cost`
+        (``state`` being the load-producer state after it).
+        Reference-wrapped instructions (ecall/ebreak included) account
+        for themselves: no record."""
         program = self.program
         instrs = program.instrs
-        timed = self._mode is _TIMED
+        pl = self.timing if self._mode is _TIMED else None
         state = None
         records = []
         for pc in pcs:
@@ -631,15 +634,10 @@ class FastMachine(Machine):
                 continue
             pairs = self._static_counters(ins, spec)
             cycles = 0
-            if timed:
-                cycles, tpairs = self._static_timing(ins, spec, state)
-                pairs += tpairs
-                state = (
-                    ins.rd if (spec.is_load and spec.writes_rd
-                               and not spec.srf_write) else -1,
-                    ins.rd if (spec.srf_write and spec.is_load) else -1,
-                )
-            records.append((ins, spec, cycles, pairs, state))
+            if pl is not None:
+                cycles, deltas, state = pl.static_cost(ins, state)
+                pairs += deltas
+            records.append((ins, cycles, pairs, state))
         return records
 
     def _unwind(self, block: _Block, completed: int) -> None:
@@ -685,77 +683,6 @@ class FastMachine(Machine):
             pairs.append((ct["hwst_ops"], 1))
         return pairs
 
-    def _static_timing(self, ins: Instr, spec, prev_state):
-        """The translate-time-known part of ``retire()`` for one
-        specialised instruction: ``(cycles, [(counter, delta), ...])``.
-
-        Mirrors :meth:`InOrderPipeline.retire` term by term; what is
-        *not* here stays dynamic in the functions — the D-cache outcome,
-        the tchk keybuffer-miss beat, and the taken-branch redirect.
-        ``prev_state`` is the load-producer state after the previous
-        instruction of the trace, or ``None`` for the first one (whose
-        interlock against the previous block the fold resolves at run
-        time)."""
-        pl = self.timing
-        params = pl.params
-        bk = pl._bk
-        op = ins.op
-        cyc = 1
-        deltas = [(bk["base"], 1)]
-        wide = 0
-        if spec.shadow_access:
-            wide += params.smac_extra
-        if op == "tchk":
-            wide += params.tchk_occupancy
-        if spec.srf_write and not spec.is_load:
-            wide += params.bind_extra
-        if (spec.is_load or spec.is_store) and spec.mem_bytes > 8:
-            wide += params.wide_access_extra
-        if wide:
-            cyc += wide
-            deltas.append((bk["wide"], wide))
-        if spec.mul_like:
-            cyc += params.mul_latency
-            deltas.append((bk["muldiv"], params.mul_latency))
-        elif spec.div_like:
-            cyc += params.div_latency
-            deltas.append((bk["muldiv"], params.div_latency))
-        if spec.is_jump:
-            # jal/jalr always redirect; a taken *branch* pays its
-            # penalty dynamically in the terminator function.
-            cyc += params.jump_penalty
-            deltas.append((bk["redirect"], params.jump_penalty))
-        if prev_state is not None:
-            llr, lsrf = prev_state
-            stall = 0
-            if llr > 0 and ((spec.reads_rs1 and ins.rs1 == llr)
-                            or (spec.reads_rs2 and ins.rs2 == llr)):
-                stall += params.load_use_stall
-            if lsrf >= 0 and (
-                    ((spec.checked or op == "tchk")
-                     and ins.rs1 == lsrf)
-                    or (op in ("sbdl", "sbdu") and ins.rs2 == lsrf)):
-                stall += params.srf_load_use_stall
-            if stall:
-                cyc += stall
-                deltas.append((bk["load_use"], stall))
-        return cyc, deltas
-
-    @staticmethod
-    def _boundary_desc(ins: Instr, spec):
-        """Operand descriptor for the block's *first* instruction,
-        whose interlock against the previous block is resolved by the
-        fold at run time. Sentinels (-2/-3) can never match: the GPR
-        producer test requires ``last > 0``, the SRF one ``last >=
-        0``."""
-        op = ins.op
-        return (
-            ins.rs1 if spec.reads_rs1 else -2,
-            ins.rs2 if spec.reads_rs2 else -2,
-            ins.rs1 if (spec.checked or op == "tchk")
-            else (ins.rs2 if op in ("sbdl", "sbdu") else -3),
-        )
-
     def _make_fold(self, records):
         """Compile the ``fold()`` of a run of static records.
 
@@ -768,7 +695,7 @@ class FastMachine(Machine):
             return None
         merged: Dict[object, int] = {}
         total = 0
-        for _, _, cycles, pairs, _ in records:
+        for _, cycles, pairs, _ in records:
             total += cycles
             for counter, delta in pairs:
                 merged[counter] = merged.get(counter, 0) + delta
@@ -783,30 +710,28 @@ class FastMachine(Machine):
 
             return fold_plain
         pl = self.timing
-        params = pl.params
-        first_ins, first_spec = records[0][:2]
-        a, b, srf_c = self._boundary_desc(first_ins, first_spec)
-        end_load, end_srf_load = records[-1][4]
+        a, b, srf_c = pl.operands(records[0][0])
+        gpr_stall, srf_stall, bk_lu = pl.stalls
+        end_load, end_srf_load = records[-1][3]
 
-        def fold(pl=pl, bk_lu=pl._bk["load_use"],
-                 lu_stall=params.load_use_stall,
-                 srf_stall=params.srf_load_use_stall, a=a, b=b,
-                 srf_c=srf_c, counters=counters, total=total,
-                 end_load=end_load, end_srf_load=end_srf_load):
+        def fold(pl=pl, bk_lu=bk_lu, gpr_stall=gpr_stall,
+                 srf_stall=srf_stall, a=a, b=b, srf_c=srf_c,
+                 counters=counters, total=total, end_load=end_load,
+                 end_srf_load=end_srf_load):
             extra = 0
-            last = pl._last_load_rd
+            last = pl.last_load_rd
             if last > 0 and (a == last or b == last):
-                extra = lu_stall
-                bk_lu.value += lu_stall
-            last = pl._last_srf_load_rd
+                extra = gpr_stall
+                bk_lu.value += gpr_stall
+            last = pl.last_srf_load_rd
             if last >= 0 and srf_c == last:
                 extra += srf_stall
                 bk_lu.value += srf_stall
             for counter, delta in counters:
                 counter.value += delta
             pl.cycles += total + extra
-            pl._last_load_rd = end_load
-            pl._last_srf_load_rd = end_srf_load
+            pl.last_load_rd = end_load
+            pl.last_srf_load_rd = end_srf_load
 
         return fold
 
@@ -880,19 +805,15 @@ class FastMachine(Machine):
                 comp._config.lock_base)
 
     def _timed_refs(self):
-        """``(pipeline, dcache, dcache miss penalty, dmiss counter)``
-        for the dynamic timing fragments; ``pipeline`` is None untimed.
-
-        The emitted functions update the same pipeline attributes and
-        breakdown counters the reference ``InOrderPipeline.retire``
-        uses, so specialised and reference-handled instructions
-        interleave with exact cycle accounting.
-        """
+        """``(pipeline, dcache)`` for the dynamic timing fragments, or
+        ``(None, None)`` untimed. The functions charge a miss through
+        the same pipeline methods the reference ``retire()`` calls, so
+        specialised and reference-handled instructions interleave with
+        exact cycle accounting."""
         pl = self.timing
         if self._mode is not _TIMED:
-            return None, None, 0, None
-        return (pl, pl.dcache, pl.params.dcache_miss_penalty,
-                pl._bk["dmiss"])
+            return None, None
+        return pl, pl.dcache
 
     def _emit_alu(self, ins: Instr):
         """Semantics-only in both modes: every cycle an ALU op costs
@@ -911,7 +832,7 @@ class FastMachine(Machine):
         base_mask, base_w, range_mask = self._spatial_consts()
         # Only the D-cache outcome is dynamic: base cost, interlocks
         # and the sim counters are static per block (the timing fold).
-        pl, dcache, miss, bk_dmiss = self._timed_refs()
+        pl, dcache = self._timed_refs()
 
         # Sign extension is the identity for 8-byte loads; for narrower
         # loads ``((v ^ sb) - sb) & M64`` is bits.sext unfolded (the
@@ -923,7 +844,7 @@ class FastMachine(Machine):
                 signed=spec.mem_signed and nbytes < 8,
                 sb=1 << (8 * nbytes - 1), base_mask=base_mask,
                 base_w=base_w, range_mask=range_mask, pl=pl,
-                dcache=dcache, miss=miss, bk_dmiss=bk_dmiss):
+                dcache=dcache):
             m.pc = pc
             addr = (regs[rs1] + imm) & _M64
             if checked:
@@ -944,22 +865,20 @@ class FastMachine(Machine):
                 srf[rd] = SRF_INVALID
                 srf_wide[rd] = None
             if pl is not None and not dcache.access(addr, False):
-                pl.cycles += miss
-                bk_dmiss.value += miss
+                pl.dcache_miss()
 
         return run
 
     def _emit_store(self, ins: Instr, pc: int, spec):
         nbytes = spec.mem_bytes
         base_mask, base_w, range_mask = self._spatial_consts()
-        pl, dcache, miss, bk_dmiss = self._timed_refs()
+        pl, dcache = self._timed_refs()
 
         def run(m=self, pc=pc, regs=self.regs, srf=self.srf,
                 rs1=ins.rs1, rs2=ins.rs2, imm=ins.imm, nbytes=nbytes,
                 memory=self.memory, checked=spec.checked,
                 snoop=nbytes == 8, base_mask=base_mask, base_w=base_w,
-                range_mask=range_mask, pl=pl, dcache=dcache, miss=miss,
-                bk_dmiss=bk_dmiss):
+                range_mask=range_mask, pl=pl, dcache=dcache):
             m.pc = pc
             addr = (regs[rs1] + imm) & _M64
             if checked:
@@ -977,8 +896,7 @@ class FastMachine(Machine):
             if snoop and m._lock_lo <= addr < m._lock_hi:
                 m._snoop_lock_store(addr, value)
             if pl is not None and not dcache.access(addr, True):
-                pl.cycles += miss
-                bk_dmiss.value += miss
+                pl.dcache_miss()
 
         return run
 
@@ -989,19 +907,13 @@ class FastMachine(Machine):
         # Base cost, occupancy and interlocks are static (the fold);
         # only the keybuffer-miss beat — the secondary key load through
         # the D-cache — is dynamic.
-        pl, dcache, miss, bk_dmiss = self._timed_refs()
-        bk_tchk_miss = kb_extra = None
-        if pl is not None:
-            bk_tchk_miss = pl._bk["tchk_miss"]
-            kb_extra = pl.params.keybuffer_miss_extra
+        pl, _ = self._timed_refs()
 
         def run(m=self, pc=pc, srf=self.srf, rs1=ins.rs1,
                 ct_tchk=self._ct["tchk"], ct_hwst=self._ct["hwst_ops"],
                 lock_mask=lock_mask, lock_w=lock_w, key_mask=key_mask,
                 lock_base=lock_base, kb=self.keybuffer,
-                memory=self.memory, pl=pl, dcache=dcache, miss=miss,
-                bk_dmiss=bk_dmiss, bk_tchk_miss=bk_tchk_miss,
-                kb_extra=kb_extra):
+                memory=self.memory, pl=pl):
             m.pc = pc
             ct_tchk.value += 1
             ct_hwst.value += 1
@@ -1024,12 +936,7 @@ class FastMachine(Machine):
                 if stored != key:
                     m._temporal_fail(key, stored, lock)
                 if pl is not None:
-                    extra = 1 + kb_extra
-                    if not dcache.access(lock, False):
-                        extra += miss
-                        bk_dmiss.value += miss
-                    bk_tchk_miss.value += kb_extra + 1
-                    pl.cycles += extra
+                    pl.key_load(lock)
 
         return run
 
@@ -1057,14 +964,14 @@ class FastMachine(Machine):
         """sbdl/sbdu: SRF half -> shadow memory (Eq. 1 address). The
         SMAC budget guard is inlined; like the reference handler, the
         shadow store does not snoop the lock window."""
-        pl, dcache, miss, bk_dmiss = self._timed_refs()
+        pl, dcache = self._timed_refs()
 
         # ``csrs`` is mutated in place by csrrw — read per access.
         def run(m=self, pc=pc, regs=self.regs, srf=self.srf, rs1=ins.rs1,
                 rs2=ins.rs2, imm=ins.imm, off=8 if upper else 0,
                 upper=upper, csrs=self.csrs, sm_key=csrdef.HWST_SM_OFFSET,
                 budget=self.config.shadow_budget, memory=self.memory,
-                pl=pl, dcache=dcache, miss=miss, bk_dmiss=bk_dmiss):
+                pl=pl, dcache=dcache):
             m.pc = pc
             container = (regs[rs1] + imm) & _M64
             sa = (container << 2) + csrs[sm_key] + off
@@ -1078,22 +985,21 @@ class FastMachine(Machine):
                 value = e[0] if e[2] else 0
             memory.store_u64(sa, value)
             if pl is not None and not dcache.access(sa, True):
-                pl.cycles += miss
-                bk_dmiss.value += miss
+                pl.dcache_miss()
 
         return run
 
     def _emit_lbds(self, ins: Instr, pc: int, upper: bool):
         """lbdls/lbdus: shadow memory -> SRF half (no decompression).
         Writes ``srf[rd]`` unguarded, exactly like the reference."""
-        pl, dcache, miss, bk_dmiss = self._timed_refs()
+        pl, dcache = self._timed_refs()
 
         def run(m=self, pc=pc, regs=self.regs, srf=self.srf,
                 srf_wide=self.srf_wide, rd=ins.rd, rs1=ins.rs1,
                 imm=ins.imm, off=8 if upper else 0, upper=upper,
                 csrs=self.csrs, sm_key=csrdef.HWST_SM_OFFSET,
                 budget=self.config.shadow_budget, memory=self.memory,
-                pl=pl, dcache=dcache, miss=miss, bk_dmiss=bk_dmiss):
+                pl=pl, dcache=dcache):
             m.pc = pc
             container = (regs[rs1] + imm) & _M64
             sa = (container << 2) + csrs[sm_key] + off
@@ -1108,8 +1014,7 @@ class FastMachine(Machine):
                 srf[rd] = (value, e[1], True, e[3])
             srf_wide[rd] = None
             if pl is not None and not dcache.access(sa, False):
-                pl.cycles += miss
-                bk_dmiss.value += miss
+                pl.dcache_miss()
 
         return run
 
@@ -1129,11 +1034,7 @@ class FastMachine(Machine):
         is_load = aspec.is_load
         base_mask, base_w, range_mask = self._spatial_consts()
         lock_mask, lock_w, key_mask, lock_base = self._temporal_consts()
-        pl, dcache, miss, bk_dmiss = self._timed_refs()
-        bk_tchk_miss = kb_extra = None
-        if pl is not None:
-            bk_tchk_miss = pl._bk["tchk_miss"]
-            kb_extra = pl.params.keybuffer_miss_extra
+        pl, dcache = self._timed_refs()
 
         def run(m=self, pc=pc, pc_acc=pc + 4, regs=self.regs, srf=self.srf,
                 srf_wide=self.srf_wide, rs1_t=tchk_ins.rs1, rd=acc.rd,
@@ -1145,8 +1046,7 @@ class FastMachine(Machine):
                 base_mask=base_mask, base_w=base_w, range_mask=range_mask,
                 lock_mask=lock_mask, lock_w=lock_w, key_mask=key_mask,
                 lock_base=lock_base, kb=self.keybuffer, pl=pl,
-                dcache=dcache, miss=miss, bk_dmiss=bk_dmiss,
-                bk_tchk_miss=bk_tchk_miss, kb_extra=kb_extra):
+                dcache=dcache):
             m.pc = pc
             ct_tchk.value += 1
             ct_hwst.value += 1
@@ -1169,12 +1069,7 @@ class FastMachine(Machine):
                 if stored != key:
                     m._temporal_fail(key, stored, lock)
                 if pl is not None:
-                    extra = 1 + kb_extra
-                    if not dcache.access(lock, False):
-                        extra += miss
-                        bk_dmiss.value += miss
-                    bk_tchk_miss.value += kb_extra + 1
-                    pl.cycles += extra
+                    pl.key_load(lock)
             m.pc = pc_acc
             addr = (regs[rs1] + imm) & _M64
             e = srf[rs1]
@@ -1200,8 +1095,7 @@ class FastMachine(Machine):
                 if snoop and m._lock_lo <= addr < m._lock_hi:
                     m._snoop_lock_store(addr, value)
             if pl is not None and not dcache.access(addr, not is_load):
-                pl.cycles += miss
-                bk_dmiss.value += miss
+                pl.dcache_miss()
 
         return run
 
@@ -1226,12 +1120,11 @@ class FastMachine(Machine):
     # ------------------------------------------------------------------
 
     def _emit_branch(self, ins: Instr, pc: int):
-        pl, _, _, _ = self._timed_refs()
+        pl, _ = self._timed_refs()
+        penalty, bk_redirect = pl.redirect if pl is not None else (0, None)
         return _branch_maker(ins.op, pl is not None)(
             self.regs, ins.rs1, ins.rs2, (pc + ins.imm) & _M64,
-            self._ct["taken"], pl,
-            pl._bk["redirect"] if pl is not None else None,
-            pl.params.branch_penalty if pl is not None else 0)
+            self._ct["taken"], pl, bk_redirect, penalty)
 
     def _emit_jal(self, ins: Instr, pc: int, target: int,
                   terminator: bool):

@@ -256,9 +256,6 @@ class Memory:
     def store_u64(self, addr: int, value: int):
         self.store_uint(addr, 8, value)
 
-    def load_u32(self, addr: int) -> int:
-        return self.load_uint(addr, 4)
-
     def store_u32(self, addr: int, value: int):
         self.store_uint(addr, 4, value)
 

@@ -10,28 +10,38 @@ The contracts under test:
 * the gate is noise-aware — self-comparison is always clean, a median
   shift inside the IQR band never fails, and a real slowdown past
   tolerance exits with the documented code 11 and a differential
-  profile naming the guest functions/counters that moved.
+  profile naming the guest functions/counters that moved;
+* the checked-in ``BENCH_SIM.json`` is a golden for the timing model:
+  both engines reproduce every workload cell's guest instructions,
+  cycles and counter census, and the reference loop its profile.
 """
 
 import copy
 import json
+import pathlib
 
 import pytest
 
 from repro import errors
 from repro.cli import main
+from repro.harness.runner import timed_run
 from repro.obs.bench import (
     ENVELOPE_SCHEMA, QUICK_SCENARIOS, SCENARIOS, _band, _quantile,
-    envelope_to_json, load_envelope, run_bench, save_envelope,
-    scenario_names, strip_measured,
+    envelope_to_json, load_envelope, run_bench, run_scenario,
+    save_envelope, scenario_names, strip_measured,
 )
 from repro.obs.compare import (
     BenchComparison, ScenarioDelta, compare_envelopes, diff_counters,
     diff_profiles,
 )
+from repro.workloads import WORKLOADS
 
 #: The cheapest real scenario — every end-to-end test runs just this.
 FAST = "treeadd/baseline"
+
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "BENCH_SIM.json"
+WORKLOAD_CELLS = [name for name, scenario in SCENARIOS.items()
+                  if scenario.kind == "workload"]
 
 
 @pytest.fixture(scope="module")
@@ -352,3 +362,42 @@ class TestCli:
         rc = main(["bench", "--scenarios", "bogus", "--reps", "1"])
         assert rc == errors.EXIT_USAGE
         assert "unknown bench scenarios" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# BENCH_SIM.json golden: an independent oracle for the timing model
+# ---------------------------------------------------------------------------
+
+class TestSimGolden:
+    """Engine lockstep cannot catch a cost error both engines share
+    (they read one cost table); the checked-in envelope can."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return load_envelope(GOLDEN)["scenarios"]
+
+    def test_covers_every_workload_cell(self, golden):
+        assert len(WORKLOAD_CELLS) == 12
+        assert set(WORKLOAD_CELLS) <= set(golden)
+
+    @pytest.mark.parametrize("name", WORKLOAD_CELLS)
+    def test_reference_engine(self, golden, name):
+        # Profiled: runs on the reference loop, retire() per instruction.
+        entry = run_scenario(SCENARIOS[name], reps=1)
+        for key in ("guest_instructions", "guest_cycles", "counters",
+                    "profile"):
+            assert entry[key] == golden[name][key], (name, key)
+
+    @pytest.mark.parametrize("name", WORKLOAD_CELLS)
+    def test_fast_engine(self, golden, name):
+        # No profiler: hot code runs as translated blocks and their fold.
+        scenario = SCENARIOS[name]
+        result, _ = timed_run(
+            WORKLOADS[scenario.workload].source(scenario.scale),
+            scenario.scheme, engine="fast")
+        want = golden[name]
+        assert result.metrics["sim.fast.block_runs"] > 0
+        assert result.instret == want["guest_instructions"]
+        assert result.cycles == want["guest_cycles"]
+        assert {key: int(value) for key, value in
+                sorted(result.stats.items())} == want["counters"]

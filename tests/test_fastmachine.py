@@ -16,8 +16,8 @@ here: the translation cache stays compact and leaves no cyclic garbage
 behind, the lockstep oracles keep a real reference side, and the
 figure/coverage/serve outputs are byte-identical on either engine.
 
-The nightly CI job runs the same fuzz-lockstep loop at 200 programs
-via ``REPRO_LOCKSTEP_FUZZ_N``; the tier-1 default keeps it small.
+CI runs the same timed census sweep at 200 programs on every push via
+``REPRO_LOCKSTEP_FUZZ_N``; the tier-1 default keeps it small.
 """
 
 import collections
@@ -154,11 +154,14 @@ class TestFuzzLockstep:
     """Ref-vs-fast over generated programs, planted bugs included.
 
     Planted programs end in spatial/temporal traps, so this sweep
-    exercises the fast engine's trap-boundary instret accounting on
-    every violation class the generator can plant — translated, with
-    eager translation, or after cold entries on the reference loop, as
-    the default engine runs them. CI runs the same loop at 200 programs
-    (REPRO_LOCKSTEP_FUZZ_N=200).
+    exercises the fast engine's trap-boundary accounting on every
+    violation class the generator can plant — translated, with eager
+    translation, or after cold entries on the reference loop, as the
+    default engine runs them. Every program runs untimed and timed
+    (where a mid-block trap unwinds the block's timing fold) under
+    three schemes, ``hwst128_tchk`` adding fused ``tchk`` pairs, and
+    the full counter census must match. CI runs the same sweep at 200
+    programs (REPRO_LOCKSTEP_FUZZ_N=200).
     """
 
     N = int(os.environ.get("REPRO_LOCKSTEP_FUZZ_N", "20"))
@@ -174,26 +177,25 @@ class TestFuzzLockstep:
         from repro.harness.compile_cache import CompileCache
 
         cache = CompileCache()
-        divergences = []
-        trapping = 0
+        trapping = fused = 0
         for index, kind in plan_programs(seed=29, count=self.N):
             program = generate_program(29, index, kind)
-            for scheme in ("hwst128", "sbcets"):
-                ref = run_on(Machine, program.source, scheme, False,
-                             cache=cache, max_instructions=2_000_000)
-                fast = run_on(new_fast, program.source, scheme, False,
-                              cache=cache, max_instructions=2_000_000)
-                if ref.status in (STATUS_SPATIAL, STATUS_TEMPORAL):
-                    trapping += 1
-                for key in OBSERVABLES:
-                    if getattr(ref, key) != getattr(fast, key):
-                        divergences.append(
-                            (program.name, scheme, key,
-                             getattr(ref, key), getattr(fast, key)))
-        assert not divergences, f"engine lockstep broke: {divergences}"
+            for scheme in ("hwst128", "hwst128_tchk", "sbcets"):
+                for timed in (False, True):
+                    ref = run_on(Machine, program.source, scheme, timed,
+                                 cache=cache, max_instructions=2_000_000)
+                    fast = run_on(new_fast, program.source, scheme, timed,
+                                  cache=cache, max_instructions=2_000_000)
+                    if ref.status in (STATUS_SPATIAL, STATUS_TEMPORAL):
+                        trapping += 1
+                    fused += fast.metrics["sim.fast.fused_pairs"]
+                    assert_results_equal(
+                        ref, fast, f"{program.name}/{scheme}/"
+                        f"{'timed' if timed else 'untimed'}")
         assert trapping > 0, (
             "corpus never trapped — the sweep is not exercising "
             "trap-boundary accounting; regenerate with planted bugs")
+        assert fused > 0, "no fused tchk pair was translated"
 
 
 class TestSelfModifyingStore:
@@ -338,17 +340,23 @@ class TestTrapAccounting:
         # hwst128_tchk emits tchk immediately before every checked
         # access, which the translator fuses into one function. A UAF
         # traps in the first half (tchk), an OOB in the second (the
-        # checked access) — both must report the reference instret.
+        # checked access) — both must report the reference instret,
+        # and timed, the cycles and census of the unwound fold.
         config = HwstConfig()
         program = compile_source(source, "hwst128_tchk", config)
-        results = {}
-        for engine, new_machine in (("ref", Machine), ("fast", eager_fast)):
-            machine = new_machine(config=HwstConfig())
-            results[engine] = machine.run(program)
-            if engine == "fast":
-                assert machine.fast_stats()["fused_pairs"] > 0
-        assert results["ref"].status == status
-        assert_results_equal(results["ref"], results["fast"], status)
+        for timed in (False, True):
+            results = {}
+            for engine, new_machine in (("ref", Machine),
+                                        ("fast", eager_fast)):
+                machine = new_machine(
+                    config=HwstConfig(),
+                    timing=InOrderPipeline() if timed else None)
+                results[engine] = machine.run(program)
+                if engine == "fast":
+                    assert machine.fast_stats()["fused_pairs"] > 0
+            assert results["ref"].status == status
+            assert_results_equal(results["ref"], results["fast"],
+                                 f"{status}/timed={timed}")
 
     def test_csr_instret_read_is_exact(self):
         # A csrrs of instret in the middle of hot code must observe

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.isa.instructions import Instr
+from repro.isa.instructions import Instr, SPEC_TABLE
 from repro.pipeline.cache import CacheParams
-from repro.pipeline.timing import InOrderPipeline, TimingParams
+from repro.pipeline.timing import (
+    BREAKDOWN_METRICS, InOrderPipeline, TimingParams,
+)
 
 
 def pipe(**kwargs):
@@ -162,3 +164,179 @@ class TestAccounting:
         assert p.cycles == 0
         assert p.dcache.misses == 0
         assert all(v == 0 for v in p.breakdown.values())
+
+
+# DESIGN.md "Timing calibration", written out per mnemonic: the static
+# cycles an instruction pays on top of its 1 base cycle, and the
+# ``cyc_*`` bucket they bill. Every mnemonic not listed costs exactly
+# the base cycle.
+_SMAC = 1
+CALIBRATION = {
+    # +1 COMP pack on binds
+    "bndrs": ("wide", 1), "bndrt": ("wide", 1),
+    # +1 SMAC stage on shadow accesses
+    **{op: ("wide", _SMAC) for op in (
+        "sbdl", "sbdu", "lbdls", "lbdus", "lbas", "lbnd", "lkey", "lloc")},
+    # 2-cycle tchk MEM-stage occupancy
+    "tchk": ("wide", 2),
+    # MPX bound-table ops +4 (two-beat walk), behind the SMAC
+    "bndldx": ("wide", _SMAC + 4), "bndstx": ("wide", _SMAC + 4),
+    # AVX 256-bit accesses: 4 beats (+3), behind the SMAC
+    "vld256": ("wide", _SMAC + 3), "vst256": ("wide", _SMAC + 3),
+    # 2-cycle vector compare
+    "vchk": ("wide", 2),
+    # 3/24-cycle mul/div
+    **{op: ("muldiv", 3) for op in (
+        "mul", "mulh", "mulhsu", "mulhu", "mulw")},
+    **{op: ("muldiv", 24) for op in (
+        "div", "divu", "rem", "remu", "divw", "divuw", "remw", "remuw")},
+    # 2-cycle jump redirect (a branch pays only when taken)
+    "jal": ("redirect", 2), "jalr": ("redirect", 2),
+}
+
+_CHECKED = tuple(op for op in SPEC_TABLE if op.endswith(".chk"))
+#: Interlock producers: GPR loads (data from MEM) and shadow loads
+#: into the SRF.
+GPR_LOADS = {"lb", "lh", "lw", "ld", "lbu", "lhu", "lwu",
+             "lbas", "lbnd", "lkey", "lloc"} | {
+                 op for op in _CHECKED if op.startswith("l")}
+SRF_LOADS = {"lbdls", "lbdus", "bndldx", "vld256"}
+#: SRF consumers and the operand that reads the SRF entry.
+SRF_USES = {"tchk": "rs1", "sbdl": "rs2", "sbdu": "rs2",
+            **{op: "rs1" for op in _CHECKED}}
+
+_BUCKET_OF = {f"pipeline.{name}": key
+              for key, name in BREAKDOWN_METRICS.items()}
+
+
+def expected_split(op):
+    split = {"base": 1}
+    if op in CALIBRATION:
+        bucket, extra = CALIBRATION[op]
+        split[bucket] = extra
+    return split
+
+
+def split_of(deltas):
+    split = {}
+    for counter, delta in deltas:
+        key = _BUCKET_OF[counter.name]
+        split[key] = split.get(key, 0) + delta
+    return split
+
+
+class TestCalibration:
+    """Every row of the cost table against DESIGN.md's calibration."""
+
+    def test_static_rows(self):
+        rows = pipe().rows
+        wrong = {}
+        for op in SPEC_TABLE:
+            row = rows[op]
+            split = {"base": 1}
+            if row.extra:
+                split[row.bucket] = row.extra
+            if split != expected_split(op) or \
+                    row.cycles != sum(split.values()):
+                wrong[op] = (row.cycles, split)
+        assert not wrong
+
+    def test_static_cost_is_the_row(self):
+        # The fast engine's translate-time view bills the same split.
+        p = pipe()
+        wrong = {}
+        for op in SPEC_TABLE:
+            cycles, deltas, _ = p.static_cost(Instr(op), None)
+            split = split_of(deltas)
+            if split != expected_split(op) or cycles != sum(split.values()):
+                wrong[op] = (cycles, split)
+        assert not wrong
+
+    def test_retire_charges_the_row(self):
+        # No dynamic term (no memory access, branch not taken): retire()
+        # bills exactly the row.
+        wrong = {}
+        for op in SPEC_TABLE:
+            p = pipe()
+            retire(p, op, rd=1, rs1=2, rs2=3)
+            split = {k: v for k, v in p.breakdown.items() if v}
+            if split != expected_split(op) or \
+                    p.cycles != sum(split.values()):
+                wrong[op] = (p.cycles, split)
+        assert not wrong
+
+    def test_interlock_roles(self):
+        rows = pipe().rows
+        for op, spec in SPEC_TABLE.items():
+            row = rows[op]
+            assert row.gpr_load == (op in GPR_LOADS), op
+            assert row.srf_load == (op in SRF_LOADS), op
+            assert row.srf_rs1 == (SRF_USES.get(op) == "rs1"), op
+            assert row.srf_rs2 == (SRF_USES.get(op) == "rs2"), op
+            assert (row.gpr_rs1, row.gpr_rs2) == \
+                (spec.reads_rs1, spec.reads_rs2), op
+            assert row.branch == spec.is_branch, op
+
+    def test_rows_follow_params(self):
+        p = pipe(mul_latency=5, jump_penalty=7, smac_extra=2,
+                 branch_penalty=4)
+        assert p.rows["mul"].cycles == 1 + 5
+        assert p.rows["jalr"].cycles == 1 + 7
+        assert p.rows["bndldx"].cycles == 1 + 2 + p.params.mpx_walk_extra
+        assert p.redirect[0] == 4
+
+    def test_rows_are_shared_read_only(self):
+        p, q = pipe(), pipe()
+        assert p.rows is q.rows
+        assert pipe(mul_latency=5).rows is not p.rows
+        with pytest.raises(TypeError):
+            p.rows["add"] = p.rows["mul"]
+
+
+class TestTranslateTimeView:
+    """static_cost()/operands() agree with retire() on interlocks."""
+
+    @pytest.mark.parametrize("producer,consumer", (
+        (Instr("ld", rd=5, rs1=2), Instr("add", rd=6, rs1=7, rs2=5)),
+        (Instr("lbdus", rd=5, rs1=2), Instr("tchk", rs1=5)),
+        (Instr("lbdls", rd=5, rs1=2), Instr("sbdl", rs1=8, rs2=5)),
+        (Instr("lbdls", rd=5, rs1=2), Instr("ld.chk", rd=6, rs1=5)),
+        (Instr("ld", rd=5, rs1=2), Instr("add", rd=6, rs1=7, rs2=8)),
+        (Instr("lbdus", rd=5, rs1=2), Instr("tchk", rs1=6)),
+    ))
+    def test_stall_matches_retire(self, producer, consumer):
+        p = pipe()
+        p.retire(producer, None, False, False, None, None)
+        state = (p.last_load_rd, p.last_srf_load_rd)
+        before = p.cycles
+        p.retire(consumer, None, False, False,
+                 True if consumer.op == "tchk" else None, None)
+        cycles, _, after = p.static_cost(consumer, state)
+        assert cycles == p.cycles - before
+        assert after == (p.last_load_rd, p.last_srf_load_rd)
+        assert p.static_cost(producer, None)[2] == state
+
+
+class TestDynamicCharges:
+    def test_dcache_miss_method(self):
+        p = pipe()
+        assert p.dcache_miss() == p.params.dcache_miss_penalty
+        assert p.cycles == p.breakdown["dmiss"] == \
+            p.params.dcache_miss_penalty
+
+    def test_key_load_hit_and_miss(self):
+        p = pipe()
+        fill = 1 + p.params.keybuffer_miss_extra
+        first = p.key_load(0x1000_0000)      # cold line: D-cache miss
+        assert first == fill + p.params.dcache_miss_penalty
+        assert p.key_load(0x1000_0000) == fill  # line now cached
+        assert p.breakdown["tchk_miss"] == 2 * fill
+        assert p.cycles == first + fill
+
+    def test_retire_uses_the_miss_methods(self):
+        p = pipe()
+        cost = p.retire(Instr("tchk", rs1=5), None, False, False, False,
+                        0x1000_0000)
+        q = pipe()
+        assert cost == q.rows["tchk"].cycles + q.key_load(0x1000_0000)
+        assert p.breakdown == q.breakdown | {"base": 1, "wide": 2}
