@@ -37,6 +37,9 @@ from repro.harness.runner import WORKLOADS
 from repro.isa.instructions import SPEC_TABLE
 from repro.obs.heartbeat import Heartbeat
 from repro.obs.metrics import MetricsRegistry
+from repro.sim import make_machine
+from repro.sim.memory import DEFAULT_LAYOUT
+from repro.sim.program import Program
 from repro.spec import geometry
 from repro.spec.equiv import all_mnemonics, run_mnemonic
 from repro.spec.lockstep import classify_trap, run_lockstep
@@ -73,8 +76,9 @@ class EquivBench:
     """Per-geometry machines for single-instruction cases.
 
     One machine per compression geometry, reused across cases —
-    ``machine.load`` fully resets architectural state, so each case
-    starts from reset with exactly one instruction at ``text_base``.
+    ``machine.load`` restores everything a case can change, so each
+    case starts from the post-reset state with exactly one instruction
+    at ``text_base``.
     """
 
     def __init__(self, engine: str = "ref"):
@@ -82,10 +86,6 @@ class EquivBench:
         self._machines: Dict[int, object] = {}
 
     def machine_for(self, geom: int, ins):
-        from repro.sim import make_machine
-        from repro.sim.memory import DEFAULT_LAYOUT
-        from repro.sim.program import Program
-
         machine = self._machines.get(geom)
         if machine is None:
             widths = geometry.GEOMETRIES[geom]
@@ -159,8 +159,6 @@ class ConformLockstepCell:
         return self.workload or self.tag
 
     def execute(self) -> CellResult:
-        from repro.sim import make_machine
-
         config = HwstConfig()
         program = process_cache().compile(self.source, self.scheme, config)
         machine = make_machine("ref", config=config, timing=None)
@@ -196,8 +194,6 @@ class ConformLockstepCell:
     def _compare_fast(self, config, program, outcome) -> List[dict]:
         """Run the fast engine end-to-end and diff the run-level
         observables against the spec/reference agreed outcome."""
-        from repro.sim import make_machine
-
         fast = make_machine("fast", config=config, timing=None)
         try:
             rr = fast.run(program, max_instructions=self.max_instructions)

@@ -263,8 +263,10 @@ class MetricsRegistry:
 
     def reset(self, prefix: str = ""):
         """Zero every metric (optionally only under ``prefix``)."""
-        for name in self.names(prefix):
-            self._metrics[name].reset()
+        dotted = prefix + "."
+        for name, metric in self._metrics.items():
+            if not prefix or name == prefix or name.startswith(dotted):
+                metric.reset()
 
     # -- snapshots ---------------------------------------------------------
 

@@ -117,3 +117,9 @@ class KeyBuffer(HitMissStats):
         if self._data:
             self._data.clear()
         self._clears.value += 1
+
+    def reset(self):
+        """Empty the buffer and zero its statistics: the state of a
+        freshly built buffer, without rebuilding it (machine reset)."""
+        self._data.clear()
+        self.reset_stats()

@@ -54,6 +54,10 @@ SIM_COUNTERS = ("loads", "stores", "branches", "taken",
 
 # SRF entry: (lower, upper, spatial_valid, temporal_valid)
 SRF_INVALID: Tuple[int, int, bool, bool] = (0, 0, False, False)
+# Post-reset register files (copied into the machine's lists).
+_ZERO_REGS = (0,) * 32
+_INVALID_SRF = (SRF_INVALID,) * 32
+_NO_WIDE = (None,) * 32
 
 # Syscall numbers (proxy-kernel flavoured).
 SYS_WRITE = 64
@@ -158,11 +162,22 @@ class Machine:
                                    metrics=self._sim.scope("kb"))
         self.compressor = MetadataCompressor(self.config)
         self.shadow = ShadowMap.from_config(self.config)
-        self.regs: List[int] = [0] * 32
-        self.srf: List[Tuple[int, int, bool, bool]] = [SRF_INVALID] * 32
-        self.srf_wide: List[Optional[Tuple[int, int, int, int]]] = [None] * 32
+        self.regs: List[int] = list(_ZERO_REGS)
+        self.srf: List[Tuple[int, int, bool, bool]] = list(_INVALID_SRF)
+        self.srf_wide: List[Optional[Tuple[int, int, int, int]]] = \
+            list(_NO_WIDE)
         self.pc = 0
         self.csrs: Dict[int, int] = {}
+        # The CSR image reset() restores (docs/isa.md).
+        widths = self.config.widths
+        self._reset_csrs: Dict[int, int] = {
+            csrdef.HWST_SM_OFFSET: self.config.shadow_offset,
+            csrdef.HWST_META_WIDTHS: csrdef.pack_meta_widths(
+                widths.base, widths.range, widths.lock, widths.key),
+            csrdef.HWST_LOCK_BASE: self.config.lock_base,
+            csrdef.HWST_LOCK_LIMIT: self.config.lock_limit,
+            csrdef.HWST_STATUS: 0x3,
+        }
         self.instret = 0
         self.output = bytearray()
         self.program: Optional[Program] = None
@@ -185,30 +200,29 @@ class Machine:
     # ------------------------------------------------------------------
 
     def reset(self):
+        """Return to the post-reset state, in place.
+
+        Restores memory, registers, SRF, pc, instret, output, the CSRs
+        together with the keybuffer snoop window they program, the
+        keybuffer's contents and the ``sim.*`` metrics. What depends
+        only on the config (the CSR image, the keybuffer itself, the
+        dispatch table) is built once, in ``__init__``.
+        """
         self.memory = Memory()
         # Zero every ``sim.*`` metric in place (handlers hold direct
-        # references to the Counter objects), then re-attach the
-        # keybuffer to the same scope.
+        # references to the Counter objects, the keybuffer's included).
         self.metrics.reset(prefix="sim")
-        self.keybuffer = KeyBuffer(self.config.keybuffer_entries,
-                                   self.config.keybuffer_policy,
-                                   metrics=self._sim.scope("kb"))
+        self.keybuffer.reset()
         # NB: handlers close over self.regs — mutate it in place.
-        self.regs[:] = [0] * 32
-        self.srf[:] = [SRF_INVALID] * 32
-        self.srf_wide[:] = [None] * 32
+        self.regs[:] = _ZERO_REGS
+        self.srf[:] = _INVALID_SRF
+        self.srf_wide[:] = _NO_WIDE
         self.pc = 0
         self.instret = 0
         self.output = bytearray()
-        self.csrs = {
-            csrdef.HWST_SM_OFFSET: self.config.shadow_offset,
-            csrdef.HWST_META_WIDTHS: csrdef.pack_meta_widths(
-                self.config.widths.base, self.config.widths.range,
-                self.config.widths.lock, self.config.widths.key),
-            csrdef.HWST_LOCK_BASE: self.config.lock_base,
-            csrdef.HWST_LOCK_LIMIT: self.config.lock_limit,
-            csrdef.HWST_STATUS: 0x3,
-        }
+        self.csrs = dict(self._reset_csrs)
+        self._lock_lo = self.config.lock_base
+        self._lock_hi = self.config.lock_limit
         if self.timing is not None:
             self.timing.reset()
         if self.profiler is not None:

@@ -46,6 +46,15 @@ class MemoryLayout:
     def shadow_top(self) -> int:
         return self.shadow_offset + (self.user_top << 2)
 
+    def regions(self) -> Tuple[Tuple[int, int, str], ...]:
+        """The named ``(start, end, name)`` regions a loaded program
+        maps: text, data, heap, stack and the shadow region."""
+        return ((self.text_base, self.data_base, "text"),
+                (self.data_base, self.heap_base, "data"),
+                (self.heap_base, self.heap_top, "heap"),
+                (self.stack_base, self.stack_top, "stack"),
+                (self.shadow_offset, self.shadow_top, "shadow"))
+
 
 DEFAULT_LAYOUT = MemoryLayout()
 
@@ -84,12 +93,19 @@ class Memory:
         """Declare ``[start, start+size)`` as accessible."""
         if size <= 0:
             raise ValueError(f"region size must be positive: {size}")
-        self._regions.append((start, start + size, name))
-        if name == "shadow":
-            self._shadow_range = (start, start + size)
-        self._coalesce_spans()
+        self._map(((start, start + size, name),))
 
-    def _coalesce_spans(self):
+    def map_layout(self, layout: MemoryLayout):
+        """Map the standard user segments + shadow region of ``layout``."""
+        self._map(layout.regions())
+
+    def _map(self, regions):
+        """Add ``(start, end, name)`` regions, then coalesce the spans
+        once for the whole batch."""
+        for region in regions:
+            self._regions.append(region)
+            if region[2] == "shadow":
+                self._shadow_range = region[:2]
         spans: List[Tuple[int, int]] = []
         for start, end, _ in sorted(self._regions):
             if spans and start <= spans[-1][1]:
@@ -100,18 +116,6 @@ class Memory:
         self._spans = spans
         self._hot = (1, 0)
         self._hot2 = (1, 0)
-
-    def map_layout(self, layout: MemoryLayout):
-        """Map the standard user segments + shadow region of ``layout``."""
-        self.map_region(layout.text_base,
-                        layout.data_base - layout.text_base, "text")
-        self.map_region(layout.data_base,
-                        layout.heap_base - layout.data_base, "data")
-        self.map_region(layout.heap_base,
-                        layout.heap_top - layout.heap_base, "heap")
-        self.map_region(layout.stack_base, layout.stack_size, "stack")
-        self.map_region(layout.shadow_offset,
-                        layout.shadow_top - layout.shadow_offset, "shadow")
 
     def region_of(self, addr: int) -> Optional[str]:
         """Name of the region containing ``addr`` (None when unmapped)."""

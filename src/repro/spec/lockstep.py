@@ -229,7 +229,26 @@ def _delta(field: str, spec_value, iss_value) -> dict:
 
 def diff_retire(state: SpecState, machine) -> List[dict]:
     """Field-level delta between the spec state after a retire and the
-    machine's architectural state (empty = equivalent)."""
+    machine's architectural state (empty = equivalent).
+
+    Whole values are compared first — the common, equal case costs one
+    comparison per state component. The field-by-field walk that names
+    each delta runs only when something differs.
+    """
+    if state.pc != machine.pc or state.instret != machine.instret \
+            or state.regs != tuple(machine.regs) \
+            or state.srf != tuple(machine.srf) \
+            or state.srf_wide != tuple(machine.srf_wide) \
+            or state.csrs != machine.csrs \
+            or state.output != machine.output:
+        return _field_deltas(state, machine)
+    for event in state.events:
+        if peek_uint(machine.memory, event.addr, event.size) != event.value:
+            return _field_deltas(state, machine)
+    return []
+
+
+def _field_deltas(state: SpecState, machine) -> List[dict]:
     deltas: List[dict] = []
     if state.pc != machine.pc:
         deltas.append(_delta("pc", state.pc, machine.pc))
@@ -379,7 +398,7 @@ def snapshot_state(machine) -> SpecState:
     return SpecState(
         pc=machine.pc,
         regs=tuple(machine.regs),
-        srf=tuple(tuple(entry) for entry in machine.srf),
+        srf=tuple(map(tuple, machine.srf)),
         srf_wide=tuple(tuple(w) if w is not None else None
                        for w in machine.srf_wide),
         csrs=dict(machine.csrs),

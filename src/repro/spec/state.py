@@ -17,15 +17,15 @@ The spec models one instruction as a pure function
   memory reads (pre-state), the mapping predicate, and the static
   platform geometry (field widths, lock-table base, shadow budget).
 
-Everything is an immutable value; handlers build new records with
-:func:`dataclasses.replace`. This module imports nothing from
+Everything is an immutable value; handlers build the successor state
+with :meth:`SpecState.evolve`. This module imports nothing from
 ``repro.sim`` — the spec is an independent implementation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 #: SRF entry: (lower, upper, spatial_valid, temporal_valid) — the
 #: compressed 128-bit image of one pointer's metadata.
@@ -102,9 +102,13 @@ class SpecTrap:
         return CLASS_BY_KIND[self.kind]
 
 
-@dataclass(frozen=True)
-class SpecState:
-    """Complete architectural state between two instructions."""
+class SpecState(NamedTuple):
+    """Complete architectural state between two instructions.
+
+    A named tuple rather than a frozen dataclass: the spec builds one
+    per retire, and constructing a named tuple costs a fraction of
+    :func:`dataclasses.replace`.
+    """
 
     pc: int
     regs: Tuple[int, ...]                       # 32 x-registers, u64
@@ -118,8 +122,28 @@ class SpecState:
     #: Memory effects of the *last* step only.
     events: Tuple[MemEvent, ...] = ()
 
-    def evolve(self, **changes) -> "SpecState":
-        return replace(self, **changes)
+    def evolve(self, *, pc: int, instret: int,
+               events: Tuple[MemEvent, ...],
+               regs: Optional[Tuple[int, ...]] = None,
+               srf: Optional[Tuple[SrfEntry, ...]] = None,
+               srf_wide: Optional[tuple] = None,
+               csrs: Optional[Dict[int, int]] = None,
+               output: Optional[bytes] = None,
+               shadow_touched: Optional[int] = None) -> "SpecState":
+        """The successor state of a retire: ``pc``, ``instret`` and the
+        step's ``events`` are always new; every other field carries
+        over unless given."""
+        return SpecState(
+            pc,
+            self.regs if regs is None else regs,
+            self.srf if srf is None else srf,
+            self.srf_wide if srf_wide is None else srf_wide,
+            self.csrs if csrs is None else csrs,
+            instret,
+            self.output if output is None else output,
+            self.shadow_touched if shadow_touched is None
+            else shadow_touched,
+            events)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ import pytest
 import repro.spec
 from repro.core.compression import MetadataCompressor, MetadataRangeError
 from repro.core.config import FieldWidths, HwstConfig
+from repro.errors import MemoryFault, SpatialViolation, TemporalViolation
 from repro.harness.conform import (
     EquivBench,
     build_cells,
@@ -35,14 +36,19 @@ from repro.harness.conform import (
     run_conform,
 )
 from repro.harness.runner import WORKLOADS
-from repro.isa.instructions import SPEC_TABLE
+from repro.isa.instructions import Instr, SPEC_TABLE
 from repro.obs.metrics import MetricsRegistry
 from repro.schemes import compile_source
 from repro.sim import make_machine
 from repro.sim.machine import Machine
 from repro.spec import geometry
-from repro.spec.equiv import all_mnemonics, cases_for, run_mnemonic
-from repro.spec.lockstep import run_lockstep, run_spec
+from repro.spec.equiv import (
+    all_mnemonics,
+    cases_for,
+    run_case,
+    run_mnemonic,
+)
+from repro.spec.lockstep import run_lockstep, run_spec, snapshot_state
 from repro.spec.table import SPEC_EXEC
 
 SPEC_DIR = Path(repro.spec.__file__).resolve().parent
@@ -196,6 +202,33 @@ class TestEquivalenceSweep:
         geoms = {case.geom for case in cases_for("bndrs", SEED)}
         assert geoms == set(range(len(geometry.GEOMETRIES)))
 
+    @pytest.mark.parametrize("engine", ("ref", "fast"))
+    def test_reused_machine_starts_every_case_fresh(self, engine):
+        # Cases that write CSRs (the snoop window among them), the lock
+        # table, shadow memory, the keybuffer and the console must leave
+        # nothing behind: the next case's machine equals a new one.
+        bench = EquivBench(engine)
+        probe = Instr("addi", rd=10, rs1=5, imm=1)
+        for mnemonic in ("csrrw", "csrrs", "csrrc", "sd", "vst256", "tchk",
+                         "ecall"):
+            for case in cases_for(mnemonic, SEED):
+                run_case(case, bench)
+                reused = bench.machine_for(case.geom, probe)
+                fresh = EquivBench(engine).machine_for(case.geom, probe)
+                assert _pre_state(reused) == _pre_state(fresh), \
+                    case.describe()
+
+
+def _pre_state(machine):
+    """Everything a case could leave behind on an equivalence machine."""
+    memory = machine.memory
+    keybuffer = machine.keybuffer
+    return (snapshot_state(machine), memory.shadow_bytes_touched,
+            memory.pages_allocated, memory.hash_range(0, 1 << 64),
+            [(lock, keybuffer.peek(lock)) for lock in keybuffer.locks()],
+            (machine._lock_lo, machine._lock_hi),
+            machine.metrics.snapshot("sim"))
+
 
 # ---------------------------------------------------------------------------
 # Lockstep over real programs
@@ -219,6 +252,93 @@ int main(void) {
     return (int)(v & 0);
 }
 """
+
+
+def _lockstep_on(machine_cls, source):
+    config = HwstConfig()
+    program = compile_source(source, "hwst128_tchk", config)
+    return run_lockstep(machine_cls(config, timing=None), program,
+                        widths=_widths(config), lock_base=config.lock_base)
+
+
+# Corruptions a planted machine applies after a retire; each returns
+# True once it has planted (the store plant waits for an 8-byte store).
+def plant_pc(machine, ins):
+    machine.pc += 4
+    return True
+
+
+def plant_instret(machine, ins):
+    machine.instret += 1
+    return True
+
+
+def plant_srf(machine, ins):
+    machine.srf[9] = (0x1234, 0, True, False)
+    return True
+
+
+def plant_srf_wide(machine, ins):
+    machine.srf_wide[9] = (1, 2, 3, 4)
+    return True
+
+
+def plant_csr(machine, ins):
+    machine.csrs[0x804] ^= 1
+    return True
+
+
+def plant_output(machine, ins):
+    machine.output += b"!"
+    return True
+
+
+def plant_stored_word(machine, ins):
+    spec = SPEC_TABLE[ins.op]
+    if not (spec.is_store and spec.mem_bytes == 8):
+        return False
+    addr = machine.regs[ins.rs1] + ins.imm
+    machine.memory.store_uint(addr, 8,
+                              machine.memory.load_uint(addr, 8) ^ 1)
+    return True
+
+
+def plant_several(machine, ins):
+    machine.regs[12] ^= 1 << 40
+    machine.srf[3] = (7, 8, True, True)
+    machine.csrs[0x123] = 5
+    machine.output += b"x"
+    return True
+
+
+def _at_lui(*deltas):
+    return {"reason": "state mismatch", "retire": 49, "pc": "0x11c30",
+            "mnemonic": "lui",
+            "deltas": [{"field": field, "spec": spec, "iss": iss}
+                       for field, spec, iss in deltas]}
+
+
+#: (plant, the exact first-divergence record it must produce on
+#: treeadd/hwst128_tchk).
+PLANTED_STATE = (
+    (plant_pc, _at_lui(("pc", "0x11c34", "0x11c38"))),
+    (plant_instret, _at_lui(("instret", "0x32", "0x33"))),
+    (plant_srf, _at_lui(("srf[9]", "(0, 0, False, False)",
+                         "(4660, 0, True, False)"))),
+    (plant_srf_wide, _at_lui(("srf_wide[9]", "None", "(1, 2, 3, 4)"))),
+    (plant_csr, _at_lui(("csr[0x804]", "0x3", "0x2"))),
+    (plant_output, _at_lui(("output", "b''", "b'!'"))),
+    (plant_stored_word, {
+        "reason": "state mismatch", "retire": 51, "pc": "0x11c38",
+        "mnemonic": "sd",
+        "deltas": [{"field": "mem[0xefef30:8]", "spec": "0x200020",
+                    "iss": "0x200021"}]}),
+    (plant_several, _at_lui(
+        ("srf[3]", "(0, 0, False, False)", "(7, 8, True, True)"),
+        ("x12", "0x0", "0x10000000000"),
+        ("csr[0x123]", "None", "0x5"),
+        ("output", "b''", "b'x'"))),
+)
 
 
 class TestLockstep:
@@ -258,6 +378,57 @@ class TestLockstep:
         assert result.divergence["retire"] == 49
         assert any(delta["field"] == "x10"
                    for delta in result.divergence["deltas"])
+
+    @pytest.mark.parametrize("plant,record", PLANTED_STATE,
+                             ids=[plant.__name__ for plant, _
+                                  in PLANTED_STATE])
+    def test_names_every_planted_state_field(self, plant, record):
+        # Every field diff_retire can name, planted one at a time (and
+        # several at once, pinning the delta order): the whole
+        # first-divergence record must come out exactly.
+        class Planted(Machine):
+            planted = False
+
+            def step(self):
+                ins = self.program.instr_at(self.pc)
+                super().step()
+                if not self.planted and self.instret >= 50:
+                    self.planted = plant(self, ins)
+
+        result = _lockstep_on(Planted, TREEADD)
+        assert result.divergence == record
+        assert result.outcome.status == "divergence"
+
+    def test_names_a_planted_trap_kind(self):
+        class WrongKind(Machine):
+            def step(self):
+                try:
+                    super().step()
+                except SpatialViolation as exc:
+                    raise MemoryFault(exc.addr, "planted") from None
+
+        result = _lockstep_on(WrongKind, OOB_SOURCE)
+        assert result.divergence == {
+            "reason": "trap mismatch", "retire": 356, "pc": "0x10168",
+            "mnemonic": "ld.chk",
+            "deltas": [{"field": "trap.kind", "spec": "'spatial'",
+                        "iss": "'fault'"}]}
+
+    def test_names_a_planted_trap_pc(self):
+        class WrongPc(Machine):
+            def step(self):
+                try:
+                    super().step()
+                except TemporalViolation as exc:
+                    exc.pc += 4
+                    raise
+
+        result = _lockstep_on(WrongPc, UAF_SOURCE)
+        assert result.divergence == {
+            "reason": "trap mismatch", "retire": 515, "pc": "0x101c4",
+            "mnemonic": "tchk",
+            "deltas": [{"field": "trap.pc", "spec": "0x101c4",
+                        "iss": "0x101c8"}]}
 
     def test_run_spec_standalone_matches_the_iss(self):
         # The spec executes the whole program with no simulator in the

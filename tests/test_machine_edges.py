@@ -7,6 +7,7 @@ from repro.core.config import FieldWidths, HwstConfig
 from repro.core.compression import MetadataCompressor, MetadataRangeError
 from repro.isa.instructions import Instr, li_sequence
 from repro.isa import csr as csrdef
+from repro.sim import make_machine
 from repro.sim.machine import Machine, SRF_INVALID
 from repro.sim.memory import DEFAULT_LAYOUT
 from repro.sim.program import Program, Segment
@@ -119,6 +120,25 @@ class TestCsrSemantics:
         machine._csr_write(csrdef.HWST_LOCK_LIMIT, 0x2000_1000)
         assert machine._lock_lo == 0x2000_0000
         assert machine._lock_hi == 0x2000_1000
+
+    @pytest.mark.parametrize("engine", ("ref", "fast"))
+    def test_reload_restores_the_snoop_window(self, engine):
+        """A program that moves the lock-table window must not leak it
+        into the next program loaded on the same machine: there, a
+        zero store to .data is an ordinary store, not a free."""
+        machine = make_machine(engine)
+        machine.run(make_program(exit_with([
+            Instr("addi", rd=5, rs1=0, imm=0xF0),
+            Instr("csrrw", rd=0, rs1=5, imm=csrdef.HWST_LOCK_BASE),
+        ])))
+        store = make_program(exit_with(
+            li_sequence(5, DEFAULT_LAYOUT.data_base)
+            + [Instr("sd", rs1=5, rs2=0)]))
+        reused = machine.run(store)
+        fresh = make_machine(engine).run(store)
+        assert machine.csrs[csrdef.HWST_LOCK_BASE] == HwstConfig().lock_base
+        assert reused.metrics["sim.kb.clears"] == 0
+        assert reused.stats == fresh.stats
 
 
 class TestSegments:
