@@ -18,7 +18,7 @@ runtime library, lowered once by :func:`lower_runtime` into a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro import bits
@@ -46,8 +46,8 @@ SYS_TRAP_CANARY = 1004
 # ---------------------------------------------------------------------------
 #
 # Fault models for "a check instruction went missing / appeared where it
-# should not": both are in-place single-instruction substitutions, so
-# the text layout (and every already-patched relative branch) is
+# should not": both substitute one instruction in a copy of the program,
+# so the text layout (and every already-patched relative branch) is
 # untouched. The checked fused accesses and their plain twins follow
 # the ``<op>.chk`` naming convention; the table below is derived from
 # SPEC_TABLE rather than hard-coded so new checked ops join for free.
@@ -61,60 +61,51 @@ PLAIN_OF_CHECKED = {
 CHECKED_OF_PLAIN = {plain: chk for chk, plain in PLAIN_OF_CHECKED.items()}
 
 
-def _check_sites(instrs: List[Instr]) -> List[int]:
-    """Indexes of HWST128 check ops (tchk + fused checked accesses)."""
-    return [i for i, ins in enumerate(instrs)
-            if ins.op == "tchk" or ins.op in PLAIN_OF_CHECKED]
-
-
-def _plain_mem_sites(instrs: List[Instr]) -> List[int]:
-    """Indexes of plain loads/stores that have a checked twin."""
-    return [i for i, ins in enumerate(instrs)
-            if ins.op in CHECKED_OF_PLAIN]
-
-
-def mutate_check_ops(program, kind: str, select: int) -> str:
-    """Mutate one HWST128 check op of ``program`` in place.
+def mutate_check_ops(program, kind: str, select: int):
+    """Return ``(copy, description)``: ``program`` with one HWST128
+    check op mutated.
 
     ``kind`` is ``"check_drop"`` (a check instruction is lost: ``tchk``
     becomes a nop, a fused checked access becomes its unchecked twin)
     or ``"check_dup"`` (a spurious check appears: a plain access becomes
     its checked twin, which will consult whatever — likely invalid —
     metadata sits in SRF[rs1]). ``select`` picks the site
-    deterministically. Returns a human-readable description of the
-    mutation, or ``""`` when the program has no eligible site (the
-    fault lands nowhere — a masked outcome by construction).
+    deterministically. The copy is a new ``Program`` that shares every
+    other instruction; ``program`` itself is never changed. With no
+    eligible site the fault lands nowhere (a masked outcome by
+    construction): the result is ``(program, "")``.
     """
     instrs = program.instrs
     if kind == "check_drop":
-        sites = _check_sites(instrs)
-        if not sites:
-            return ""
-        index = sites[select % len(sites)]
-        ins = instrs[index]
-        pc = program.text_base + 4 * index
-        if ins.op == "tchk":
-            instrs[index] = Instr("addi", rd=0, rs1=0, imm=0,
-                                  comment="faultinject: dropped tchk")
-            return f"dropped tchk at {pc:#x}"
-        old = ins.op
-        instrs[index] = Instr(PLAIN_OF_CHECKED[old], rd=ins.rd,
-                              rs1=ins.rs1, rs2=ins.rs2, imm=ins.imm,
-                              comment=f"faultinject: unchecked {old}")
-        return f"dropped check of {old} at {pc:#x}"
+        sites = [i for i, ins in enumerate(instrs)
+                 if ins.op == "tchk" or ins.op in PLAIN_OF_CHECKED]
+    elif kind == "check_dup":
+        sites = [i for i, ins in enumerate(instrs)
+                 if ins.op in CHECKED_OF_PLAIN]
+    else:
+        raise ValueError(f"unknown check mutation kind {kind!r}")
+    if not sites:
+        return program, ""
+    index = sites[select % len(sites)]
+    ins = instrs[index]
+    pc = program.text_base + 4 * index
+    old = ins.op
     if kind == "check_dup":
-        sites = _plain_mem_sites(instrs)
-        if not sites:
-            return ""
-        index = sites[select % len(sites)]
-        ins = instrs[index]
-        pc = program.text_base + 4 * index
-        old = ins.op
-        instrs[index] = Instr(CHECKED_OF_PLAIN[old], rd=ins.rd,
-                              rs1=ins.rs1, rs2=ins.rs2, imm=ins.imm,
-                              comment=f"faultinject: spurious check on {old}")
-        return f"added spurious check to {old} at {pc:#x}"
-    raise ValueError(f"unknown check mutation kind {kind!r}")
+        mutated = Instr(CHECKED_OF_PLAIN[old], rd=ins.rd, rs1=ins.rs1,
+                        rs2=ins.rs2, imm=ins.imm,
+                        comment=f"faultinject: spurious check on {old}")
+        note = f"added spurious check to {old} at {pc:#x}"
+    elif old == "tchk":
+        mutated = Instr("addi", rd=0, rs1=0, imm=0,
+                        comment="faultinject: dropped tchk")
+        note = f"dropped tchk at {pc:#x}"
+    else:
+        mutated = Instr(PLAIN_OF_CHECKED[old], rd=ins.rd, rs1=ins.rs1,
+                        rs2=ins.rs2, imm=ins.imm,
+                        comment=f"faultinject: unchecked {old}")
+        note = f"dropped check of {old} at {pc:#x}"
+    text = instrs[:index] + (mutated,) + instrs[index + 1:]
+    return replace(program, instrs=text), note
 
 
 def _stub_ret() -> Instr:
@@ -321,7 +312,7 @@ def build_program(module: Module, runtime: RuntimeImage,
     if meta:
         program_meta.update(meta)
     return Program(
-        instrs=instrs,
+        instrs=tuple(instrs),
         entry=func_addr["_start"],
         text_base=layout.text_base,
         segments=[Segment(addr=layout.data_base, data=bytes(blob),

@@ -114,9 +114,9 @@ class InjectionCell:
         note = ""
         injector = None
         if self.fault.kind in LINK_KINDS:
-            # The cache hands back a fresh object graph — mutating the
-            # program cannot leak into other cells.
-            note = apply_link_fault(program, self.fault)
+            # The cached program is shared by every cell: the fault
+            # runs on a copy that differs in one instruction.
+            program, note = apply_link_fault(program, self.fault)
         machine = make_machine(config=config, timing=None)
         if self.fault.kind not in LINK_KINDS:
             injector = RuntimeInjector(self.fault)

@@ -23,8 +23,8 @@ kind                what breaks
 ==================  =======================================================
 
 Runtime kinds arm a one-shot hook on :attr:`Machine.fault_hook` that
-fires at the seeded trigger instruction; link kinds mutate the
-``Program`` in place before the run (see
+fires at the seeded trigger instruction; link kinds run a mutated copy
+of the (immutable, possibly cached and shared) ``Program`` (see
 :func:`repro.codegen.link.mutate_check_ops`). Everything a fault does
 is a pure function of its :class:`FaultSpec`, so a campaign is
 replayable from ``(seed, n)`` alone.
@@ -226,10 +226,11 @@ class RuntimeInjector:
         self.note = _RUNTIME_PERTURB[self.spec.kind](machine, self.spec)
 
 
-def apply_link_fault(program, spec: FaultSpec) -> str:
-    """Mutate one check op of ``program`` in place (see
-    :func:`repro.codegen.link.mutate_check_ops`). Returns the mutation
-    description, "" when the program has no eligible site."""
+def apply_link_fault(program, spec: FaultSpec):
+    """Return ``(copy, description)``: ``program`` with one check op
+    mutated (see :func:`repro.codegen.link.mutate_check_ops`). The
+    description is "" when the program has no eligible site, and
+    ``program`` itself is never changed."""
     if not spec.is_link_fault:
         raise ValueError(f"{spec.kind!r} is not a link-time fault")
     return mutate_check_ops(program, spec.kind, spec.select)

@@ -6,13 +6,14 @@ unit is identical across all workloads, the front-end result of a
 workload source is identical across all schemes, and whole programs
 repeat verbatim across experiments (fig4's baseline build is fig2's,
 abl_compression's and abl_shadow's too). :class:`CompileCache` keys
-each artefact by SHA-256 of everything that can change it. The unit and
-program tiers store *pickled* blobs, so a hit always hands back a fresh
-object graph that downstream passes may mutate freely:
+each artefact by SHA-256 of everything that can change it. A full tier
+(``max_entries``) drops its oldest entry to make room:
 
 * **unit tier** — the front-end ``Module`` (lex/parse/sema/irgen) of
   one translation unit, keyed by source text + unit name. Scheme- and
-  config-independent: instrumentation runs after this stage.
+  config-independent: instrumentation runs after this stage. Stored
+  as *sealed pickles*, so a hit hands back a fresh ``Module`` that
+  instrumentation may mutate freely.
 * **runtime tier** — each scheme's runtime library as a
   :class:`~repro.codegen.link.RuntimeImage` (front end, verification
   and lowering done once), keyed by the runtime source + the
@@ -22,7 +23,8 @@ object graph that downstream passes may mutate freely:
 * **program tier** — the fully linked ``Program``, keyed by source +
   scheme + a fingerprint of the complete :class:`HwstConfig` (any
   config change conservatively invalidates, including runtime-only
-  knobs like ``keybuffer_entries`` — the unit tier still hits).
+  knobs like ``keybuffer_entries`` — the unit tier still hits). A
+  ``Program`` is immutable, so every hit hands back the same live one.
 
 Counters land under ``compile.cache.*`` (``hits`` = unit + program
 hits; the runtime tier counts ``runtime_hits``/``runtime_misses``) via
@@ -30,7 +32,7 @@ hits; the runtime tier counts ``runtime_hits``/``runtime_misses``) via
 into the parent registry.
 
 An optional **cross-process** tier, :class:`DiskArtifactStore`,
-is an on-disk content-addressed store of the same sealed blobs, shared
+is an on-disk content-addressed store of sealed program pickles, shared
 by every worker of a ``repro serve`` pool (and any other process
 pointed at the same directory). It is hardened for long-lived service
 use:
@@ -327,13 +329,13 @@ class CompileCache:
         # linked programs and are subsumed by program-tier hits).
         self.disk = disk
         # key -> (format_version, sha256-of-blob, pickled blob). The
-        # guard tuple is checked on every load so a corrupt or
-        # stale-format entry falls back to recompilation instead of
-        # raising UnpicklingError mid-sweep.
-        self._programs: Dict[str, tuple] = {}
+        # seal is checked on every load so a corrupt or stale-format
+        # entry falls back to recompilation instead of raising
+        # UnpicklingError mid-sweep.
         self._units: Dict[str, tuple] = {}
-        # key -> RuntimeImage, shared read-only by every program.
+        # key -> RuntimeImage / Program, shared read-only by callers.
         self._runtimes: Dict[str, object] = {}
+        self._programs: Dict[str, object] = {}
         self.program_hits = 0
         self.unit_hits = 0
         self.runtime_hits = 0
@@ -342,27 +344,12 @@ class CompileCache:
         self.runtime_misses = 0
         self.corrupt = 0
 
-    def _open(self, store: Dict[str, tuple], key: str):
-        """Verified unpickle of a cached entry.
-
-        Returns None (and bumps the ``compile.cache.corrupt`` counter,
-        dropping the entry) when the format version or the content
-        fingerprint does not match, or the blob fails to unpickle —
-        the caller then recompiles as if the entry never existed.
-        """
-        entry = store.get(key)
-        if entry is None:
-            return None
-        try:
-            version, fingerprint, blob = entry
-            if version != CACHE_FORMAT or \
-                    hashlib.sha256(blob).hexdigest() != fingerprint:
-                raise ValueError("cache entry failed integrity check")
-            return pickle.loads(blob)
-        except Exception:
-            self.corrupt += 1
-            store.pop(key, None)
-            return None
+    def _keep(self, tier: Dict[str, object], key: str, value) -> None:
+        """Insert into an in-memory tier; a full tier first drops its
+        oldest entry (dict insertion order)."""
+        if tier and len(tier) >= self.max_entries:
+            del tier[next(iter(tier))]
+        tier[key] = value
 
     # -- keys ---------------------------------------------------------------
 
@@ -383,17 +370,25 @@ class CompileCache:
     # -- unit tier (used by schemes.compile_source) -------------------------
 
     def load_unit(self, source: str, name: str):
-        """Fresh front-end ``Module`` for ``source``, or None on miss."""
-        module = self._open(self._units, self.unit_key(source, name))
-        if module is None:
-            self.unit_misses += 1
-            return None
-        self.unit_hits += 1
-        return module
+        """Fresh front-end ``Module`` for ``source``, or None on miss.
+        An entry that fails its seal is dropped and counted as
+        ``corrupt``; the caller then recompiles as on a miss."""
+        key = self.unit_key(source, name)
+        entry = self._units.get(key)
+        if entry is not None:
+            try:
+                module = _unseal(entry)
+            except Exception:
+                self.corrupt += 1
+                del self._units[key]
+            else:
+                self.unit_hits += 1
+                return module
+        self.unit_misses += 1
+        return None
 
     def store_unit(self, source: str, name: str, module) -> None:
-        if len(self._units) < self.max_entries:
-            self._units[self.unit_key(source, name)] = _seal(module)
+        self._keep(self._units, self.unit_key(source, name), _seal(module))
 
     # -- runtime tier (used by schemes.compile.runtime_image) ---------------
 
@@ -408,8 +403,8 @@ class CompileCache:
         return image
 
     def store_runtime(self, source: str, options, image) -> None:
-        if len(self._runtimes) < self.max_entries:
-            self._runtimes[self.runtime_key(source, options)] = image
+        self._keep(self._runtimes, self.runtime_key(source, options),
+                   image)
 
     # -- program tier -------------------------------------------------------
 
@@ -419,11 +414,11 @@ class CompileCache:
                 metrics=None, tracer=None):
         """Compile ``source`` under ``scheme``, reusing cached artefacts.
 
-        On a program-tier hit the stored analysis summary (check
-        elision counts) is replayed into ``metrics`` so the
-        ``compile.analyze.*`` counters read the same whether the build
-        was cached or fresh; phase wall-times are only recorded for
-        work actually performed.
+        A program-tier hit returns the cached ``Program`` itself and
+        replays its analysis summary (check elision counts) into
+        ``metrics`` so the ``compile.analyze.*`` counters read the same
+        whether the build was cached or fresh; phase wall-times are
+        only recorded for work actually performed.
 
         With a :class:`DiskArtifactStore` attached, a memory miss
         consults the shared store next (corrupt entries are repaired:
@@ -433,7 +428,7 @@ class CompileCache:
         """
         config = config or HwstConfig()
         key = self.program_key(source, scheme, config)
-        program = self._open(self._programs, key)
+        program = self._programs.get(key)
         if program is not None:
             self.program_hits += 1
             self._replay_analyze(program, metrics)
@@ -441,15 +436,13 @@ class CompileCache:
         if self.disk is not None:
             program = self.disk.load(key)
             if program is not None:
-                if len(self._programs) < self.max_entries:
-                    self._programs[key] = _seal(program)
+                self._keep(self._programs, key, program)
                 self._replay_analyze(program, metrics)
                 return program
         self.misses += 1
         program = self._compile_and_publish(
             source, scheme, config, key, program_name, metrics, tracer)
-        if len(self._programs) < self.max_entries:
-            self._programs[key] = _seal(program)
+        self._keep(self._programs, key, program)
         return program
 
     def _compile_and_publish(self, source, scheme, config, key,

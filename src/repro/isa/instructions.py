@@ -66,13 +66,16 @@ class InstrSpec:
     div_like: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class Instr:
     """One instruction instance.
 
     ``imm`` holds the numeric immediate; when codegen emits a reference to
     a not-yet-placed symbol it stores the name in ``sym`` and the linker
     patches ``imm`` later. ``comment`` is assembly-listing chrome only.
+
+    Slotted but not frozen (docs/parallel.md says why): nothing may
+    change an ``Instr`` once ``compile_function`` has returned it.
     """
 
     op: str

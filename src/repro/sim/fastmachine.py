@@ -59,7 +59,7 @@ points (docs/fast-iss.md covers the full contract):
 * **Invalidation.** While blocks execute, a store watch covers the text
   window; any store overlapping a translated block drops that block
   from the cache. (Instruction *semantics* cannot change — both
-  engines fetch from the decoded ``Program.instrs`` list, not from
+  engines fetch from the decoded ``Program.instrs`` tuple, not from
   memory bytes — so this is cache hygiene plus honest statistics, and
   the contract a future fetch-from-memory engine will need.)
 * **Fallbacks.** Per-instruction observers — a fault-injection hook,

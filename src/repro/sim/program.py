@@ -1,17 +1,20 @@
 """Linked program images for the simulator.
 
-A :class:`Program` is what the codegen/linker produces: a flat list of
+A :class:`Program` is what the codegen/linker produces: a flat tuple of
 instructions placed at ``text_base``, initialised data segments, a symbol
 table, and the memory layout it was linked against. The machine loads
 segments into memory and starts at ``entry`` (the ``_start`` stub, which
-calls ``main`` and issues the exit ecall).
+calls ``main`` and issues the exit ecall). A program is immutable, so
+the compile cache hands one object to every caller; a link-time fault
+runs on a copy (:func:`repro.codegen.link.mutate_check_ops`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import starmap
 from operator import attrgetter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.instructions import Instr
 from repro.sim.memory import DEFAULT_LAYOUT, Memory, MemoryLayout
@@ -33,17 +36,21 @@ class Segment:
         return self.addr + len(self.data)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
-    """A linked, loadable program."""
+    """A linked, loadable program (``instrs`` may be given as a list)."""
 
-    instrs: List[Instr]
+    instrs: Tuple[Instr, ...]
     entry: int
     text_base: int = DEFAULT_LAYOUT.text_base
     segments: List[Segment] = field(default_factory=list)
     symbols: Dict[str, int] = field(default_factory=dict)
     layout: MemoryLayout = DEFAULT_LAYOUT
     meta: Dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if type(self.instrs) is not tuple:
+            object.__setattr__(self, "instrs", tuple(self.instrs))
 
     def __getstate__(self):
         # Pickle each instruction as a plain field tuple: about a third
@@ -53,7 +60,7 @@ class Program:
         return state
 
     def __setstate__(self, state):
-        state["instrs"] = [Instr(*row) for row in state["instrs"]]
+        state["instrs"] = tuple(starmap(Instr, state["instrs"]))
         self.__dict__.update(state)
 
     @property

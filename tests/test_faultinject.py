@@ -182,23 +182,31 @@ class TestLinkFaults:
     def test_check_drop_replaces_a_check(self):
         program = self._program()
         before = [ins.op for ins in program.instrs]
-        note = apply_link_fault(
+        mutated, note = apply_link_fault(
             program, FaultSpec(kind="check_drop", select=2))
         assert note
-        after = [ins.op for ins in program.instrs]
+        assert [ins.op for ins in program.instrs] == before  # input kept
+        after = [ins.op for ins in mutated.instrs]
         assert len(after) == len(before)  # layout preserved
         changed = [i for i, (a, b) in enumerate(zip(before, after))
                    if a != b]
         assert len(changed) == 1
+        # Every other instruction is shared, not copied.
+        assert all(mutated.instrs[i] is program.instrs[i]
+                   for i in range(len(before)) if i not in changed)
 
     def test_check_dup_adds_a_check(self):
         program = self._program()
-        note = apply_link_fault(
+        before = [ins.op for ins in program.instrs]
+        mutated, note = apply_link_fault(
             program, FaultSpec(kind="check_dup", select=1))
+        assert [ins.op for ins in program.instrs] == before
         # "" is allowed (no eligible plain site), but when a site
         # exists the mutation must describe itself.
         if note:
             assert "spurious check" in note
+        else:
+            assert mutated is program
 
     def test_link_fault_rejects_runtime_kinds(self):
         with pytest.raises(ValueError, match="not a link-time fault"):

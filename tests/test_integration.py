@@ -7,6 +7,8 @@ consistency between the compiler's view and the machine's, and the
 paper's lbm-OOM reproduction.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,8 +47,8 @@ class TestBinaryRoundTrip:
 
     def test_decoded_program_still_runs(self):
         program = compile_source(FIB, "hwst128_tchk")
-        program.instrs = decode_program(
-            encode_program(program.instrs), base_pc=program.text_base)
+        program = replace(program, instrs=decode_program(
+            encode_program(program.instrs), base_pc=program.text_base))
         result = Machine().run(program)
         assert result.status == "exit" and result.exit_code == 0
 

@@ -141,8 +141,28 @@ class TestCompileCache:
         first = cache.compile(GOOD, "hwst128_tchk", config)
         second = cache.compile(GOOD, "hwst128_tchk", config)
         assert cache.program_hits == 1
-        # Hits hand back a *fresh* object graph, never a shared one.
-        assert first is not second
+        # Programs are immutable, so a hit hands back the cached one.
+        assert first is second
+
+    def test_full_tiers_drop_their_oldest_entry(self):
+        cache = CompileCache(max_entries=2)
+        sources = [f"int main(void) {{ return {n}; }}" for n in range(4)]
+        for source in sources:
+            cache.compile(source, "baseline")
+        assert len(cache._programs) == len(cache._units) == 2
+        # The newest programs and units keep hitting: a new config
+        # misses the program tier and reloads the front-end unit.
+        for source in sources[2:]:
+            cache.compile(source, "baseline")
+            cache.compile(source, "baseline",
+                          HwstConfig(keybuffer_entries=4))
+        assert (cache.program_hits, cache.unit_hits) == (2, 2)
+        assert cache.runtime_hits == 5
+        # The oldest were dropped to make room.
+        misses, unit_misses = cache.misses, cache.unit_misses
+        cache.compile(sources[0], "baseline")
+        assert (cache.misses, cache.unit_misses) == \
+            (misses + 1, unit_misses + 1)
 
     def test_config_change_invalidates_program_tier(self):
         cache = CompileCache()
@@ -322,42 +342,57 @@ class TestWorkerDeathRetry:
 
 
 class TestCacheIntegrity:
+    """The unit tier stores sealed pickles: a bad seal means recompile.
+
+    Each config below misses the program tier, so its compile reloads
+    the front-end unit of ``GOOD``.
+    """
+
     def _prime(self):
         cache = CompileCache()
         cache.compile(GOOD, "baseline", HwstConfig())
-        key = next(iter(cache._programs))
+        key = cache.unit_key(GOOD, "program")
+        assert key in cache._units
         return cache, key
 
-    def test_tampered_blob_recompiles(self):
-        cache, key = self._prime()
-        version, fingerprint, blob = cache._programs[key]
-        cache._programs[key] = (version, fingerprint,
-                                blob[:-4] + b"\x00\x00\x00\x00")
-        program = cache.compile(GOOD, "baseline", HwstConfig())
+    @staticmethod
+    def _repaired(cache):
+        """Recompile through the bad entry, then hit the fresh one."""
+        unit_misses = cache.unit_misses
+        program = cache.compile(GOOD, "baseline",
+                                HwstConfig(keybuffer_entries=4))
         assert program is not None
         assert cache.corrupt == 1
         assert cache.stats_snapshot()["compile.cache.corrupt"] == 1
+        assert cache.unit_misses == unit_misses + 1
+        hits = cache.unit_hits
+        cache.compile(GOOD, "baseline", HwstConfig(keybuffer_entries=2))
+        assert cache.unit_hits == hits + 1
+        assert cache.corrupt == 1
+
+    def test_tampered_blob_recompiles(self):
+        cache, key = self._prime()
+        version, fingerprint, blob = cache._units[key]
+        cache._units[key] = (version, fingerprint,
+                             blob[:-4] + b"\x00\x00\x00\x00")
+        self._repaired(cache)
 
     def test_stale_format_version_recompiles(self):
         cache, key = self._prime()
-        _, fingerprint, blob = cache._programs[key]
-        cache._programs[key] = (CACHE_FORMAT + 1, fingerprint, blob)
-        assert cache.compile(GOOD, "baseline", HwstConfig()) is not None
-        assert cache.corrupt == 1
+        _, fingerprint, blob = cache._units[key]
+        cache._units[key] = (CACHE_FORMAT + 1, fingerprint, blob)
+        self._repaired(cache)
 
     def test_corrupt_entry_is_evicted_then_reseeded(self):
         cache, key = self._prime()
-        version, fingerprint, blob = cache._programs[key]
-        cache._programs[key] = (version, "0" * 64, blob)
-        cache.compile(GOOD, "baseline", HwstConfig())  # corrupt -> miss
-        assert cache.corrupt == 1
-        cache.compile(GOOD, "baseline", HwstConfig())  # fresh entry hits
-        assert cache.corrupt == 1
-        assert cache.program_hits >= 1
+        version, fingerprint, blob = cache._units[key]
+        cache._units[key] = (version, "0" * 64, blob)
+        self._repaired(cache)
 
     def test_clean_entries_never_count_corrupt(self):
         cache, _ = self._prime()
-        cache.compile(GOOD, "baseline", HwstConfig())
+        cache.compile(GOOD, "baseline", HwstConfig(keybuffer_entries=4))
+        assert cache.unit_hits >= 1
         assert cache.corrupt == 0
 
 

@@ -10,6 +10,7 @@ and string-literal names that depend on the translation unit alone.
 import pickle
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -18,7 +19,9 @@ from repro.codegen.link import build_program, mutate_check_ops
 from repro.codegen.lower import CodegenOptions
 from repro.core.config import HwstConfig
 from repro.errors import EXIT_TOOLCHAIN, IRError, LinkError
+from repro.faultinject import FaultSpec, LINK_KINDS, apply_link_fault
 from repro.harness.compile_cache import CompileCache
+from repro.isa.instructions import Instr
 from repro.ir.verify import Interface, interface, verify_module
 from repro.minic import analyze, parse
 from repro.ir.irgen import lower_unit
@@ -62,8 +65,14 @@ def _fields(instrs):
             for i in instrs]
 
 
-def _run(program):
-    return make_machine().run(program, max_instructions=3_000_000)
+def _run(program, max_instructions=3_000_000):
+    return make_machine().run(program, max_instructions=max_instructions)
+
+
+def _image(cache):
+    spec = SCHEMES["hwst128_tchk"]
+    return runtime_image(spec, CodegenOptions(spill_meta=spec.spill_meta),
+                         cache=cache)
 
 
 class TestCachedProgramsMatchUncached:
@@ -75,7 +84,7 @@ class TestCachedProgramsMatchUncached:
                 fresh = pickle.dumps(compile_source(source, scheme, config))
                 linked = shared_cache.compile(source, scheme, config)
                 assert pickle.dumps(linked) == fresh, (scheme, config)
-        # A program-tier hit unpickles an equal program.
+        # A program-tier hit returns an equal program.
         hits = shared_cache.program_hits
         assert shared_cache.compile(source, "hwst128_tchk") == \
             compile_source(source, "hwst128_tchk")
@@ -94,13 +103,46 @@ class TestCachedProgramsMatchUncached:
         assert snap["compile.cache.runtime_hits"] == 9
 
 
+class TestCachedProgramsAreShared:
+    """A linked program is immutable, so the cache hands out one object
+    and a link-time fault runs on a copy."""
+
+    SCHEME = "hwst128_tchk"
+    SOURCE = """
+int main(void) {
+    long *p = (long *)malloc(32);
+    for (int i = 0; i < 4; i = i + 1) { p[i] = i; }
+    long s = p[0] + p[3];
+    free(p);
+    return s - 3;
+}
+"""
+
+    def test_no_caller_can_change_a_cached_program(self):
+        cache = CompileCache()
+        program = cache.compile(self.SOURCE, self.SCHEME)
+        before = pickle.dumps(program)
+        image_before = pickle.dumps(_image(cache))
+        with pytest.raises(TypeError):
+            program.instrs[0] = Instr("ebreak")
+        with pytest.raises(FrozenInstanceError):
+            program.instrs = ()
+        assert not hasattr(program.instrs[0], "__dict__")
+        for kind in LINK_KINDS:
+            for select in range(200):
+                mutated, note = apply_link_fault(
+                    program, FaultSpec(kind=kind, select=select))
+                assert note and mutated is not program
+                assert _run(mutated, 100_000).status in (
+                    "exit", "spatial_violation")
+        assert cache.compile(self.SOURCE, self.SCHEME) is program
+        assert pickle.dumps(program) == before == \
+            pickle.dumps(compile_source(self.SOURCE, self.SCHEME))
+        assert pickle.dumps(_image(cache)) == image_before
+
+
 class TestImageSharing:
     SCHEME = "hwst128_tchk"
-
-    def _image(self, cache):
-        spec = SCHEMES[self.SCHEME]
-        return runtime_image(spec, CodegenOptions(spill_meta=spec.spill_meta),
-                             cache=cache)
 
     def test_mutating_one_program_leaves_its_sibling_alone(self):
         cache = CompileCache()
@@ -110,14 +152,14 @@ class TestImageSharing:
         before = pickle.dumps(second)
         for kind in ("check_drop", "check_dup"):
             for select in range(400):
-                mutate_check_ops(first, kind, select)
+                first, _ = mutate_check_ops(first, kind, select)
         assert pickle.dumps(second) == before
         result = _run(second)
         assert result.status == "exit" and result.exit_code == 0
 
     def test_image_is_unchanged_by_linking(self):
         cache = CompileCache()
-        image = self._image(cache)
+        image = _image(cache)
         bodies = {name: _fields(body) for name, body in image.bodies.items()}
         assert any(ins.sym for body in image.bodies.values()
                    for ins in body)
@@ -132,7 +174,7 @@ class TestImageSharing:
         assert _run(program).exit_code == 99 % 7
 
     def test_image_keeps_no_ir(self):
-        image = self._image(None)
+        image = _image(None)
         assert set(vars(image)) == {"globals", "bodies", "interface"}
         assert image.interface.arities["malloc"] == 1
 

@@ -11,6 +11,7 @@ reporting the planted shed/restart/repair counts.
 import asyncio
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -19,7 +20,8 @@ import pytest
 
 from repro import errors
 from repro.core.config import HwstConfig
-from repro.harness.compile_cache import CompileCache, DiskArtifactStore
+from repro.harness.compile_cache import CACHE_FORMAT, CompileCache, \
+    DiskArtifactStore
 from repro.obs.metrics import MetricsRegistry, to_prometheus
 from repro.serve.app import ServeApp
 from repro.serve.protocol import DEFAULT_MAX_INSTRUCTIONS, \
@@ -248,6 +250,29 @@ class TestDiskArtifactStore:
         assert not artifact.exists()    # deleted, ready for re-publish
         store.store("k", [1, 2, 3])
         assert store.load("k") == [1, 2, 3]
+
+    @pytest.mark.parametrize("tamper", ["stale_format", "wrong_fingerprint"])
+    def test_bad_seal_is_repaired_by_recompiling(self, tmp_path, tamper):
+        store = DiskArtifactStore(tmp_path)
+        program = CompileCache(disk=store).compile(CLEAN, "gcc")
+        artifact = store._artifact(
+            CompileCache.program_key(CLEAN, "gcc", HwstConfig()))
+        version, fingerprint, blob = pickle.loads(artifact.read_bytes())
+        if tamper == "stale_format":
+            version = CACHE_FORMAT + 1
+        else:
+            fingerprint = "0" * 64
+        artifact.write_bytes(pickle.dumps((version, fingerprint, blob)))
+        # The next process finds the bad seal, recompiles and
+        # re-publishes ...
+        cache = CompileCache(disk=store)
+        repaired = cache.compile(CLEAN, "gcc")
+        assert (store.corrupt, cache.misses) == (1, 1)
+        assert pickle.dumps(repaired) == pickle.dumps(program)
+        # ... and the one after it loads the repaired artefact.
+        again = CompileCache(disk=store)
+        again.compile(CLEAN, "gcc")
+        assert (again.misses, store.hits, store.corrupt) == (0, 1, 1)
 
     def test_stale_lock_of_dead_holder_is_broken(self, tmp_path):
         store = DiskArtifactStore(tmp_path, stale_lock_s=3600)
