@@ -55,7 +55,11 @@ class MetadataCompressor:
         self._range_mask = (1 << self._widths.range) - 1
         self._lock_mask = (1 << self._widths.lock) - 1
         self._key_mask = (1 << self._widths.key) - 1
-        # Census counters for the Eq. 3-6 width derivation (Fig. 2).
+        self.reset_census()
+
+    def reset_census(self):
+        """Zero the census counters of the Eq. 3-6 width derivation
+        (Fig. 2)."""
         self.max_range_seen = 0
         self.max_base_seen = 0
         self.max_key_seen = 0

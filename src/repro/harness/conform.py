@@ -78,7 +78,8 @@ class EquivBench:
     One machine per compression geometry, reused across cases —
     ``machine.load`` restores everything a case can change, so each
     case starts from the post-reset state with exactly one instruction
-    at ``text_base``.
+    at ``text_base``. A case runs through ``step()``, the reference
+    loop on either machine class, so ``engine`` picks only the class.
     """
 
     def __init__(self, engine: str = "ref"):
@@ -105,7 +106,6 @@ class ConformEquivCell:
 
     mnemonic: str
     seed: int
-    engine: str = "ref"
 
     @property
     def tag(self) -> str:
@@ -124,7 +124,7 @@ class ConformEquivCell:
         return self.tag
 
     def execute(self) -> CellResult:
-        bench = EquivBench(self.engine)
+        bench = EquivBench()
         result = run_mnemonic(self.mnemonic, self.seed, bench)
         divergences = result["divergences"]
         return CellResult(

@@ -2,18 +2,26 @@
 
 :class:`FastMachine` is the QEMU-style dynamic-binary-translation
 answer to the classic fetch/decode/execute loop in
-:class:`~repro.sim.machine.Machine` (which stays untouched as the
-golden reference engine): the second time execution enters a pc, the
-basic block starting there is decoded **once** into a list of Python
-functions with every static operand (pc, rd, rs1, rs2, imm, branch
-targets, link values) pre-bound as a default argument, and the block is
-cached by entry pc. Later visits replay the functions with no
-per-instruction fetch, dispatch-dict lookup, operand decoding, or budget
-bookkeeping — instret advances in one bulk add per block.
+:class:`~repro.sim.machine.Machine` (the reference engine): the second
+time execution enters a pc, the basic block starting there is decoded
+**once** into a list of Python functions with every static operand (pc,
+rd, rs1, rs2, imm, branch targets, link values) pre-bound as a default
+argument, and the block is cached by entry pc. Later visits replay the
+functions with no per-instruction fetch, dispatch-dict lookup, operand
+decoding, or budget bookkeeping — instret advances in one bulk add per
+block.
 
 It is the default engine (:data:`repro.sim.DEFAULT_ENGINE`). Design
 points (docs/fast-iss.md covers the full contract):
 
+* **One semantics.** Each function is compiled from the instruction's
+  row in :mod:`repro.sim.semantics` — the row the reference handler is
+  compiled from — with metadata decoding inlined and only the dynamic
+  timing charges appended; the 17 rare ops without a row wrap their
+  reference handler. Engine lockstep therefore tests what only this
+  engine has (translation, superblocks, fusion, fold, unwind,
+  invalidation); ``repro conform`` tests the semantics themselves
+  against :mod:`repro.spec`.
 * **Cold entries.** The first entry at a pc runs its basic block on
   the reference ``_dispatch_loop``: decoding code that runs once costs
   more than interpreting it, and most of a short program (a Juliet
@@ -30,9 +38,9 @@ points (docs/fast-iss.md covers the full contract):
   successors chain through the pc-indexed block cache.
 * **Fusion.** The instrumentation idiom ``tchk rs1`` followed by a
   fused-check access (``ld.chk``/``sd.chk`` …) is translated into a
-  *single* function — one Python call performs the temporal check, the
-  spatial check and the memory access, while still retiring as two
-  instructions with two distinct trap pcs.
+  *single* function, the two rows composed — one Python call performs
+  the temporal check, the spatial check and the memory access, while
+  still retiring as two instructions with two distinct trap pcs.
 * **Exactness.** Every architecturally visible observable is
   bit-identical with the reference engine: registers, memory, SRF,
   stdout, instret (including at trap boundaries — a mid-block trap
@@ -74,18 +82,14 @@ points (docs/fast-iss.md covers the full contract):
 
 from __future__ import annotations
 
-import functools
 from itertools import islice
 from typing import Callable, Dict, List, Optional
 
 from repro import bits
-from repro.core.config import ALIGN_SHIFT
-from repro.errors import (
-    IllegalInstruction, MemoryFault, ReproError, ShadowMemoryExhausted,
-)
-from repro.isa import csr as csrdef
-from repro.isa.instructions import Instr, SPEC_TABLE
-from repro.sim.machine import Machine, SRF_INVALID
+from repro.errors import IllegalInstruction, MemoryFault, ReproError
+from repro.isa.instructions import FMT_CSR, Instr, SPEC_TABLE
+from repro.sim import semantics
+from repro.sim.machine import Machine
 from repro.sim.program import Program
 
 __all__ = ["FastMachine", "MAX_TRACE"]
@@ -96,19 +100,10 @@ __all__ = ["FastMachine", "MAX_TRACE"]
 #: and bloat retranslation after an invalidation).
 MAX_TRACE = 64
 
-_ALU_R_OPS = frozenset((
-    "add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or", "and",
-    "addw", "subw", "sllw", "srlw", "sraw",
-    "mul", "mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu",
-    "mulw", "divw", "divuw", "remw", "remuw",
-))
-_ALU_I_OPS = frozenset((
-    "addi", "slti", "sltiu", "xori", "ori", "andi",
-    "slli", "srli", "srai", "addiw", "slliw", "srliw", "sraiw",
-))
-_BRANCH_OPS = frozenset(("beq", "bne", "blt", "bge", "bltu", "bgeu"))
 #: Instructions that end a basic block on the reference loop.
-_BLOCK_ENDS = _BRANCH_OPS | {"jal", "jalr", "ecall", "ebreak"}
+_BLOCK_ENDS = frozenset(
+    op for op, spec in SPEC_TABLE.items() if spec.is_branch or spec.is_jump
+) | {"ecall", "ebreak"}
 
 _M64 = bits.MASK64
 
@@ -121,178 +116,6 @@ _TIMED = "timed"   # timing model attached
 #: ``fast_stats()`` keys, published as ``sim.fast.*`` gauges.
 FAST_STATS = ("blocks", "translations", "translated_instrs", "fused_pairs",
               "invalidated_blocks", "block_runs")
-
-
-# ----------------------------------------------------------------------
-# Specialised function makers (exec-compiled once per mnemonic)
-# ----------------------------------------------------------------------
-#
-# The generic reference path costs three calls per ALU instruction
-# (handler -> _alu_fn lambda -> bits helper). These templates inline the
-# operation *expression* into the function body, so the hot ops are one
-# call with only arithmetic inside. Semantics are forced equal by
-# construction: every expression below is the reference _alu_table
-# lambda with bits.to_u64/to_s64/sext unfolded (``(x ^ SIGN) - SIGN`` is
-# sign extension; signed compares drop the common ``- SIGN`` term).
-# mulh*/div*/rem* call the reference lambda ``fn`` instead: rare, and
-# their latency dwarfs a function call anyway.
-
-_ALU_EXPR = {
-    "add": "(a + b) & 0xFFFFFFFFFFFFFFFF",
-    "sub": "(a - b) & 0xFFFFFFFFFFFFFFFF",
-    "sll": "(a << (b & 63)) & 0xFFFFFFFFFFFFFFFF",
-    "slt": "1 if (a ^ 0x8000000000000000) < (b ^ 0x8000000000000000)"
-           " else 0",
-    "sltu": "1 if a < b else 0",
-    "xor": "a ^ b",
-    "srl": "a >> (b & 63)",
-    "sra": "(((a ^ 0x8000000000000000) - 0x8000000000000000)"
-           " >> (b & 63)) & 0xFFFFFFFFFFFFFFFF",
-    "or": "a | b",
-    "and": "a & b",
-    "addw": "((((a + b) & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
-            " & 0xFFFFFFFFFFFFFFFF",
-    "subw": "((((a - b) & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
-            " & 0xFFFFFFFFFFFFFFFF",
-    "sllw": "((((a << (b & 31)) & 0xFFFFFFFF) ^ 0x80000000)"
-            " - 0x80000000) & 0xFFFFFFFFFFFFFFFF",
-    "srlw": "((((a & 0xFFFFFFFF) >> (b & 31)) ^ 0x80000000)"
-            " - 0x80000000) & 0xFFFFFFFFFFFFFFFF",
-    "sraw": "((((a & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
-            " >> (b & 31)) & 0xFFFFFFFFFFFFFFFF",
-    "mul": "(a * b) & 0xFFFFFFFFFFFFFFFF",
-    "mulw": "((((a * b) & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
-            " & 0xFFFFFFFFFFFFFFFF",
-    # immediate variants share the R expressions (b = u64 immediate):
-    "addi": "(a + b) & 0xFFFFFFFFFFFFFFFF",
-    "slti": "1 if (a ^ 0x8000000000000000) < (b ^ 0x8000000000000000)"
-            " else 0",
-    "sltiu": "1 if a < b else 0",
-    "xori": "a ^ b",
-    "ori": "a | b",
-    "andi": "a & b",
-    "slli": "(a << (b & 63)) & 0xFFFFFFFFFFFFFFFF",
-    "srli": "a >> (b & 63)",
-    "srai": "(((a ^ 0x8000000000000000) - 0x8000000000000000)"
-            " >> (b & 63)) & 0xFFFFFFFFFFFFFFFF",
-    "addiw": "((((a + b) & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
-             " & 0xFFFFFFFFFFFFFFFF",
-    "slliw": "((((a << (b & 31)) & 0xFFFFFFFF) ^ 0x80000000)"
-             " - 0x80000000) & 0xFFFFFFFFFFFFFFFF",
-    "srliw": "((((a & 0xFFFFFFFF) >> (b & 31)) ^ 0x80000000)"
-             " - 0x80000000) & 0xFFFFFFFFFFFFFFFF",
-    "sraiw": "((((a & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
-             " >> (b & 31)) & 0xFFFFFFFFFFFFFFFF",
-}
-
-_TPL_R = """\
-def _mk(regs, srf, srf_wide, rd, rs1, rs2, fn):
-    def run(regs=regs, srf=srf, srf_wide=srf_wide, rd=rd, rs1=rs1,
-            rs2=rs2, fn=fn, INVALID=INVALID):
-        a = regs[rs1]; b = regs[rs2]
-        regs[rd] = {expr}
-        e1 = srf[rs1]
-        w1 = srf_wide[rs1]
-        if e1[2] or e1[3] or w1 is not None:
-            srf[rd] = e1
-            srf_wide[rd] = w1
-        else:
-            e2 = srf[rs2]
-            w2 = srf_wide[rs2]
-            if e2[2] or e2[3] or w2 is not None:
-                srf[rd] = e2
-                srf_wide[rd] = w2
-            else:
-                srf[rd] = INVALID
-                srf_wide[rd] = None
-    return run
-"""
-
-_TPL_I = """\
-def _mk(regs, srf, srf_wide, rd, rs1, b, fn):
-    def run(regs=regs, srf=srf, srf_wide=srf_wide, rd=rd, rs1=rs1, b=b):
-        a = regs[rs1]
-        regs[rd] = {expr}
-        srf[rd] = srf[rs1]
-        srf_wide[rd] = srf_wide[rs1]
-    return run
-"""
-
-# Branch conditions over u64 register values; signed compares flip the
-# sign bit instead of calling bits.to_s64.
-_BRANCH_COND = {
-    "beq": "regs[rs1] == regs[rs2]",
-    "bne": "regs[rs1] != regs[rs2]",
-    "blt": "(regs[rs1] ^ 0x8000000000000000)"
-           " < (regs[rs2] ^ 0x8000000000000000)",
-    "bge": "(regs[rs1] ^ 0x8000000000000000)"
-           " >= (regs[rs2] ^ 0x8000000000000000)",
-    "bltu": "regs[rs1] < regs[rs2]",
-    "bgeu": "regs[rs1] >= regs[rs2]",
-}
-
-# ct_branches, the base cost and the interlock are static (the fold);
-# only the taken-path redirect (the pipeline's ``redirect`` charge) is
-# dynamic (timed mode).
-_TPL_BRANCH = """\
-def _mk(regs, rs1, rs2, taken_pc, ct_taken, pl, bk_redirect, penalty):
-    def run(regs=regs, rs1=rs1, rs2=rs2, taken_pc=taken_pc,
-            ct_taken=ct_taken{timed_args}):
-        if {cond}:
-            ct_taken.value += 1{timed_body}
-            return taken_pc
-        return None
-    return run
-"""
-_BRANCH_TIMED_ARGS = ", pl=pl, bk_redirect=bk_redirect, penalty=penalty"
-_BRANCH_TIMED_BODY = """
-            pl.cycles += penalty
-            bk_redirect.value += penalty"""
-
-
-def _compile_maker(name: str, source: str):
-    ns = {"INVALID": SRF_INVALID}
-    exec(compile(source, f"<fastmachine:{name}>", "exec"), ns)
-    return ns["_mk"]
-
-
-# Makers compile on first use (a process that never translates, or
-# never meets a mnemonic, pays nothing at import).
-
-@functools.lru_cache(maxsize=None)
-def _alu_maker(op: str):
-    """One (semantics-only) ALU maker per mnemonic: timed blocks use the
-    same functions — every cycle an ALU op costs is static and lives in
-    the block's timing fold, not in the per-instruction function."""
-    tpl = _TPL_I if op in _ALU_I_OPS else _TPL_R
-    return _compile_maker(op, tpl.format(expr=_ALU_EXPR.get(op, "fn(a, b)")))
-
-
-@functools.lru_cache(maxsize=None)
-def _branch_maker(op: str, timed: bool):
-    return _compile_maker(op, _TPL_BRANCH.format(
-        cond=_BRANCH_COND[op],
-        timed_args=_BRANCH_TIMED_ARGS if timed else "",
-        timed_body=_BRANCH_TIMED_BODY if timed else ""))
-
-_SPECIALISED_OPS = frozenset(
-    ("tchk", "lui", "auipc", "bndrs", "bndrt",
-     "sbdl", "sbdu", "lbdls", "lbdus", "jal", "jalr"),
-) | _ALU_R_OPS | _ALU_I_OPS | _BRANCH_OPS
-
-
-def _is_specialised(op: str, spec) -> bool:
-    """True when the op has a dedicated emitter (its full static cost
-    is known at translate time); False for reference-wrapped ops."""
-    if op in _SPECIALISED_OPS:
-        return True
-    if spec is None:
-        return False
-    if spec.is_load and spec.opcode == 0x03:
-        return True
-    if spec.is_store and spec.opcode == 0x23:
-        return True
-    return spec.checked and (spec.is_load or spec.is_store)
 
 
 class _Block:
@@ -498,6 +321,7 @@ class FastMachine(Machine):
             raise MemoryFault(entry_pc, "pc outside text")
         instrs = program.instrs
         dispatch = self._dispatch
+        rows = semantics.ROWS
         timed = self._mode is _TIMED
         blocks = self._blocks
         inlined = self._inlined
@@ -526,9 +350,9 @@ class FastMachine(Machine):
                 lo = pc
             if pc + 4 > hi:
                 hi = pc + 4
-            if op in ("csrrw", "csrrs", "csrrc") or (
-                    timed and op not in ("ecall", "ebreak")
-                    and not _is_specialised(op, SPEC_TABLE.get(op))):
+            if SPEC_TABLE[op].fmt == FMT_CSR or (
+                    timed and op not in rows
+                    and op not in ("ecall", "ebreak")):
                 # CSR reads of instret/cycle must see the exact
                 # architectural count, but the block loop bulk-adds
                 # instret after the block — so a CSR op is always the
@@ -551,12 +375,11 @@ class FastMachine(Machine):
                     and count + 2 <= self.MAX_TRACE \
                     and (pc + 4) not in pos:
                 nxt = instrs[idx + 1]
-                nspec = SPEC_TABLE.get(nxt.op)
-                if nspec is not None and nspec.checked \
-                        and dispatch.get(nxt.op) is not None:
+                if nxt.op in rows and SPEC_TABLE[nxt.op].checked:
                     pos[pc] = count
                     pos[pc + 4] = count + 1
-                    body.append(self._emit_fused(ins, pc, nxt, nspec))
+                    body.append(semantics.fused(nxt.op, timed)(
+                        self, ins, pc, nxt))
                     count += 2
                     if pc + 8 > hi:
                         hi = pc + 8
@@ -565,8 +388,8 @@ class FastMachine(Machine):
                     continue
             pos[pc] = count
             count += 1
-            if op in _BRANCH_OPS:
-                term = self._emit_branch(ins, pc)
+            if SPEC_TABLE[op].is_branch:
+                term = self._emit(ins, pc)
                 end_pc = pc + 4
                 break
             if op == "jal":
@@ -580,16 +403,16 @@ class FastMachine(Machine):
                     # target already translated elsewhere chains
                     # through the cache instead of being copied again.
                     inlined.add(target)
-                    fn = self._emit_jal(ins, pc, target, terminator=False)
+                    fn = self._emit(ins, pc)
                     if fn is not None:
                         body.append(fn)
                     pc = target
                     continue
-                term = self._emit_jal(ins, pc, target, terminator=True)
+                term = self._emit(ins, pc)
                 end_pc = target
                 break
             if op == "jalr":
-                term = self._emit_jalr(ins, pc)
+                term = self._emit(ins, pc)
                 end_pc = pc + 4  # unused: jalr always returns a target
                 break
             if op in ("ecall", "ebreak"):
@@ -600,7 +423,7 @@ class FastMachine(Machine):
                 term = self._emit_wrapped(ins, pc)
                 end_pc = pc + 4
                 break
-            fn = self._emit_straightline(ins, pc)
+            fn = self._emit(ins, pc)
             if fn is not None:
                 body.append(fn)
             pc += 4
@@ -616,7 +439,7 @@ class FastMachine(Machine):
     def _static_records(self, pcs):
         """Static cost records of one trace's instructions at ``pcs``
         (in retire order): ``(ins, cycles, counter pairs, state)`` per
-        specialised instruction — the sim census plus, timed, the
+        instruction with a semantics row — its census plus, timed, the
         pipeline's :meth:`~repro.pipeline.timing.InOrderPipeline.static_cost`
         (``state`` being the load-producer state after it).
         Reference-wrapped instructions (ecall/ebreak included) account
@@ -628,11 +451,11 @@ class FastMachine(Machine):
         records = []
         for pc in pcs:
             ins = instrs[program.index_of(pc)]
-            op = ins.op
-            spec = SPEC_TABLE.get(op)
-            if op in ("ecall", "ebreak") or not _is_specialised(op, spec):
+            row = semantics.ROWS.get(ins.op)
+            if row is None:
                 continue
-            pairs = self._static_counters(ins, spec)
+            pairs = [] if row.early_census \
+                else [(self._ct[name], 1) for name in row.census]
             cycles = 0
             if pl is not None:
                 cycles, deltas, state = pl.static_cost(ins, state)
@@ -649,39 +472,6 @@ class FastMachine(Machine):
             self._static_records(islice(block.pos, completed)))
         if fold is not None:
             fold()
-
-    def _static_counters(self, ins: Instr, spec):
-        """The sim-census increments of one specialised instruction, as
-        ``(counter, delta)`` pairs — everything the reference handler
-        counts unconditionally *after* its last possible trap point.
-        ``tchk`` is the exception (counted before a temporal trap can
-        raise) and stays inline; ``taken`` is data-dependent and stays
-        in the branch terminator."""
-        ct = self._ct
-        op = ins.op
-        if op == "tchk":
-            return []
-        if op in ("sbdl", "sbdu"):
-            return [(ct["stores"], 1), (ct["hwst_ops"], 1),
-                    (ct["shadow_ops"], 1)]
-        if op in ("lbdls", "lbdus"):
-            return [(ct["loads"], 1), (ct["hwst_ops"], 1),
-                    (ct["shadow_ops"], 1)]
-        if spec.is_load:
-            pairs = [(ct["loads"], 1)]
-        elif spec.is_store:
-            pairs = [(ct["stores"], 1)]
-        elif op in ("bndrs", "bndrt"):
-            return [(ct["hwst_ops"], 1)]
-        elif spec.is_branch:
-            return [(ct["branches"], 1)]
-        elif op == "jal":
-            return [(ct["calls"], 1)]
-        else:
-            return []
-        if spec.checked:
-            pairs.append((ct["hwst_ops"], 1))
-        return pairs
 
     def _make_fold(self, records):
         """Compile the ``fold()`` of a run of static records.
@@ -736,7 +526,7 @@ class FastMachine(Machine):
         return fold
 
     # ------------------------------------------------------------------
-    # Function emitters — straight-line ops
+    # Function emitters
     # ------------------------------------------------------------------
     #
     # Every emitted function binds its operands as default arguments:
@@ -744,416 +534,25 @@ class FastMachine(Machine):
     # instead of a cell per operand), and shared machine objects are
     # passed whole — never as per-instruction bound methods.
 
-    def _emit_straightline(self, ins: Instr, pc: int):
-        """Function for one non-control-flow instruction (or None when
-        the instruction is architecturally dead, e.g. a plain-mode
-        nop: it still counts in instret via the block's bulk add)."""
-        op = ins.op
-        if op in _ALU_R_OPS or op in _ALU_I_OPS:
-            return self._emit_alu(ins)
-        spec = SPEC_TABLE[op]
-        if spec.is_load and (spec.opcode == 0x03 or spec.checked):
-            return self._emit_load(ins, pc, spec)
-        if spec.is_store and (spec.opcode == 0x23 or spec.checked):
-            return self._emit_store(ins, pc, spec)
-        if op == "tchk":
-            return self._emit_tchk(ins, pc)
-        if op in ("lui", "auipc"):
-            return self._emit_const_write(ins, pc)
-        if op in ("bndrs", "bndrt"):
-            return self._emit_bind(ins, pc, temporal=(op == "bndrt"))
-        if op in ("sbdl", "sbdu"):
-            return self._emit_sbd(ins, pc, upper=(op == "sbdu"))
-        if op in ("lbdls", "lbdus"):
-            return self._emit_lbds(ins, pc, upper=(op == "lbdus"))
-        # CSR ops, decompressing metadata loads, MPX/AVX model ops,
-        # fences: rare — reference handlers keep them exact.
-        return self._emit_wrapped(ins, pc)
+    def _emit(self, ins: Instr, pc: int):
+        """Function for one instruction: its semantics row compiled with
+        the operands bound, or the wrapped reference handler of a rare
+        op. None when the instruction is architecturally dead (an
+        rd-only op writing x0): it still counts in instret via the
+        block's bulk add, and the fold bills it."""
+        row = semantics.ROWS.get(ins.op)
+        if row is None:
+            return self._emit_wrapped(ins, pc)
+        if row.rd_only and not ins.rd:
+            return None
+        return semantics.translated(ins.op, self._mode is _TIMED)(
+            self, ins, pc)
 
     def _emit_wrapped(self, ins: Instr, pc: int):
         """Reference handler pre-bound to its operands. Used for every
-        op without a specialised emitter."""
+        op without a semantics row."""
         def run(m=self, pc=pc, handler=self._dispatch[ins.op], ins=ins):
             m.pc = pc
             return handler(ins)
-
-        return run
-
-    def _spatial_consts(self):
-        """Translate-time constants for an inlined decompress_spatial.
-
-        The compressor object lives for the machine's lifetime and its
-        field widths are fixed at construction, so the masks can be
-        burned into functions. Returns ``(base_mask, base_width,
-        range_mask)``; the inline expansion is exactly
-        :meth:`MetadataCompressor.decompress_spatial`.
-        """
-        comp = self.compressor
-        return comp._base_mask, comp._widths.base, comp._range_mask
-
-    def _temporal_consts(self):
-        """Translate-time constants for an inlined ``_temporal_check``:
-        ``(lock_mask, lock_width, key_mask, lock_base)``.
-
-        Valid only on the fast block path, which never runs with a
-        tracer attached (``_exec_loop`` falls back to the reference
-        dispatch loop then), so the kb-trace emission in the reference
-        helper is unreachable here by construction.
-        """
-        comp = self.compressor
-        return (comp._lock_mask, comp._widths.lock, comp._key_mask,
-                comp._config.lock_base)
-
-    def _timed_refs(self):
-        """``(pipeline, dcache)`` for the dynamic timing fragments, or
-        ``(None, None)`` untimed. The functions charge a miss through
-        the same pipeline methods the reference ``retire()`` calls, so
-        specialised and reference-handled instructions interleave with
-        exact cycle accounting."""
-        pl = self.timing
-        if self._mode is not _TIMED:
-            return None, None
-        return pl, pl.dcache
-
-    def _emit_alu(self, ins: Instr):
-        """Semantics-only in both modes: every cycle an ALU op costs
-        (base, mul/div latency, the intra-block interlock) is static
-        and lives in the block's timing fold."""
-        if ins.rd == 0:
-            return None  # architectural nop (the fold still bills it)
-        op = ins.op
-        operand = ins.imm & _M64 if op in _ALU_I_OPS else ins.rs2
-        fn = None if op in _ALU_EXPR else self._alu_fn(op)
-        return _alu_maker(op)(self.regs, self.srf, self.srf_wide, ins.rd,
-                              ins.rs1, operand, fn)
-
-    def _emit_load(self, ins: Instr, pc: int, spec):
-        nbytes = spec.mem_bytes
-        base_mask, base_w, range_mask = self._spatial_consts()
-        # Only the D-cache outcome is dynamic: base cost, interlocks
-        # and the sim counters are static per block (the timing fold).
-        pl, dcache = self._timed_refs()
-
-        # Sign extension is the identity for 8-byte loads; for narrower
-        # loads ``((v ^ sb) - sb) & M64`` is bits.sext unfolded (the
-        # loaded value is already < 2**width).
-        def run(m=self, pc=pc, regs=self.regs, srf=self.srf,
-                srf_wide=self.srf_wide, rd=ins.rd, rs1=ins.rs1,
-                imm=ins.imm, nbytes=nbytes, memory=self.memory,
-                checked=spec.checked,
-                signed=spec.mem_signed and nbytes < 8,
-                sb=1 << (8 * nbytes - 1), base_mask=base_mask,
-                base_w=base_w, range_mask=range_mask, pl=pl,
-                dcache=dcache):
-            m.pc = pc
-            addr = (regs[rs1] + imm) & _M64
-            if checked:
-                e = srf[rs1]
-                if not e[2]:
-                    m._spatial_fail(addr, 0, 0)
-                lower = e[0]
-                base = (lower & base_mask) << ALIGN_SHIFT
-                bound = base + \
-                    (((lower >> base_w) & range_mask) << ALIGN_SHIFT)
-                if addr < base or addr + nbytes > bound:
-                    m._spatial_fail(addr, base, bound)
-            value = memory.load_uint(addr, nbytes)
-            if signed:
-                value = ((value ^ sb) - sb) & _M64
-            if rd:
-                regs[rd] = value
-                srf[rd] = SRF_INVALID
-                srf_wide[rd] = None
-            if pl is not None and not dcache.access(addr, False):
-                pl.dcache_miss()
-
-        return run
-
-    def _emit_store(self, ins: Instr, pc: int, spec):
-        nbytes = spec.mem_bytes
-        base_mask, base_w, range_mask = self._spatial_consts()
-        pl, dcache = self._timed_refs()
-
-        def run(m=self, pc=pc, regs=self.regs, srf=self.srf,
-                rs1=ins.rs1, rs2=ins.rs2, imm=ins.imm, nbytes=nbytes,
-                memory=self.memory, checked=spec.checked,
-                snoop=nbytes == 8, base_mask=base_mask, base_w=base_w,
-                range_mask=range_mask, pl=pl, dcache=dcache):
-            m.pc = pc
-            addr = (regs[rs1] + imm) & _M64
-            if checked:
-                e = srf[rs1]
-                if not e[2]:
-                    m._spatial_fail(addr, 0, 0)
-                lower = e[0]
-                base = (lower & base_mask) << ALIGN_SHIFT
-                bound = base + \
-                    (((lower >> base_w) & range_mask) << ALIGN_SHIFT)
-                if addr < base or addr + nbytes > bound:
-                    m._spatial_fail(addr, base, bound)
-            value = regs[rs2]
-            memory.store_uint(addr, nbytes, value)
-            if snoop and m._lock_lo <= addr < m._lock_hi:
-                m._snoop_lock_store(addr, value)
-            if pl is not None and not dcache.access(addr, True):
-                pl.dcache_miss()
-
-        return run
-
-    def _emit_tchk(self, ins: Instr, pc: int):
-        lock_mask, lock_w, key_mask, lock_base = self._temporal_consts()
-        # ct_tchk/ct_hwst stay inline (not folded): the reference
-        # handler counts a tchk *before* a temporal trap can raise.
-        # Base cost, occupancy and interlocks are static (the fold);
-        # only the keybuffer-miss beat — the secondary key load through
-        # the D-cache — is dynamic.
-        pl, _ = self._timed_refs()
-
-        def run(m=self, pc=pc, srf=self.srf, rs1=ins.rs1,
-                ct_tchk=self._ct["tchk"], ct_hwst=self._ct["hwst_ops"],
-                lock_mask=lock_mask, lock_w=lock_w, key_mask=key_mask,
-                lock_base=lock_base, kb=self.keybuffer,
-                memory=self.memory, pl=pl):
-            m.pc = pc
-            ct_tchk.value += 1
-            ct_hwst.value += 1
-            e = srf[rs1]
-            if not e[3]:
-                m._temporal_fail(0, 0, 0)
-            upper = e[1]
-            lock_idx = upper & lock_mask
-            key = (upper >> lock_w) & key_mask
-            if lock_idx == 0:
-                m._temporal_fail(key, 0, 0)
-            lock = lock_base + ((lock_idx - 1) << 3)
-            cached = kb.lookup(lock)
-            if cached is not None:
-                if cached != key:
-                    m._temporal_fail(key, cached, lock)
-            else:
-                stored = memory.load_u64(lock)
-                kb.fill(lock, stored)
-                if stored != key:
-                    m._temporal_fail(key, stored, lock)
-                if pl is not None:
-                    pl.key_load(lock)
-
-        return run
-
-    def _emit_bind(self, ins: Instr, pc: int, temporal: bool):
-        """bndrs/bndrt: compress + SRF write (census side effects stay
-        in the compressor). The SRF write is unguarded — the reference
-        handlers write ``srf[0]`` too."""
-        def run(m=self, pc=pc, regs=self.regs, srf=self.srf,
-                srf_wide=self.srf_wide, rd=ins.rd, rs1=ins.rs1,
-                rs2=ins.rs2, comp=self.compressor, temporal=temporal):
-            m.pc = pc  # compress may raise MetadataRangeError
-            if temporal:
-                packed = comp.compress_temporal(regs[rs1], regs[rs2])
-                e = srf[rd]
-                srf[rd] = (e[0], packed, e[2], True)
-            else:
-                packed = comp.compress_spatial(regs[rs1], regs[rs2])
-                e = srf[rd]
-                srf[rd] = (packed, e[1], True, e[3])
-                srf_wide[rd] = None
-
-        return run
-
-    def _emit_sbd(self, ins: Instr, pc: int, upper: bool):
-        """sbdl/sbdu: SRF half -> shadow memory (Eq. 1 address). The
-        SMAC budget guard is inlined; like the reference handler, the
-        shadow store does not snoop the lock window."""
-        pl, dcache = self._timed_refs()
-
-        # ``csrs`` is mutated in place by csrrw — read per access.
-        def run(m=self, pc=pc, regs=self.regs, srf=self.srf, rs1=ins.rs1,
-                rs2=ins.rs2, imm=ins.imm, off=8 if upper else 0,
-                upper=upper, csrs=self.csrs, sm_key=csrdef.HWST_SM_OFFSET,
-                budget=self.config.shadow_budget, memory=self.memory,
-                pl=pl, dcache=dcache):
-            m.pc = pc
-            container = (regs[rs1] + imm) & _M64
-            sa = (container << 2) + csrs[sm_key] + off
-            if budget and memory.shadow_bytes_touched > budget:
-                raise ShadowMemoryExhausted(
-                    memory.shadow_bytes_touched, budget)
-            e = srf[rs2]
-            if upper:
-                value = e[1] if e[3] else 0
-            else:
-                value = e[0] if e[2] else 0
-            memory.store_u64(sa, value)
-            if pl is not None and not dcache.access(sa, True):
-                pl.dcache_miss()
-
-        return run
-
-    def _emit_lbds(self, ins: Instr, pc: int, upper: bool):
-        """lbdls/lbdus: shadow memory -> SRF half (no decompression).
-        Writes ``srf[rd]`` unguarded, exactly like the reference."""
-        pl, dcache = self._timed_refs()
-
-        def run(m=self, pc=pc, regs=self.regs, srf=self.srf,
-                srf_wide=self.srf_wide, rd=ins.rd, rs1=ins.rs1,
-                imm=ins.imm, off=8 if upper else 0, upper=upper,
-                csrs=self.csrs, sm_key=csrdef.HWST_SM_OFFSET,
-                budget=self.config.shadow_budget, memory=self.memory,
-                pl=pl, dcache=dcache):
-            m.pc = pc
-            container = (regs[rs1] + imm) & _M64
-            sa = (container << 2) + csrs[sm_key] + off
-            if budget and memory.shadow_bytes_touched > budget:
-                raise ShadowMemoryExhausted(
-                    memory.shadow_bytes_touched, budget)
-            value = memory.load_u64(sa)
-            e = srf[rd]
-            if upper:
-                srf[rd] = (e[0], value, e[2], True)
-            else:
-                srf[rd] = (value, e[1], True, e[3])
-            srf_wide[rd] = None
-            if pl is not None and not dcache.access(sa, False):
-                pl.dcache_miss()
-
-        return run
-
-    def _emit_fused(self, tchk_ins: Instr, pc: int, acc: Instr, aspec):
-        """One function for a ``tchk`` + fused-check access pair.
-
-        Retires as two instructions: ``self.pc`` steps from the tchk to
-        the access before the spatial check, so a trap in either half
-        reports its own pc and the block's position map credits the
-        completed half (the unwind then bills exactly the completed
-        half's static costs — the access half's never stall, because
-        the tchk clears both interlock producers). Only the tchk census
-        counters and the two dynamic D-cache beats stay in the
-        function.
-        """
-        nbytes = aspec.mem_bytes
-        is_load = aspec.is_load
-        base_mask, base_w, range_mask = self._spatial_consts()
-        lock_mask, lock_w, key_mask, lock_base = self._temporal_consts()
-        pl, dcache = self._timed_refs()
-
-        def run(m=self, pc=pc, pc_acc=pc + 4, regs=self.regs, srf=self.srf,
-                srf_wide=self.srf_wide, rs1_t=tchk_ins.rs1, rd=acc.rd,
-                rs1=acc.rs1, rs2=acc.rs2, imm=acc.imm, nbytes=nbytes,
-                is_load=is_load, signed=aspec.mem_signed and nbytes < 8,
-                sb=1 << (8 * nbytes - 1), memory=self.memory,
-                snoop=(not is_load) and nbytes == 8,
-                ct_tchk=self._ct["tchk"], ct_hwst=self._ct["hwst_ops"],
-                base_mask=base_mask, base_w=base_w, range_mask=range_mask,
-                lock_mask=lock_mask, lock_w=lock_w, key_mask=key_mask,
-                lock_base=lock_base, kb=self.keybuffer, pl=pl,
-                dcache=dcache):
-            m.pc = pc
-            ct_tchk.value += 1
-            ct_hwst.value += 1
-            et = srf[rs1_t]
-            if not et[3]:
-                m._temporal_fail(0, 0, 0)
-            upper = et[1]
-            lock_idx = upper & lock_mask
-            key = (upper >> lock_w) & key_mask
-            if lock_idx == 0:
-                m._temporal_fail(key, 0, 0)
-            lock = lock_base + ((lock_idx - 1) << 3)
-            cached = kb.lookup(lock)
-            if cached is not None:
-                if cached != key:
-                    m._temporal_fail(key, cached, lock)
-            else:
-                stored = memory.load_u64(lock)
-                kb.fill(lock, stored)
-                if stored != key:
-                    m._temporal_fail(key, stored, lock)
-                if pl is not None:
-                    pl.key_load(lock)
-            m.pc = pc_acc
-            addr = (regs[rs1] + imm) & _M64
-            e = srf[rs1]
-            if not e[2]:
-                m._spatial_fail(addr, 0, 0)
-            lower = e[0]
-            base = (lower & base_mask) << ALIGN_SHIFT
-            bound = base + \
-                (((lower >> base_w) & range_mask) << ALIGN_SHIFT)
-            if addr < base or addr + nbytes > bound:
-                m._spatial_fail(addr, base, bound)
-            if is_load:
-                value = memory.load_uint(addr, nbytes)
-                if signed:
-                    value = ((value ^ sb) - sb) & _M64
-                if rd:
-                    regs[rd] = value
-                    srf[rd] = SRF_INVALID
-                    srf_wide[rd] = None
-            else:
-                value = regs[rs2]
-                memory.store_uint(addr, nbytes, value)
-                if snoop and m._lock_lo <= addr < m._lock_hi:
-                    m._snoop_lock_store(addr, value)
-            if pl is not None and not dcache.access(addr, not is_load):
-                pl.dcache_miss()
-
-        return run
-
-    def _emit_const_write(self, ins: Instr, pc: int):
-        """lui/auipc: the written value is a translate-time constant."""
-        if ins.rd == 0:
-            return None
-        value = bits.sext(ins.imm << 12, 32) & _M64
-        if ins.op == "auipc":
-            value = (pc + value) & _M64
-
-        def run(regs=self.regs, srf=self.srf, srf_wide=self.srf_wide,
-                rd=ins.rd, value=value):
-            regs[rd] = value
-            srf[rd] = SRF_INVALID
-            srf_wide[rd] = None
-
-        return run
-
-    # ------------------------------------------------------------------
-    # Function emitters — control flow
-    # ------------------------------------------------------------------
-
-    def _emit_branch(self, ins: Instr, pc: int):
-        pl, _ = self._timed_refs()
-        penalty, bk_redirect = pl.redirect if pl is not None else (0, None)
-        return _branch_maker(ins.op, pl is not None)(
-            self.regs, ins.rs1, ins.rs2, (pc + ins.imm) & _M64,
-            self._ct["taken"], pl, bk_redirect, penalty)
-
-    def _emit_jal(self, ins: Instr, pc: int, target: int,
-                  terminator: bool):
-        # ct_calls and the full cost (a jal always redirects) are
-        # static — a plain ``j`` inside a superblock costs nothing at
-        # run time.
-        if not terminator and ins.rd == 0:
-            return None
-
-        def run(regs=self.regs, srf=self.srf, srf_wide=self.srf_wide,
-                rd=ins.rd, link=(pc + 4) & _M64,
-                target=target if terminator else None):
-            if rd:
-                regs[rd] = link
-                srf[rd] = SRF_INVALID
-                srf_wide[rd] = None
-            return target
-
-        return run
-
-    def _emit_jalr(self, ins: Instr, pc: int):
-        def run(regs=self.regs, srf=self.srf, srf_wide=self.srf_wide,
-                rd=ins.rd, rs1=ins.rs1, imm=ins.imm,
-                link=(pc + 4) & _M64):
-            target = ((regs[rs1] + imm) & _M64) & ~1
-            if rd:
-                regs[rd] = link
-                srf[rd] = SRF_INVALID
-                srf_wide[rd] = None
-            return target
 
         return run

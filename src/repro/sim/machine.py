@@ -8,6 +8,15 @@ metadata moves through the SMAC address mapping. A timing model can be
 attached to convert the retired instruction stream into cycle counts
 (the FPGA role).
 
+The semantics of the 80 hot mnemonics are rows of
+:mod:`repro.sim.semantics`, which both engines compile: this machine
+binds a row's reference handler on the first dispatch of its mnemonic.
+The 17 rare ones (CSR ops, ``fence``, ``ecall``/``ebreak``, the
+decompressing metadata loads, MPX and AVX) are the handlers written
+out below. Their single-instruction loop, ``_dispatch_loop``, is the
+*reference engine*: it runs ``step()``, observed runs and the fast
+engine's cold entries and budget tails.
+
 SRF propagation rules (Section 3.2 "in-pipeline propagation"):
 
 * ALU register-register ops propagate the metadata of ``rs1`` when bound,
@@ -43,17 +52,17 @@ from repro.isa.instructions import Instr, SPEC_TABLE
 from repro.obs.host import observe_host
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.timing import BREAKDOWN_KEYS
+from repro.sim import semantics
 from repro.sim.keybuffer import KeyBuffer
 from repro.sim.memory import Memory
 from repro.sim.program import Program
+from repro.sim.semantics import SRF_INVALID
 
 # Machine-level event counters, in registry order (``sim.<name>``).
 # The legacy ``RunResult.stats`` keys are these same short names.
 SIM_COUNTERS = ("loads", "stores", "branches", "taken",
                 "hwst_ops", "shadow_ops", "tchk", "calls")
 
-# SRF entry: (lower, upper, spatial_valid, temporal_valid)
-SRF_INVALID: Tuple[int, int, bool, bool] = (0, 0, False, False)
 # Post-reset register files (copied into the machine's lists).
 _ZERO_REGS = (0,) * 32
 _INVALID_SRF = (SRF_INVALID,) * 32
@@ -160,7 +169,10 @@ class Machine:
         self.keybuffer = KeyBuffer(self.config.keybuffer_entries,
                                    self.config.keybuffer_policy,
                                    metrics=self._sim.scope("kb"))
-        self.compressor = MetadataCompressor(self.config)
+        # ``compressor`` is what the checks decode through; a codec
+        # fault may interpose on it mid-run, reset() restores this one.
+        self._compressor = MetadataCompressor(self.config)
+        self.compressor = self._compressor
         self.shadow = ShadowMap.from_config(self.config)
         self.regs: List[int] = list(_ZERO_REGS)
         self.srf: List[Tuple[int, int, bool, bool]] = list(_INVALID_SRF)
@@ -204,7 +216,8 @@ class Machine:
 
         Restores memory, registers, SRF, pc, instret, output, the CSRs
         together with the keybuffer snoop window they program, the
-        keybuffer's contents and the ``sim.*`` metrics. What depends
+        keybuffer's contents, the compressor (and its Fig. 2 census)
+        and the ``sim.*`` metrics. What depends
         only on the config (the CSR image, the keybuffer itself, the
         dispatch table) is built once, in ``__init__``.
         """
@@ -213,7 +226,10 @@ class Machine:
         # references to the Counter objects, the keybuffer's included).
         self.metrics.reset(prefix="sim")
         self.keybuffer.reset()
-        # NB: handlers close over self.regs — mutate it in place.
+        self.compressor = self._compressor
+        self.compressor.reset_census()
+        # NB: handlers bind self.regs and the SRF lists once — mutate
+        # them in place.
         self.regs[:] = _ZERO_REGS
         self.srf[:] = _INVALID_SRF
         self.srf_wide[:] = _NO_WIDE
@@ -433,28 +449,6 @@ class Machine:
     # SRF helpers
     # ------------------------------------------------------------------
 
-    def _srf_propagate_r(self, rd: int, rs1: int, rs2: int):
-        if rd == 0:
-            return
-        entry = self.srf[rs1]
-        if entry[2] or entry[3] or self.srf_wide[rs1] is not None:
-            self.srf[rd] = entry
-            self.srf_wide[rd] = self.srf_wide[rs1]
-            return
-        entry = self.srf[rs2]
-        if entry[2] or entry[3] or self.srf_wide[rs2] is not None:
-            self.srf[rd] = entry
-            self.srf_wide[rd] = self.srf_wide[rs2]
-            return
-        self.srf[rd] = SRF_INVALID
-        self.srf_wide[rd] = None
-
-    def _srf_propagate_i(self, rd: int, rs1: int):
-        if rd == 0:
-            return
-        self.srf[rd] = self.srf[rs1]
-        self.srf_wide[rd] = self.srf_wide[rs1]
-
     def _srf_invalidate(self, rd: int):
         if rd == 0:
             return
@@ -493,38 +487,6 @@ class Machine:
             self._spatial_fail(addr, 0, 0)
         return self.compressor.decompress_spatial(lower)
 
-    def _spatial_check(self, reg: int, addr: int, nbytes: int):
-        """SCU: fused bounds check of ``addr`` against SRF[reg]."""
-        base, bound = self._spatial_bounds(reg, addr)
-        if addr < base or addr + nbytes > bound:
-            self._spatial_fail(addr, base, bound)
-
-    def _temporal_check(self, reg: int):
-        """TCU: keybuffer-assisted key/lock compare. Returns (kb_hit, mem2)."""
-        _, upper, _, uvalid = self.srf[reg]
-        if not uvalid:
-            self._temporal_fail(0, 0, 0)
-        key, lock = self.compressor.decompress_temporal(upper)
-        if lock == 0:
-            self._temporal_fail(key, 0, 0)
-        cached = self.keybuffer.lookup(lock)
-        if cached is not None:
-            if cached != key:
-                self._temporal_fail(key, cached, lock)
-            return True, None
-        stored = self.memory.load_u64(lock)
-        evicted = self.keybuffer.fill(lock, stored)
-        tracer = self._tracer_kb
-        if tracer is not None:
-            now = self._now()
-            tracer.emit("kb", "fill", ts=now, args={"lock": lock})
-            if evicted is not None:
-                tracer.emit("kb", "evict", ts=now,
-                            args={"lock": evicted})
-        if stored != key:
-            self._temporal_fail(key, stored, lock)
-        return False, lock
-
     # ------------------------------------------------------------------
     # Shadow memory plumbing
     # ------------------------------------------------------------------
@@ -539,63 +501,34 @@ class Machine:
         return addr
 
     def _snoop_lock_store(self, addr: int, value: int):
-        """Keep the keybuffer coherent with writes to the lock table."""
-        if self._lock_lo <= addr < self._lock_hi:
-            if value == 0:
-                self.keybuffer.clear()      # a pointer was freed
-            else:
-                self.keybuffer.invalidate(addr)
-            tracer = self._tracer_kb
-            if tracer is not None:
-                tracer.emit("kb", "clear" if value == 0 else "invalidate",
-                            ts=self._now(), args={"lock": addr})
+        """Keep the keybuffer coherent with a pointer-sized store into
+        the lock table (the store tested ``_lock_lo <= addr <
+        _lock_hi``)."""
+        if value == 0:
+            self.keybuffer.clear()      # a pointer was freed
+        else:
+            self.keybuffer.invalidate(addr)
+        tracer = self._tracer_kb
+        if tracer is not None:
+            tracer.emit("kb", "clear" if value == 0 else "invalidate",
+                        ts=self._now(), args={"lock": addr})
 
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
 
     def _build_dispatch(self) -> Dict[str, Callable[[Instr], Optional[int]]]:
-        d: Dict[str, Callable[[Instr], Optional[int]]] = {}
-
-        for op in ("add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra",
-                   "or", "and", "addw", "subw", "sllw", "srlw", "sraw",
-                   "mul", "mulh", "mulhsu", "mulhu", "div", "divu", "rem",
-                   "remu", "mulw", "divw", "divuw", "remw", "remuw"):
-            d[op] = self._make_alu_r(op)
-        for op in ("addi", "slti", "sltiu", "xori", "ori", "andi",
-                   "slli", "srli", "srai", "addiw", "slliw", "srliw",
-                   "sraiw"):
-            d[op] = self._make_alu_i(op)
-        for op, spec in SPEC_TABLE.items():
-            if spec.is_load and spec.opcode == 0x03:
-                d[op] = self._make_load(op, spec.mem_bytes, spec.mem_signed)
-            elif spec.is_store and spec.opcode == 0x23:
-                d[op] = self._make_store(op, spec.mem_bytes)
-            elif spec.checked and spec.is_load:
-                d[op] = self._make_checked_load(op, spec.mem_bytes,
-                                                spec.mem_signed)
-            elif spec.checked and spec.is_store:
-                d[op] = self._make_checked_store(op, spec.mem_bytes)
-        for op in ("beq", "bne", "blt", "bge", "bltu", "bgeu"):
-            d[op] = self._make_branch(op)
-        d["jal"] = self._op_jal
-        d["jalr"] = self._op_jalr
-        d["lui"] = self._op_lui
-        d["auipc"] = self._op_auipc
+        # The hot ops are compiled from their semantics rows, bound to
+        # this machine on first dispatch; the rare ones are below.
+        d: Dict[str, Callable[[Instr], Optional[int]]] = dict.fromkeys(
+            semantics.ROWS, self._bind_row)
         d["ecall"] = self._op_ecall
         d["ebreak"] = self._op_ebreak
         d["fence"] = self._op_fence
         d["csrrw"] = self._make_csr("w")
         d["csrrs"] = self._make_csr("s")
         d["csrrc"] = self._make_csr("c")
-        # HWST128 extension.
-        d["bndrs"] = self._op_bndrs
-        d["bndrt"] = self._op_bndrt
-        d["tchk"] = self._op_tchk
-        d["sbdl"] = self._make_sbd(upper=False)
-        d["sbdu"] = self._make_sbd(upper=True)
-        d["lbdls"] = self._make_lbds(upper=False)
-        d["lbdus"] = self._make_lbds(upper=True)
+        # HWST128 decompressing metadata loads (wrapper/library path).
         d["lbas"] = self._make_meta_gpr_load("base")
         d["lbnd"] = self._make_meta_gpr_load("bound")
         d["lkey"] = self._make_meta_gpr_load("key")
@@ -611,254 +544,13 @@ class Machine:
         d["vchk"] = self._op_vchk
         return d
 
-    # -- ALU -----------------------------------------------------------
-
-    #: Memoized mnemonic -> binary-function table (built on first use;
-    #: dispatch/translation factories look ops up per instruction, and
-    #: rebuilding the 50-lambda table each time dominated translation).
-    _ALU_TABLE: Optional[Dict[str, Callable[[int, int], int]]] = None
-
-    @classmethod
-    def _alu_fn(cls, op: str):
-        table = cls._ALU_TABLE
-        if table is None:
-            table = Machine._ALU_TABLE = cls._build_alu_table()
-        return table[op]
-
-    @staticmethod
-    def _build_alu_table() -> Dict[str, Callable[[int, int], int]]:
-        U, S = bits.to_u64, bits.to_s64
-
-        def div64(a, b):
-            # RISC-V DIV truncates toward zero; Python // floors, and
-            # float division loses precision past 2**53, so negate into
-            # the positive quadrant for exact truncating division.
-            a, b = S(a), S(b)
-            if b == 0:
-                return bits.MASK64
-            if a == -(1 << 63) and b == -1:
-                return U(a)
-            q = abs(a) // abs(b)
-            return U(-q if (a < 0) != (b < 0) else q)
-
-        def rem64(a, b):
-            a, b = S(a), S(b)
-            if b == 0:
-                return U(a)
-            if a == -(1 << 63) and b == -1:
-                return 0
-            q = abs(a) // abs(b)
-            if (a < 0) != (b < 0):
-                q = -q
-            return U(a - q * b)
-
-        table = {
-            "add": lambda a, b: U(a + b),
-            "sub": lambda a, b: U(a - b),
-            "sll": lambda a, b: U(a << (b & 63)),
-            "slt": lambda a, b: int(S(a) < S(b)),
-            "sltu": lambda a, b: int(a < b),
-            "xor": lambda a, b: a ^ b,
-            "srl": lambda a, b: a >> (b & 63),
-            "sra": lambda a, b: U(S(a) >> (b & 63)),
-            "or": lambda a, b: a | b,
-            "and": lambda a, b: a & b,
-            "addw": lambda a, b: U(bits.sext(a + b, 32)),
-            "subw": lambda a, b: U(bits.sext(a - b, 32)),
-            "sllw": lambda a, b: U(bits.sext(a << (b & 31), 32)),
-            "srlw": lambda a, b: U(bits.sext((a & bits.MASK32) >> (b & 31), 32)),
-            "sraw": lambda a, b: U(bits.to_s32(a) >> (b & 31)),
-            "mul": lambda a, b: U(a * b),
-            "mulh": lambda a, b: U((S(a) * S(b)) >> 64),
-            "mulhu": lambda a, b: (a * b) >> 64,
-            "mulhsu": lambda a, b: U((S(a) * b) >> 64),
-            "div": div64,
-            "divu": lambda a, b: bits.MASK64 if b == 0 else a // b,
-            "rem": rem64,
-            "remu": lambda a, b: a if b == 0 else a % b,
-            "mulw": lambda a, b: U(bits.sext(a * b, 32)),
-            "divw": lambda a, b: U(bits.sext(
-                div64(U(bits.to_s32(a)), U(bits.to_s32(b))), 32)),
-            "divuw": lambda a, b: bits.MASK64 if (b & bits.MASK32) == 0
-            else U(bits.sext((a & bits.MASK32) // (b & bits.MASK32), 32)),
-            "remw": lambda a, b: U(bits.sext(
-                rem64(U(bits.to_s32(a)), U(bits.to_s32(b))), 32)),
-            "remuw": lambda a, b: U(bits.sext(a & bits.MASK32, 32))
-            if (b & bits.MASK32) == 0
-            else U(bits.sext((a & bits.MASK32) % (b & bits.MASK32), 32)),
-            # immediate variants share the binary function:
-            "addi": lambda a, b: U(a + b),
-            "slti": lambda a, b: int(S(a) < S(b)),
-            "sltiu": lambda a, b: int(a < b),
-            "xori": lambda a, b: a ^ b,
-            "ori": lambda a, b: a | b,
-            "andi": lambda a, b: a & b,
-            "slli": lambda a, b: U(a << (b & 63)),
-            "srli": lambda a, b: a >> (b & 63),
-            "srai": lambda a, b: U(S(a) >> (b & 63)),
-            "addiw": lambda a, b: U(bits.sext(a + b, 32)),
-            "slliw": lambda a, b: U(bits.sext(a << (b & 31), 32)),
-            "srliw": lambda a, b: U(bits.sext((a & bits.MASK32) >> (b & 31), 32)),
-            "sraiw": lambda a, b: U(bits.to_s32(a) >> (b & 31)),
-        }
-        return table
-
-    def _make_alu_r(self, op: str):
-        fn = self._alu_fn(op)
-        regs = self.regs
-
-        def handler(ins: Instr):
-            rd = ins.rd
-            if rd:
-                regs[rd] = fn(regs[ins.rs1], regs[ins.rs2])
-                self._srf_propagate_r(rd, ins.rs1, ins.rs2)
-            self._retire(ins)
-            return None
-
-        return handler
-
-    def _make_alu_i(self, op: str):
-        fn = self._alu_fn(op)
-        regs = self.regs
-
-        def handler(ins: Instr):
-            rd = ins.rd
-            if rd:
-                regs[rd] = fn(regs[ins.rs1], bits.to_u64(ins.imm))
-                self._srf_propagate_i(rd, ins.rs1)
-            self._retire(ins)
-            return None
-
-        return handler
-
-    # -- memory ----------------------------------------------------------
-
-    def _make_load(self, op: str, nbytes: int, signed: bool):
-        ct_loads = self._ct["loads"]
-
-        def handler(ins: Instr):
-            addr = bits.to_u64(self.regs[ins.rs1] + ins.imm)
-            value = self.memory.load_uint(addr, nbytes)
-            if signed:
-                value = bits.to_u64(bits.sext(value, 8 * nbytes))
-            if ins.rd:
-                self.regs[ins.rd] = value
-                self._srf_invalidate(ins.rd)
-            ct_loads.value += 1
-            self._retire(ins, mem_addr=addr)
-            return None
-
-        return handler
-
-    def _make_store(self, op: str, nbytes: int):
-        ct_stores = self._ct["stores"]
-
-        def handler(ins: Instr):
-            addr = bits.to_u64(self.regs[ins.rs1] + ins.imm)
-            value = self.regs[ins.rs2]
-            self.memory.store_uint(addr, nbytes, value)
-            if nbytes == 8:
-                self._snoop_lock_store(addr, value)
-            ct_stores.value += 1
-            self._retire(ins, mem_addr=addr, is_store=True)
-            return None
-
-        return handler
-
-    def _make_checked_load(self, op: str, nbytes: int, signed: bool):
-        ct_loads = self._ct["loads"]
-        ct_hwst = self._ct["hwst_ops"]
-
-        def handler(ins: Instr):
-            addr = bits.to_u64(self.regs[ins.rs1] + ins.imm)
-            self._spatial_check(ins.rs1, addr, nbytes)
-            value = self.memory.load_uint(addr, nbytes)
-            if signed:
-                value = bits.to_u64(bits.sext(value, 8 * nbytes))
-            if ins.rd:
-                self.regs[ins.rd] = value
-                self._srf_invalidate(ins.rd)
-            ct_loads.value += 1
-            ct_hwst.value += 1
-            self._retire(ins, mem_addr=addr)
-            return None
-
-        return handler
-
-    def _make_checked_store(self, op: str, nbytes: int):
-        ct_stores = self._ct["stores"]
-        ct_hwst = self._ct["hwst_ops"]
-
-        def handler(ins: Instr):
-            addr = bits.to_u64(self.regs[ins.rs1] + ins.imm)
-            self._spatial_check(ins.rs1, addr, nbytes)
-            value = self.regs[ins.rs2]
-            self.memory.store_uint(addr, nbytes, value)
-            if nbytes == 8:
-                self._snoop_lock_store(addr, value)
-            ct_stores.value += 1
-            ct_hwst.value += 1
-            self._retire(ins, mem_addr=addr, is_store=True)
-            return None
-
-        return handler
-
-    # -- control flow -------------------------------------------------------
-
-    def _make_branch(self, op: str):
-        S = bits.to_s64
-        compare = {
-            "beq": lambda a, b: a == b,
-            "bne": lambda a, b: a != b,
-            "blt": lambda a, b: S(a) < S(b),
-            "bge": lambda a, b: S(a) >= S(b),
-            "bltu": lambda a, b: a < b,
-            "bgeu": lambda a, b: a >= b,
-        }[op]
-
-        ct_branches = self._ct["branches"]
-        ct_taken = self._ct["taken"]
-
-        def handler(ins: Instr):
-            taken = compare(self.regs[ins.rs1], self.regs[ins.rs2])
-            ct_branches.value += 1
-            if taken:
-                ct_taken.value += 1
-            self._retire(ins, taken=taken)
-            return bits.to_u64(self.pc + ins.imm) if taken else None
-
-        return handler
-
-    def _op_jal(self, ins: Instr):
-        if ins.rd:
-            self.regs[ins.rd] = bits.to_u64(self.pc + 4)
-            self._srf_invalidate(ins.rd)
-        self._ct["calls"].value += 1
-        self._retire(ins, taken=True)
-        return bits.to_u64(self.pc + ins.imm)
-
-    def _op_jalr(self, ins: Instr):
-        target = bits.to_u64(self.regs[ins.rs1] + ins.imm) & ~1
-        if ins.rd:
-            self.regs[ins.rd] = bits.to_u64(self.pc + 4)
-            self._srf_invalidate(ins.rd)
-        self._retire(ins, taken=True)
-        return target
-
-    def _op_lui(self, ins: Instr):
-        if ins.rd:
-            self.regs[ins.rd] = bits.to_u64(bits.sext(ins.imm << 12, 32))
-            self._srf_invalidate(ins.rd)
-        self._retire(ins)
-        return None
-
-    def _op_auipc(self, ins: Instr):
-        if ins.rd:
-            self.regs[ins.rd] = bits.to_u64(
-                self.pc + bits.sext(ins.imm << 12, 32))
-            self._srf_invalidate(ins.rd)
-        self._retire(ins)
-        return None
+    def _bind_row(self, ins: Instr) -> Optional[int]:
+        """First dispatch of a hot op: bind its reference handler (the
+        row is compiled once per process) in place of this stub, then
+        run it."""
+        handler = semantics.reference(ins.op)(self)
+        self._dispatch[ins.op] = handler
+        return handler(ins)
 
     def _op_fence(self, ins: Instr):
         self._retire(ins)
@@ -929,88 +621,6 @@ class Machine:
             self._lock_hi = value
 
     # -- HWST128 ---------------------------------------------------------
-
-    def _op_bndrs(self, ins: Instr):
-        base, bound = self.regs[ins.rs1], self.regs[ins.rs2]
-        lower = self.compressor.compress_spatial(base, bound)
-        _, upper, _, uvalid = self.srf[ins.rd]
-        self.srf[ins.rd] = (lower, upper, True, uvalid)
-        self.srf_wide[ins.rd] = None
-        self._ct["hwst_ops"].value += 1
-        self._retire(ins)
-        return None
-
-    def _op_bndrt(self, ins: Instr):
-        key, lock = self.regs[ins.rs1], self.regs[ins.rs2]
-        upper = self.compressor.compress_temporal(key, lock)
-        lower, _, lvalid, _ = self.srf[ins.rd]
-        self.srf[ins.rd] = (lower, upper, lvalid, True)
-        self._ct["hwst_ops"].value += 1
-        self._retire(ins)
-        return None
-
-    def _op_tchk(self, ins: Instr):
-        self._ct["tchk"].value += 1
-        self._ct["hwst_ops"].value += 1
-        kb_hit, mem2 = self._temporal_check(ins.rs1)
-        self._retire(ins, kb_hit=kb_hit, mem2=mem2)
-        return None
-
-    def _make_sbd(self, upper: bool):
-        ct_stores = self._ct["stores"]
-        ct_hwst = self._ct["hwst_ops"]
-        ct_shadow = self._ct["shadow_ops"]
-
-        def handler(ins: Instr):
-            container = bits.to_u64(self.regs[ins.rs1] + ins.imm)
-            shadow_addr = self._smac(container) + (8 if upper else 0)
-            lower_v, upper_v, lvalid, uvalid = self.srf[ins.rs2]
-            if upper:
-                value = upper_v if uvalid else 0
-            else:
-                value = lower_v if lvalid else 0
-            self.memory.store_u64(shadow_addr, value)
-            ct_stores.value += 1
-            ct_hwst.value += 1
-            ct_shadow.value += 1
-            tracer = self._tracer_shadow
-            if tracer is not None:
-                tracer.emit("shadow", "store" if value else "clear",
-                            ts=self._now(),
-                            args={"container": container,
-                                  "half": "upper" if upper else "lower"})
-            self._retire(ins, mem_addr=shadow_addr, is_store=True)
-            return None
-
-        return handler
-
-    def _make_lbds(self, upper: bool):
-        ct_loads = self._ct["loads"]
-        ct_hwst = self._ct["hwst_ops"]
-        ct_shadow = self._ct["shadow_ops"]
-
-        def handler(ins: Instr):
-            container = bits.to_u64(self.regs[ins.rs1] + ins.imm)
-            shadow_addr = self._smac(container) + (8 if upper else 0)
-            value = self.memory.load_u64(shadow_addr)
-            lower_v, upper_v, lvalid, uvalid = self.srf[ins.rd]
-            if upper:
-                self.srf[ins.rd] = (lower_v, value, lvalid, True)
-            else:
-                self.srf[ins.rd] = (value, upper_v, True, uvalid)
-            self.srf_wide[ins.rd] = None
-            ct_loads.value += 1
-            ct_hwst.value += 1
-            ct_shadow.value += 1
-            tracer = self._tracer_shadow
-            if tracer is not None:
-                tracer.emit("shadow", "load", ts=self._now(),
-                            args={"container": container,
-                                  "half": "upper" if upper else "lower"})
-            self._retire(ins, mem_addr=shadow_addr)
-            return None
-
-        return handler
 
     def _make_meta_gpr_load(self, which: str):
         temporal = which in ("key", "lock")

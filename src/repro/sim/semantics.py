@@ -1,0 +1,609 @@
+"""Instruction semantics, once: one source template per hot mnemonic.
+
+:data:`ROWS` holds one :class:`Row` per mnemonic the fast engine
+translates natively (80 of the 97 in ``SPEC_TABLE``). A row states what
+the instruction does as Python source over named operands, the
+``sim.*`` census it bills and what the timing model reads of it. Both
+engines compile their code from it:
+
+* :func:`reference` gives the reference engine's handler
+  (``Machine._dispatch``): an operand prologue that reads ``ins``, the
+  body, the census and ``m._retire(...)``;
+* :func:`translated` gives the fast engine's per-instruction function:
+  operands bound as default arguments, the body, then only the dynamic
+  charges (D-cache outcome, keybuffer miss, taken-branch redirect) —
+  the census and every static cost go to the block's fold;
+* :func:`fused` composes the ``tchk`` row with a checked access into one
+  translated function that still retires as two instructions.
+
+The 17 rare mnemonics (CSR ops, ``fence``, ``ecall``/``ebreak``, the
+decompressing metadata loads, MPX and AVX) have no row: they stay
+hand-written reference handlers, which the fast engine wraps.
+
+A body is a block of statements. It reads the names below, and nothing
+else of the machine:
+
+* the instruction fields ``rd``, ``rs1``, ``rs2``, ``imm``, ``pc`` and
+  the row's own ``decode`` operands (expressions over ``ins`` and
+  ``pc``): decoded per call by the reference handler, evaluated once at
+  translate time by the fast engine;
+* ``regs``, ``srf``, ``srf_wide``, ``kb``, ``budget`` and the counters
+  ``ct_<name>``: state ``reset()`` mutates in place (or config), bound
+  once per machine;
+* ``memory``, ``csrs`` and ``comp`` (the compressor): state ``reset()``
+  — or a ``codec_corrupt`` fault, mid-run — replaces, so the reference
+  handler reads them through ``m`` on every call;
+* ``m``, the machine, for the trap helpers and the lock-window snoop.
+
+Some lines differ per variant. A line starting ``ref:`` is only in the
+reference handler: tracer hooks (the fast engine never runs with a
+tracer) and metadata decoding through ``comp``, which a codec fault
+may have replaced. A line starting ``fast:`` is only in the translated
+function: the same decoding with the compressor's masks bound inline,
+so the fast path stays call-free. A line starting ``timed:`` is only in
+a translated function compiled for a timing model.
+
+Each variant is compiled on first use and cached per process; its
+source is registered in :mod:`linecache`, so tracebacks through it show
+template lines.
+"""
+
+from __future__ import annotations
+
+import functools
+import keyword
+import linecache
+import re
+from typing import Callable, Dict, NamedTuple, Tuple
+
+from repro import bits
+from repro.core.config import ALIGN_SHIFT
+from repro.errors import ShadowMemoryExhausted
+from repro.isa import csr as csrdef
+from repro.isa.instructions import SPEC_TABLE
+
+__all__ = ["Row", "ROWS", "SRF_INVALID", "reference", "translated",
+           "fused"]
+
+# SRF entry: (lower, upper, spatial_valid, temporal_valid)
+SRF_INVALID = (0, 0, False, False)
+
+M64 = bits.MASK64
+
+
+class Row(NamedTuple):
+    """One mnemonic's semantics."""
+
+    body: str                 # statements over the names above
+    census: Tuple[str, ...]   # sim.* counters billed once per retire
+    #: What the timing model reads (a ``_CHARGES`` key): nothing, the
+    #: ``addr`` of a "load" or "store", the ``taken`` outcome and
+    #: ``target`` of a "branch", the ``target`` of a "jump", or the
+    #: keybuffer-miss lock ``mem2`` of a "tchk".
+    charge: str = ""
+    decode: Tuple[Tuple[str, str], ...] = ()  # row-specific operands
+    rd_only: bool = False     # the body only writes x[rd] (a nop for x0)
+    traps: bool = False       # the body may raise
+    early_census: bool = False  # census billed before the body can trap
+
+
+# ----------------------------------------------------------------------
+# Helpers the bodies call (rare ops only: the hot paths are call-free)
+# ----------------------------------------------------------------------
+
+def sext32(x: int) -> int:
+    """The low 32 bits of ``x`` sign-extended, as a u64."""
+    return bits.to_u64(bits.sext(x, 32))
+
+
+def div64(a: int, b: int) -> int:
+    """RISC-V ``div`` of two u64 register values. It truncates toward
+    zero: Python's ``//`` floors, and float division loses precision
+    past 2**53, so the quotient is taken in the positive quadrant."""
+    a, b = bits.to_s64(a), bits.to_s64(b)
+    if b == 0:
+        return M64
+    if a == -(1 << 63) and b == -1:
+        return bits.to_u64(a)
+    q = abs(a) // abs(b)
+    return bits.to_u64(-q if (a < 0) != (b < 0) else q)
+
+
+def rem64(a: int, b: int) -> int:
+    """RISC-V ``rem`` of two u64 register values (sign of the dividend)."""
+    a, b = bits.to_s64(a), bits.to_s64(b)
+    if b == 0:
+        return bits.to_u64(a)
+    if a == -(1 << 63) and b == -1:
+        return 0
+    q = abs(a) // abs(b)
+    if (a < 0) != (b < 0):
+        q = -q
+    return bits.to_u64(a - q * b)
+
+
+# ----------------------------------------------------------------------
+# The table
+# ----------------------------------------------------------------------
+#
+# ALU results over the u64 operands ``a`` and ``b``. ``(x ^ SIGN) - SIGN``
+# is sign extension; signed compares drop the common ``- SIGN`` term.
+
+_ALU_EXPR = {
+    "add": "(a + b) & 0xFFFFFFFFFFFFFFFF",
+    "sub": "(a - b) & 0xFFFFFFFFFFFFFFFF",
+    "sll": "(a << (b & 63)) & 0xFFFFFFFFFFFFFFFF",
+    "slt": "1 if (a ^ 0x8000000000000000) < (b ^ 0x8000000000000000)"
+           " else 0",
+    "sltu": "1 if a < b else 0",
+    "xor": "a ^ b",
+    "srl": "a >> (b & 63)",
+    "sra": "(((a ^ 0x8000000000000000) - 0x8000000000000000)"
+           " >> (b & 63)) & 0xFFFFFFFFFFFFFFFF",
+    "or": "a | b",
+    "and": "a & b",
+    "addw": "((((a + b) & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
+            " & 0xFFFFFFFFFFFFFFFF",
+    "subw": "((((a - b) & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
+            " & 0xFFFFFFFFFFFFFFFF",
+    "sllw": "((((a << (b & 31)) & 0xFFFFFFFF) ^ 0x80000000)"
+            " - 0x80000000) & 0xFFFFFFFFFFFFFFFF",
+    "srlw": "((((a & 0xFFFFFFFF) >> (b & 31)) ^ 0x80000000)"
+            " - 0x80000000) & 0xFFFFFFFFFFFFFFFF",
+    "sraw": "((((a & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
+            " >> (b & 31)) & 0xFFFFFFFFFFFFFFFF",
+    "mul": "(a * b) & 0xFFFFFFFFFFFFFFFF",
+    "mulh": "((((a ^ 0x8000000000000000) - 0x8000000000000000)"
+            " * ((b ^ 0x8000000000000000) - 0x8000000000000000)) >> 64)"
+            " & 0xFFFFFFFFFFFFFFFF",
+    "mulhsu": "((((a ^ 0x8000000000000000) - 0x8000000000000000) * b)"
+              " >> 64) & 0xFFFFFFFFFFFFFFFF",
+    "mulhu": "(a * b) >> 64",
+    "div": "div64(a, b)",
+    "divu": "0xFFFFFFFFFFFFFFFF if b == 0 else a // b",
+    "rem": "rem64(a, b)",
+    "remu": "a if b == 0 else a % b",
+    "mulw": "((((a * b) & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
+            " & 0xFFFFFFFFFFFFFFFF",
+    "divw": "sext32(div64(sext32(a), sext32(b)))",
+    "divuw": "0xFFFFFFFFFFFFFFFF if (b & 0xFFFFFFFF) == 0"
+             " else sext32((a & 0xFFFFFFFF) // (b & 0xFFFFFFFF))",
+    "remw": "sext32(rem64(sext32(a), sext32(b)))",
+    "remuw": "sext32(a) if (b & 0xFFFFFFFF) == 0"
+             " else sext32((a & 0xFFFFFFFF) % (b & 0xFFFFFFFF))",
+}
+
+#: Immediate forms compute their register form's result, with ``b`` the
+#: immediate as a u64.
+_IMMEDIATE_OF = {
+    "addi": "add", "slti": "slt", "sltiu": "sltu", "xori": "xor",
+    "ori": "or", "andi": "and", "slli": "sll", "srli": "srl",
+    "srai": "sra", "addiw": "addw", "slliw": "sllw", "srliw": "srlw",
+    "sraiw": "sraw",
+}
+
+# SRF propagation (the machine module docstring states the rules).
+_PROPAGATE_R = """
+e1 = srf[rs1]
+w1 = srf_wide[rs1]
+if e1[2] or e1[3] or w1 is not None:
+    srf[rd] = e1
+    srf_wide[rd] = w1
+else:
+    e2 = srf[rs2]
+    w2 = srf_wide[rs2]
+    if e2[2] or e2[3] or w2 is not None:
+        srf[rd] = e2
+        srf_wide[rd] = w2
+    else:
+        srf[rd] = INVALID
+        srf_wide[rd] = None
+"""
+_PROPAGATE_I = """
+srf[rd] = srf[rs1]
+srf_wide[rd] = srf_wide[rs1]
+"""
+_WRITE_RD = """
+regs[rd] = {value}
+srf[rd] = INVALID
+srf_wide[rd] = None
+"""
+_WRITE_RD_UNLESS_X0 = """
+if rd:
+    regs[rd] = {value}
+    srf[rd] = INVALID
+    srf_wide[rd] = None
+"""
+
+_BRANCH_COND = {
+    "beq": "regs[rs1] == regs[rs2]",
+    "bne": "regs[rs1] != regs[rs2]",
+    "blt": "(regs[rs1] ^ 0x8000000000000000)"
+           " < (regs[rs2] ^ 0x8000000000000000)",
+    "bge": "(regs[rs1] ^ 0x8000000000000000)"
+           " >= (regs[rs2] ^ 0x8000000000000000)",
+    "bltu": "regs[rs1] < regs[rs2]",
+    "bgeu": "regs[rs1] >= regs[rs2]",
+}
+
+# SCU: the fused bounds check of ``addr`` against SRF[rs1].
+_SPATIAL_CHECK = """
+e = srf[rs1]
+if not e[2]:
+    m._spatial_fail(addr, 0, 0)
+lower = e[0]
+ref: base, bound = comp.decompress_spatial(lower)
+fast: base = (lower & base_mask) << ALIGN_SHIFT
+fast: bound = base + (((lower >> base_w) & range_mask) << ALIGN_SHIFT)
+if addr < base or addr + {nbytes} > bound:
+    m._spatial_fail(addr, base, bound)
+"""
+
+# SMAC: shadow address of the container (Eq. 1) + the budget guard.
+_SMAC = """
+container = (regs[rs1] + imm) & 0xFFFFFFFFFFFFFFFF
+addr = (container << 2) + csrs[SM_OFFSET]{off}
+if budget and memory.shadow_bytes_touched > budget:
+    raise ShadowMemoryExhausted(memory.shadow_bytes_touched, budget)
+"""
+_TRACE_SHADOW = """
+ref: tracer = m._tracer_shadow
+ref: if tracer is not None:
+ref:     tracer.emit("shadow", {kind}, ts=m._now(),
+ref:                 args={{"container": container, "half": "{half}"}})
+"""
+
+# TCU: keybuffer-assisted key/lock compare of SRF[rs1]; ``mem2`` is the
+# lock on a keybuffer miss (the key load timing charges), else None.
+_TCHK = """
+e = srf[rs1]
+if not e[3]:
+    m._temporal_fail(0, 0, 0)
+upper = e[1]
+ref: key, lock = comp.decompress_temporal(upper)
+fast: lock = upper & lock_mask
+fast: key = (upper >> lock_w) & key_mask
+fast: if lock:
+fast:     lock = lock_base + ((lock - 1) << 3)
+if lock == 0:
+    m._temporal_fail(key, 0, 0)
+cached = kb.lookup(lock)
+if cached is not None:
+    if cached != key:
+        m._temporal_fail(key, cached, lock)
+    mem2 = None
+else:
+    stored = memory.load_u64(lock)
+    evicted = kb.fill(lock, stored)
+    ref: tracer = m._tracer_kb
+    ref: if tracer is not None:
+    ref:     now = m._now()
+    ref:     tracer.emit("kb", "fill", ts=now, args={"lock": lock})
+    ref:     if evicted is not None:
+    ref:         tracer.emit("kb", "evict", ts=now, args={"lock": evicted})
+    if stored != key:
+        m._temporal_fail(key, stored, lock)
+    mem2 = lock
+"""
+
+_LINK = ("link", "(pc + 4) & 0xFFFFFFFFFFFFFFFF")
+_TARGET = ("target", "(pc + ins.imm) & 0xFFFFFFFFFFFFFFFF")
+_HI20 = "((((ins.imm << 12) & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
+
+
+def _alu(op: str) -> Row:
+    if op in _IMMEDIATE_OF:
+        body = f"a = regs[rs1]\nregs[rd] = {_ALU_EXPR[_IMMEDIATE_OF[op]]}\n"
+        return Row(body + _PROPAGATE_I, (), rd_only=True,
+                   decode=(("b", "ins.imm & 0xFFFFFFFFFFFFFFFF"),))
+    body = f"a = regs[rs1]\nb = regs[rs2]\nregs[rd] = {_ALU_EXPR[op]}\n"
+    return Row(body + _PROPAGATE_R, (), rd_only=True)
+
+
+def _access(spec) -> Row:
+    nbytes = spec.mem_bytes
+    body = "addr = (regs[rs1] + imm) & 0xFFFFFFFFFFFFFFFF\n"
+    if spec.checked:
+        body += _SPATIAL_CHECK.format(nbytes=nbytes)
+    census = ("loads",) if spec.is_load else ("stores",)
+    if spec.checked:
+        census += ("hwst_ops",)
+    if spec.is_load:
+        body += f"value = memory.load_uint(addr, {nbytes})\n"
+        if spec.mem_signed and nbytes < 8:
+            sign = 1 << (8 * nbytes - 1)
+            body += f"value = ((value ^ {sign:#x}) - {sign:#x})" \
+                " & 0xFFFFFFFFFFFFFFFF\n"
+        body += _WRITE_RD_UNLESS_X0.format(value="value")
+        return Row(body, census, "load", traps=True)
+    body += f"value = regs[rs2]\nmemory.store_uint(addr, {nbytes}, value)\n"
+    if nbytes == 8:
+        # a pointer-sized store into the lock table: keybuffer snoop
+        body += "if m._lock_lo <= addr < m._lock_hi:\n" \
+            "    m._snoop_lock_store(addr, value)\n"
+    return Row(body, census, "store", traps=True)
+
+
+def _shadow(upper: bool, store: bool) -> Row:
+    half = "upper" if upper else "lower"
+    body = _SMAC.format(off=" + 8" if upper else "")
+    if store:
+        # sbdl/sbdu: an SRF half of rs2 -> shadow memory (no lock snoop)
+        body += "e = srf[rs2]\n" + (
+            "value = e[1] if e[3] else 0\n" if upper
+            else "value = e[0] if e[2] else 0\n")
+        body += "memory.store_u64(addr, value)\n"
+        kind = '"store" if value else "clear"'
+    else:
+        # lbdls/lbdus: shadow memory -> an SRF half of rd, undecoded
+        body += "value = memory.load_u64(addr)\ne = srf[rd]\n" + (
+            "srf[rd] = (e[0], value, e[2], True)\n" if upper
+            else "srf[rd] = (value, e[1], True, e[3])\n")
+        body += "srf_wide[rd] = None\n"
+        kind = '"load"'
+    body += _TRACE_SHADOW.format(kind=kind, half=half)
+    census = ("stores" if store else "loads", "hwst_ops", "shadow_ops")
+    return Row(body, census, "store" if store else "load", traps=True)
+
+
+def _build_rows() -> Dict[str, Row]:
+    rows: Dict[str, Row] = {}
+    for op, spec in SPEC_TABLE.items():
+        if op in _ALU_EXPR or op in _IMMEDIATE_OF:
+            rows[op] = _alu(op)
+        elif spec.checked or (spec.is_load and spec.opcode == 0x03) \
+                or (spec.is_store and spec.opcode == 0x23):
+            rows[op] = _access(spec)
+        elif spec.is_branch:
+            rows[op] = Row(f"taken = {_BRANCH_COND[op]}\n", ("branches",),
+                           "branch", decode=(_TARGET,))
+    rows["jal"] = Row(_WRITE_RD.format(value="link"), ("calls",), "jump",
+                      decode=(_LINK, _TARGET), rd_only=True)
+    rows["jalr"] = Row(
+        "target = (regs[rs1] + imm) & 0xFFFFFFFFFFFFFFFE\n"
+        + _WRITE_RD_UNLESS_X0.format(value="link"),
+        (), "jump", decode=(_LINK,))
+    rows["lui"] = Row(_WRITE_RD.format(value="value"), (), rd_only=True,
+                      decode=(("value", _HI20 + " & 0xFFFFFFFFFFFFFFFF"),))
+    rows["auipc"] = Row(
+        _WRITE_RD.format(value="value"), (), rd_only=True,
+        decode=(("value", f"(pc + {_HI20}) & 0xFFFFFFFFFFFFFFFF"),))
+    # HWST128: binds compress into the SRF (the compressor keeps the
+    # Fig. 2 census, and raises on a field that does not fit).
+    rows["bndrs"] = Row(
+        "packed = comp.compress_spatial(regs[rs1], regs[rs2])\n"
+        "e = srf[rd]\nsrf[rd] = (packed, e[1], True, e[3])\n"
+        "srf_wide[rd] = None\n", ("hwst_ops",), traps=True)
+    rows["bndrt"] = Row(
+        "packed = comp.compress_temporal(regs[rs1], regs[rs2])\n"
+        "e = srf[rd]\nsrf[rd] = (e[0], packed, e[2], True)\n",
+        ("hwst_ops",), traps=True)
+    # A tchk counts before it can trap (a trapping tchk is still one).
+    rows["tchk"] = Row(_TCHK, ("tchk", "hwst_ops"), "tchk", traps=True,
+                       early_census=True)
+    rows["sbdl"] = _shadow(upper=False, store=True)
+    rows["sbdu"] = _shadow(upper=True, store=True)
+    rows["lbdls"] = _shadow(upper=False, store=False)
+    rows["lbdus"] = _shadow(upper=True, store=False)
+    return rows
+
+
+#: mnemonic -> Row, for every mnemonic the fast engine translates.
+ROWS: Dict[str, Row] = _build_rows()
+
+
+# ----------------------------------------------------------------------
+# Compiling the variants
+# ----------------------------------------------------------------------
+
+#: What each charge kind ends with: ``(reference, translated)``. The
+#: reference hands ``m._retire`` the address or outcome the timing
+#: model reads; a translated function charges only what the fold cannot
+#: (lines marked ``timed:`` exist only with a timing model attached).
+_CHARGES = {
+    "": ("m._retire(ins)", ""),
+    "load": ("m._retire(ins, addr)", """
+timed: if not dcache.access(addr, False):
+timed:     pl.dcache_miss()
+"""),
+    "store": ("m._retire(ins, addr, True)", """
+timed: if not dcache.access(addr, True):
+timed:     pl.dcache_miss()
+"""),
+    "branch": ("""
+if taken:
+    ct_taken.value += 1
+m._retire(ins, None, False, taken)
+return target if taken else None
+""", """
+if taken:
+    ct_taken.value += 1
+    timed: pl.cycles += penalty
+    timed: bk_redirect.value += penalty
+    return target
+"""),
+    "jump": ("m._retire(ins, None, False, True)\nreturn target",
+             "return target"),
+    "tchk": ("m._retire(ins, None, False, False, mem2 is None, mem2)", """
+timed: if mem2 is not None:
+timed:     pl.key_load(mem2)
+"""),
+}
+
+_FIELDS = {"rd": "ins.rd", "rs1": "ins.rs1", "rs2": "ins.rs2",
+           "imm": "ins.imm"}
+#: State bound once per machine in both variants.
+_BOUND = {"regs": "m.regs", "srf": "m.srf", "srf_wide": "m.srf_wide",
+          "kb": "m.keybuffer", "budget": "m.config.shadow_budget"}
+#: State the reference handler reads through ``m`` on every call.
+_PER_CALL = {"memory": "m.memory", "csrs": "m.csrs",
+             "comp": "m.compressor"}
+#: Translate-time constants of the fast variant's inline decoding and
+#: of its dynamic timing charges.
+_FAST_ONLY = {
+    "base_mask": "m.compressor._base_mask",
+    "base_w": "m.compressor._widths.base",
+    "range_mask": "m.compressor._range_mask",
+    "lock_mask": "m.compressor._lock_mask",
+    "lock_w": "m.compressor._widths.lock",
+    "key_mask": "m.compressor._key_mask",
+    "lock_base": "m.config.lock_base",
+    "pl": "m.timing", "dcache": "m.timing.dcache",
+    "penalty": "m.timing.redirect[0]",
+    "bk_redirect": "m.timing.redirect[1]",
+}
+
+_NAMESPACE = {
+    "INVALID": SRF_INVALID, "ALIGN_SHIFT": ALIGN_SHIFT,
+    "SM_OFFSET": csrdef.HWST_SM_OFFSET,
+    "ShadowMemoryExhausted": ShadowMemoryExhausted,
+    "sext32": sext32, "div64": div64, "rem64": rem64,
+}
+
+
+_MARKERS = ("ref: ", "fast: ", "timed: ")
+
+
+def _variant(source: str, *markers: str) -> str:
+    """``source`` with the lines marked for ``markers`` unmarked and the
+    lines marked for any other variant dropped."""
+    keep = tuple(marker + ": " for marker in markers)
+    lines = []
+    for line in source.splitlines():
+        text = line.lstrip()
+        marker = text[:text.find(" ") + 1]
+        if marker in keep:
+            lines.append(line[:len(line) - len(text)] + text[len(marker):])
+        elif text and marker not in _MARKERS:
+            lines.append(line)
+    return "".join(line + "\n" for line in lines)
+
+
+def _indent(source: str) -> str:
+    return "".join("    " + line for line in source.splitlines(True))
+
+
+def _census(row: Row) -> str:
+    return "".join(f"ct_{name}.value += 1\n" for name in row.census)
+
+
+_IDENTIFIER = re.compile(r"(?<![.\w])[A-Za-z_]\w*")
+_STRING = re.compile(r'"[^"]*"')
+
+
+def _names(source: str, decode: Dict[str, str]) -> Dict[str, str]:
+    """The machine and operand names ``source`` uses, in a fixed order,
+    each with the expression (over ``m``, ``ins`` and ``pc``) it binds
+    to."""
+    reads = set(_IDENTIFIER.findall(_STRING.sub("", source)))
+    vocabulary = {"m": "m", "pc": "pc", **_FIELDS, **decode, **_BOUND,
+                  **_PER_CALL, **_FAST_ONLY}
+    names = {name: expr for name, expr in vocabulary.items()
+             if name in reads}
+    names.update((name, f"m._ct[{name[3:]!r}]") for name in sorted(reads)
+                 if name.startswith("ct_"))
+    return names
+
+
+def _compile(name: str, params: str, function: str, binds: Dict[str, str],
+             statements: str) -> Callable:
+    """Compile ``make(params)``, which returns ``function``: parameters
+    ``binds`` (name -> default), body ``statements``."""
+    args = ", ".join(f"{arg}={default}" if default else arg
+                     for arg, default in binds.items())
+    source = (f"def make({params}):\n"
+              f"    def {function}({args}):\n"
+              + _indent(_indent(statements))
+              + f"    return {function}\n")
+    filename = f"<semantics:{name}>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["make"]
+
+
+def _function_name(op: str) -> str:
+    name = op.replace(".", "_")
+    return name + "_" if keyword.iskeyword(name) else name
+
+
+@functools.lru_cache(maxsize=None)
+def reference(op: str) -> Callable:
+    """``make(m)`` -> the reference handler of ``op`` on machine ``m``:
+    ``handler(ins)`` returns the next pc of a control transfer (None to
+    fall through)."""
+    row = ROWS[op]
+    body = _variant(row.body, "ref")
+    tail = _variant(_CHARGES[row.charge][0])
+    if row.early_census:
+        body = _census(row) + body
+    else:
+        tail = _census(row) + tail
+    decode = dict(row.decode)
+    names = _names(body + tail, decode)
+    binds = {"ins": ""}
+    binds.update((name, expr) for name, expr in names.items()
+                 if name == "m" or name in _BOUND or name.startswith("ct_"))
+    operands = {name: expr for name, expr in names.items()
+                if name in _FIELDS or name in decode or name in _PER_CALL}
+    # The decode expressions read ``pc``: it comes first.
+    uses_pc = "pc" in _names(" ".join(operands.values()), {})
+    prologue = "pc = m.pc\n" if uses_pc else ""
+    # An rd-only body runs behind ``if rd:`` and decodes its operands
+    # there; what the tail reads (jal's target) is decoded ahead.
+    ahead = _names(tail, decode) if row.rd_only else operands
+    behind = ""
+    for name, expr in operands.items():
+        if name == "rd" or name in ahead:
+            prologue += f"{name} = {expr}\n"
+        else:
+            behind += f"{name} = {expr}\n"
+    if row.rd_only:
+        body = "if rd:\n" + _indent(behind + body)
+    return _compile(op, "m", _function_name(op), binds,
+                    prologue + body + tail)
+
+
+def _statements(row: Row, timed: bool) -> str:
+    """A translated function's statements: the body and the dynamic
+    charges (``tchk`` also bills its census, ahead of its trap point)."""
+    census = _census(row) if row.early_census else ""
+    markers = ("fast", "timed") if timed else ("fast",)
+    return census + _variant(row.body + _CHARGES[row.charge][1], *markers)
+
+
+@functools.lru_cache(maxsize=None)
+def translated(op: str, timed: bool) -> Callable:
+    """``make(m, ins, pc)`` -> the fast engine's function for ``ins`` at
+    ``pc`` on machine ``m``: no arguments, returns the next pc of a
+    control transfer (None to fall through). ``timed`` adds the dynamic
+    timing charges."""
+    row = ROWS[op]
+    statements = _statements(row, timed)
+    if row.traps:
+        statements = "m.pc = pc\n" + statements
+    mode = "timed" if timed else "plain"
+    return _compile(f"{op}:{mode}", "m, ins, pc", _function_name(op),
+                    _names(statements, dict(row.decode)), statements)
+
+
+@functools.lru_cache(maxsize=None)
+def fused(op: str, timed: bool) -> Callable:
+    """``make(m, tchk, pc, ins)`` -> one function for ``tchk`` at ``pc``
+    followed by the checked access ``ins``. It retires as two
+    instructions: ``m.pc`` steps to the access between them, so a trap
+    in either half reports its own pc."""
+    check = _statements(ROWS["tchk"], timed)
+    # The tchk's fields, renamed apart from the access's.
+    fields = [name for name in _names(check, {}) if name in _FIELDS]
+    for name in fields:
+        check = re.sub(rf"(?<![\w.]){name}(?!\w)", f"{name}_t", check)
+    statements = "m.pc = pc\n" + check + "m.pc = pc + 4\n" \
+        + _statements(ROWS[op], timed)
+    decode = dict(ROWS[op].decode)
+    decode.update((f"{name}_t", f"tchk.{name}") for name in fields)
+    mode = "timed" if timed else "plain"
+    return _compile(f"tchk+{op}:{mode}", "m, tchk, pc, ins",
+                    "tchk_" + _function_name(op),
+                    _names(statements, decode), statements)

@@ -2,13 +2,16 @@
 
 Hypothesis generates random arithmetic expressions and value sets; each
 is compiled through the full toolchain (parse -> IR -> RV64 -> ISS) and
-the result is compared with Python's evaluation under C int64
-semantics. This is the strongest correctness net over the compiler and
-the ISS arithmetic at once.
+the result is compared with Python's evaluation under C's integer
+typing: the variables are `long` (int64), the literals are `int`
+(int32), and each operator works in the wider of its two operand types,
+so an all-literal subexpression wraps at 32 bits before it meets a
+`long`. This is the strongest correctness net over the compiler and the
+ISS arithmetic at once.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.schemes import run_source
 
@@ -16,46 +19,55 @@ _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
 
-def _wrap64(value):
-    value &= (1 << 64) - 1
-    return value - (1 << 64) if value >> 63 else value
+def _wrap(value, width):
+    value &= (1 << width) - 1
+    return value - (1 << width) if value >> (width - 1) else value
 
 
 class _Expr:
-    """Random expression tree over long variables a, b, c."""
+    """Random expression tree over long variables a, b, c.
 
-    def __init__(self, text, evaluate):
+    `is_long` is the C type of the expression: a variable is `long`, a
+    literal is `int`, and a binary operator is `long` when either
+    operand is (the usual arithmetic conversions).
+    """
+
+    def __init__(self, text, evaluate, is_long):
         self.text = text
         self.evaluate = evaluate
+        self.is_long = is_long
 
 
 def _leaf_var(name):
-    return _Expr(name, lambda env, name=name: env[name])
+    return _Expr(name, lambda env, name=name: env[name], True)
 
 
 def _leaf_const(value):
-    return _Expr(str(value), lambda env, value=value: value)
+    return _Expr(str(value), lambda env, value=value: value, False)
 
 
 def _binop(op, left, right):
+    is_long = left.is_long or right.is_long
+    width = 64 if is_long else 32
+
     def evaluate(env):
         lhs = left.evaluate(env)
         rhs = right.evaluate(env)
         if op == "+":
-            return _wrap64(lhs + rhs)
+            return _wrap(lhs + rhs, width)
         if op == "-":
-            return _wrap64(lhs - rhs)
+            return _wrap(lhs - rhs, width)
         if op == "*":
-            return _wrap64(lhs * rhs)
+            return _wrap(lhs * rhs, width)
         if op == "&":
-            return _wrap64(lhs & rhs)
+            return _wrap(lhs & rhs, width)
         if op == "|":
-            return _wrap64(lhs | rhs)
+            return _wrap(lhs | rhs, width)
         if op == "^":
-            return _wrap64(lhs ^ rhs)
+            return _wrap(lhs ^ rhs, width)
         raise AssertionError(op)
 
-    return _Expr(f"({left.text} {op} {right.text})", evaluate)
+    return _Expr(f"({left.text} {op} {right.text})", evaluate, is_long)
 
 
 @st.composite
@@ -71,7 +83,15 @@ def expressions(draw, depth=0):
     return _binop(op, left, right)
 
 
+# An all-literal product that overflows int32 before it meets a long.
+_INT_OVERFLOW = _binop("*", _binop("+", _leaf_const(0), _leaf_const(343)),
+                       _binop("*", _binop("*", _leaf_const(97),
+                                          _leaf_const(182)),
+                              _leaf_const(355)))
+
+
 @settings(max_examples=25, deadline=None)
+@example(expr=_INT_OVERFLOW, a=0, b=0, c=0)
 @given(expr=expressions(),
        a=st.integers(min_value=-(1 << 31), max_value=1 << 31),
        b=st.integers(min_value=-(1 << 31), max_value=1 << 31),

@@ -205,12 +205,13 @@ class TestEquivalenceSweep:
     @pytest.mark.parametrize("engine", ("ref", "fast"))
     def test_reused_machine_starts_every_case_fresh(self, engine):
         # Cases that write CSRs (the snoop window among them), the lock
-        # table, shadow memory, the keybuffer and the console must leave
-        # nothing behind: the next case's machine equals a new one.
+        # table, shadow memory, the keybuffer, the console and the
+        # compressor's census must leave nothing behind: the next
+        # case's machine equals a new one.
         bench = EquivBench(engine)
         probe = Instr("addi", rd=10, rs1=5, imm=1)
         for mnemonic in ("csrrw", "csrrs", "csrrc", "sd", "vst256", "tchk",
-                         "ecall"):
+                         "ecall", "bndrs", "bndrt"):
             for case in cases_for(mnemonic, SEED):
                 run_case(case, bench)
                 reused = bench.machine_for(case.geom, probe)
@@ -223,11 +224,14 @@ def _pre_state(machine):
     """Everything a case could leave behind on an equivalence machine."""
     memory = machine.memory
     keybuffer = machine.keybuffer
+    codec = machine.compressor
     return (snapshot_state(machine), memory.shadow_bytes_touched,
             memory.pages_allocated, memory.hash_range(0, 1 << 64),
             [(lock, keybuffer.peek(lock)) for lock in keybuffer.locks()],
             (machine._lock_lo, machine._lock_hi),
-            machine.metrics.snapshot("sim"))
+            machine.metrics.snapshot("sim"),
+            (codec.max_range_seen, codec.max_base_seen, codec.max_key_seen,
+             codec.max_lock_index_seen))
 
 
 # ---------------------------------------------------------------------------

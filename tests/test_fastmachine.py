@@ -31,7 +31,7 @@ import pytest
 import repro.sim
 from repro.core.config import HwstConfig
 from repro.isa import csr as csrdef
-from repro.isa.instructions import Instr, li_sequence
+from repro.isa.instructions import FMT_I, Instr, SPEC_TABLE, li_sequence
 from repro.pipeline.timing import InOrderPipeline
 from repro.schemes import compile_source
 from repro.sim import DEFAULT_ENGINE, ENGINES, FastMachine, make_machine
@@ -287,6 +287,24 @@ class TestSuperblockBoundaries:
         stats = fast.fast_stats()
         # 50 iterations, but each distinct entry pc translates once.
         assert stats["block_runs"] > stats["translations"]
+
+
+class TestOperandBinding:
+    """A translated function binds its operands at translate time, the
+    reference handler decodes them per call: both must read the same
+    values, a negative immediate included (it binds as a u64)."""
+
+    @pytest.mark.parametrize("op", sorted(
+        op for op, spec in SPEC_TABLE.items()
+        if spec.fmt == FMT_I and spec.opcode in (0x13, 0x1B)))
+    def test_immediate_alu_ops(self, op):
+        seq = li_sequence(5, 0x8000_0000_0000_0001) + li_sequence(6, 7)
+        rd = 18
+        for rs1 in (5, 6):
+            for imm in (-2048, -1, 1, 2047):
+                seq.append(Instr(op, rd=rd, rs1=rs1, imm=imm))
+                rd += 1
+        run_both(seq + exit_seq())
 
 
 class TestTrapAccounting:

@@ -12,7 +12,10 @@ from repro.faultinject import (
     run_campaign,
 )
 from repro.harness.compile_cache import CompileCache
+from repro.errors import EcallExit
 from repro.harness.parallel import CellSpec, STATUS_HANG, SweepExecutor
+from repro.schemes import compile_source
+from repro.sim import make_machine
 from repro.sim.machine import Machine
 
 
@@ -172,6 +175,58 @@ class TestRuntimeInjectors:
     def test_runtime_injector_rejects_link_kinds(self):
         with pytest.raises(ValueError, match="not a runtime fault"):
             RuntimeInjector(FaultSpec(kind="check_drop"))
+
+
+class TestCodecFaultSites:
+    """``codec_corrupt`` reaches every decode site of the reference loop
+    (which runs every fault-hooked run, on either engine): armed just
+    before a ``sd.chk``, ``ld.chk`` or ``tchk``, the flipped bit turns
+    a clean exit into a violation at that instruction. The first
+    execution of each is armed before its handler is bound; the last
+    one after, so a handler that kept the compressor it was bound with
+    misses the fault."""
+
+    SOURCE = """
+int main() {
+    long *p = (long *)malloc(32);
+    p[0] = 4;
+    p[1] = 5;
+    long v = p[0] + p[1];
+    free(p);
+    return (int)(v - 9);
+}
+"""
+
+    @pytest.fixture(scope="class")
+    def sites(self):
+        program = compile_source(self.SOURCE, "hwst128_tchk", HwstConfig())
+        machine = Machine()
+        machine.load(program)
+        seen = {}  # op -> [(instret, pc), ...] in execution order
+        with pytest.raises(EcallExit):
+            while True:
+                op = program.instr_at(machine.pc).op
+                seen.setdefault(op, []).append((machine.instret, machine.pc))
+                machine.step()
+        return program, seen
+
+    @pytest.mark.parametrize("engine", ("ref", "fast"))
+    @pytest.mark.parametrize("nth", (0, -1))
+    @pytest.mark.parametrize("op, select", [("sd.chk", 0), ("ld.chk", 0),
+                                            ("tchk", 1)])
+    def test_armed_before_a_check_flips_it(self, sites, engine, nth, op,
+                                           select):
+        program, seen = sites
+        assert len(seen[op]) > 1
+        instret, pc = seen[op][nth]
+        assert make_machine(engine).run(program).ok
+        machine = make_machine(engine)
+        machine.fault_hook = RuntimeInjector(FaultSpec(
+            kind="codec_corrupt", trigger=instret, bit=2, select=select))
+        result = machine.run(program)
+        assert result.trap_class in ("SpatialViolation",
+                                     "TemporalViolation"), result.status
+        assert result.trap_pc == pc
 
 
 class TestLinkFaults:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import FieldWidths, HwstConfig
 from repro.core.compression import MetadataCompressor, MetadataRangeError
+from repro.faultinject import FaultSpec, RuntimeInjector
 from repro.isa.instructions import Instr, li_sequence
 from repro.isa import csr as csrdef
 from repro.sim import make_machine
@@ -123,14 +124,25 @@ class TestCsrSemantics:
 
     @pytest.mark.parametrize("engine", ("ref", "fast"))
     def test_reload_restores_the_snoop_window(self, engine):
-        """A program that moves the lock-table window must not leak it
+        """A program that moves the lock-table window, binds a large
+        object or runs with a codec fault armed must leak none of it
         into the next program loaded on the same machine: there, a
-        zero store to .data is an ordinary store, not a free."""
+        zero store to .data is an ordinary store, not a free, and the
+        machine's own compressor decodes, its Fig. 2 census from
+        zero."""
         machine = make_machine(engine)
-        machine.run(make_program(exit_with([
-            Instr("addi", rd=5, rs1=0, imm=0xF0),
-            Instr("csrrw", rd=0, rs1=5, imm=csrdef.HWST_LOCK_BASE),
-        ])))
+        own = machine.compressor
+        machine.fault_hook = RuntimeInjector(
+            FaultSpec(kind="codec_corrupt", trigger=0, bit=2, select=0))
+        machine.run(make_program(exit_with(
+            li_sequence(6, HEAP) + li_sequence(7, HEAP + 4000) + [
+                Instr("bndrs", rd=5, rs1=6, rs2=7),
+                Instr("addi", rd=5, rs1=0, imm=0xF0),
+                Instr("csrrw", rd=0, rs1=5, imm=csrdef.HWST_LOCK_BASE),
+            ])))
+        assert machine.compressor is not own
+        assert own.max_range_seen == 4000
+        machine.fault_hook = None
         store = make_program(exit_with(
             li_sequence(5, DEFAULT_LAYOUT.data_base)
             + [Instr("sd", rs1=5, rs2=0)]))
@@ -139,6 +151,7 @@ class TestCsrSemantics:
         assert machine.csrs[csrdef.HWST_LOCK_BASE] == HwstConfig().lock_base
         assert reused.metrics["sim.kb.clears"] == 0
         assert reused.stats == fresh.stats
+        assert machine.compressor is own
 
 
 class TestSegments:
