@@ -31,14 +31,15 @@ from repro.ir.ir import GlobalData, Module
 from repro.ir.verify import Interface, interface
 from repro.codegen.lower import CodegenOptions, compile_function
 from repro.sim.memory import DEFAULT_LAYOUT, MemoryLayout
-from repro.sim.machine import SYS_ABORT, SYS_EXIT, SYS_WRITE
-
-# ecall numbers for the classified safety aborts (see machine handling
-# in repro.schemes.run: these appear as abort reasons).
-SYS_TRAP_SPATIAL = 1001
-SYS_TRAP_TEMPORAL = 1002
-SYS_TRAP_ASAN = 1003
-SYS_TRAP_CANARY = 1004
+from repro.sim.semantics import (
+    SYS_ABORT,
+    SYS_EXIT,
+    SYS_TRAP_ASAN,
+    SYS_TRAP_CANARY,
+    SYS_TRAP_SPATIAL,
+    SYS_TRAP_TEMPORAL,
+    SYS_WRITE,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,8 @@ class InOrderPipeline:
     engines charge from it — :meth:`retire` per instruction, the fast
     engine's block fold through :meth:`static_cost` and
     :meth:`operands` at translate time — and both charge the rare
-    dynamic costs through :meth:`dcache_miss` and :meth:`key_load`.
+    dynamic costs through :meth:`dcache_miss`, :meth:`key_load` and
+    :meth:`second_access`.
     """
 
     def __init__(self, params: Optional[TimingParams] = None,
@@ -239,20 +240,15 @@ class InOrderPipeline:
             penalty, counter = self.redirect
             cost += penalty
             counter.value += penalty
-        if mem2 is not None and kb_hit is None:
-            # Secondary access beat: the MPX bound-table walk's second
-            # word, or WDL's in-check key load.
-            cost += 1
-            self._bk["wide"].value += 1
         self.cycles += cost
         if mem_addr is not None and not self.dcache.access(mem_addr,
                                                            is_store):
             cost += self.dcache_miss()
         if mem2 is not None:
-            if kb_hit is False:
+            if kb_hit is None:
+                cost += self.second_access(mem2)
+            elif kb_hit is False:
                 cost += self.key_load(mem2)
-            elif not self.dcache.access(mem2, False):
-                cost += self.dcache_miss()
         return cost
 
     def dcache_miss(self) -> int:
@@ -273,6 +269,16 @@ class InOrderPipeline:
         if not self.dcache.access(lock, False):
             cost += self.dcache_miss()
         return cost
+
+    def second_access(self, addr: int) -> int:
+        """Charge a secondary access beat: the MPX bound-table walk's
+        second word, or WDL's in-check key load, read from ``addr``
+        through the D-cache. Returns the cycles charged."""
+        self._bk["wide"].value += 1
+        self.cycles += 1
+        if not self.dcache.access(addr, False):
+            return 1 + self.dcache_miss()
+        return 1
 
     # -- translate-time view (the fast engine's block fold) --------------
 

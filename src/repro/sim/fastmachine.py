@@ -17,16 +17,17 @@ points (docs/fast-iss.md covers the full contract):
 * **One semantics.** Each function is compiled from the instruction's
   row in :mod:`repro.sim.semantics` — the row the reference handler is
   compiled from — with metadata decoding inlined and only the dynamic
-  timing charges appended; the 17 rare ops without a row wrap their
-  reference handler. Engine lockstep therefore tests what only this
-  engine has (translation, superblocks, fusion, fold, unwind,
-  invalidation); ``repro conform`` tests the semantics themselves
-  against :mod:`repro.spec`.
+  timing charges appended. ``ecall`` and ``ebreak``, the terminators
+  that can trap after the fold, run their reference handler instead.
+  Engine lockstep therefore tests what only this engine has
+  (translation, superblocks, fusion, fold, unwind, invalidation);
+  ``repro conform`` tests the semantics themselves against
+  :mod:`repro.spec`.
 * **Cold entries.** The first entry at a pc runs its basic block on
   the reference ``_dispatch_loop``: decoding code that runs once costs
   more than interpreting it, and most of a short program (a Juliet
   case) runs once. Blocks and reference-loop stretches interleave
-  exactly, as they already do for budget tails and wrapped ops.
+  exactly, as they already do for budget tails.
 * **Superblocks.** Traces extend across unconditional direct jumps
   (``jal``): a call or a ``j`` does not end the trace, so a hot
   caller+callee sequence becomes one block (bounded by
@@ -53,11 +54,12 @@ points (docs/fast-iss.md covers the full contract):
   intra-block interlocks, and is summed into one per-block **fold**
   applied once per replay; a mid-block trap recomputes and applies the
   fold of the completed prefix. Only the D-cache outcome, the tchk
-  keybuffer miss and taken-branch redirects stay in the
-  per-instruction functions, charged through the same pipeline
-  methods and rows. Reference-wrapped ops self-account through the
-  real ``retire()`` and therefore occupy a block alone in timed mode,
-  reading interlock state the fold materialises at block boundaries.
+  keybuffer miss, the second access of an MPX walk or a ``vchk`` and
+  taken-branch redirects stay in the per-instruction functions,
+  charged through the same pipeline methods and rows. A wrapped
+  ``ecall``/``ebreak`` self-accounts through the real ``retire()``
+  after the fold, so a program's blocks are the same with and without
+  a timing model.
 * **Compact, GC-quiet cache.** Operands are default arguments, not
   closure cells, so a translated instruction costs about two
   GC-tracked objects (the function and its defaults tuple); no
@@ -100,10 +102,15 @@ __all__ = ["FastMachine", "MAX_TRACE"]
 #: and bloat retranslation after an invalidation).
 MAX_TRACE = 64
 
+#: Terminators that run their reference handler after the fold: they
+#: can trap, and a trapping one retires nothing, so the fold must not
+#: bill them — the handler's own retire() does, on the path that returns.
+_WRAPPED = frozenset({"ecall", "ebreak"})
+
 #: Instructions that end a basic block on the reference loop.
 _BLOCK_ENDS = frozenset(
     op for op, spec in SPEC_TABLE.items() if spec.is_branch or spec.is_jump
-) | {"ecall", "ebreak"}
+) | _WRAPPED
 
 _M64 = bits.MASK64
 
@@ -229,6 +236,11 @@ class FastMachine(Machine):
                         remaining -= n
                         pc = self.pc
                         continue
+                    if not remaining:
+                        # A spent budget fetches nothing (the tail
+                        # reports the limit): translating could raise a
+                        # fetch fault past the end of text first.
+                        break
                     block = translate(pc)
                 n = block.n
                 if remaining < n:
@@ -252,8 +264,8 @@ class FastMachine(Machine):
                 # end-of-block interlock state) applies after the body
                 # but before the terminator: a wrapped terminator
                 # (ecall) runs the reference retire, which must read
-                # the post-body pipeline state — and must not be
-                # double-counted if it traps.
+                # the post-body pipeline state — and bills nothing if
+                # it traps.
                 fold = block.fold
                 if fold is not None:
                     fold()
@@ -320,7 +332,6 @@ class FastMachine(Machine):
         if index < 0:
             raise MemoryFault(entry_pc, "pc outside text")
         instrs = program.instrs
-        dispatch = self._dispatch
         rows = semantics.ROWS
         timed = self._mode is _TIMED
         blocks = self._blocks
@@ -341,7 +352,7 @@ class FastMachine(Machine):
                 break
             ins = instrs[idx]
             op = ins.op
-            if dispatch.get(op) is None:
+            if op not in rows:
                 if count == 0:
                     raise IllegalInstruction(pc, op)
                 end_pc = pc
@@ -350,24 +361,20 @@ class FastMachine(Machine):
                 lo = pc
             if pc + 4 > hi:
                 hi = pc + 4
-            if SPEC_TABLE[op].fmt == FMT_CSR or (
-                    timed and op not in rows
-                    and op not in ("ecall", "ebreak")):
+            if SPEC_TABLE[op].fmt == FMT_CSR:
                 # CSR reads of instret/cycle must see the exact
                 # architectural count, but the block loop bulk-adds
-                # instret after the block — so a CSR op is always the
-                # sole instruction of its own block, where the count is
-                # exact at entry (every prior block fully retired). In
-                # timed mode every other reference-wrapped op joins
-                # them: its handler runs the full reference retire(),
-                # which must read interlock state the fold only
-                # materialises at block boundaries.
+                # instret and folds cycles after the block — so a CSR
+                # op is always the sole instruction of its own block,
+                # where both are exact at entry (every prior block fully
+                # retired) and its own fold runs after the read, as the
+                # reference retires after it.
                 if count:
                     end_pc = pc
                     break
                 pos[pc] = 0
                 count = 1
-                body.append(self._emit_wrapped(ins, pc))
+                body.append(self._emit(ins, pc))
                 end_pc = pc + 4
                 break
             # tchk + fused-check access -> one fused function.
@@ -415,11 +422,10 @@ class FastMachine(Machine):
                 term = self._emit(ins, pc)
                 end_pc = pc + 4  # unused: jalr always returns a target
                 break
-            if op in ("ecall", "ebreak"):
-                # May raise or (SYS_WRITE) fall through; rare enough
-                # that the reference handler is the right tool. Its
-                # retire self-accounts *after* the fold ran (the term
-                # slot runs post-fold).
+            if op in _WRAPPED:
+                # May raise or (SYS_WRITE) fall through: the reference
+                # handler retires only on the path that returns, *after*
+                # the fold ran (the term slot runs post-fold).
                 term = self._emit_wrapped(ins, pc)
                 end_pc = pc + 4
                 break
@@ -439,11 +445,10 @@ class FastMachine(Machine):
     def _static_records(self, pcs):
         """Static cost records of one trace's instructions at ``pcs``
         (in retire order): ``(ins, cycles, counter pairs, state)`` per
-        instruction with a semantics row — its census plus, timed, the
-        pipeline's :meth:`~repro.pipeline.timing.InOrderPipeline.static_cost`
-        (``state`` being the load-producer state after it).
-        Reference-wrapped instructions (ecall/ebreak included) account
-        for themselves: no record."""
+        translated instruction — its census plus, timed, the pipeline's
+        :meth:`~repro.pipeline.timing.InOrderPipeline.static_cost`
+        (``state`` being the load-producer state after it). A wrapped
+        ``ecall``/``ebreak`` accounts for itself: no record."""
         program = self.program
         instrs = program.instrs
         pl = self.timing if self._mode is _TIMED else None
@@ -451,9 +456,9 @@ class FastMachine(Machine):
         records = []
         for pc in pcs:
             ins = instrs[program.index_of(pc)]
-            row = semantics.ROWS.get(ins.op)
-            if row is None:
+            if ins.op in _WRAPPED:
                 continue
+            row = semantics.ROWS[ins.op]
             pairs = [] if row.early_census \
                 else [(self._ct[name], 1) for name in row.census]
             cycles = 0
@@ -480,7 +485,8 @@ class FastMachine(Machine):
         merged counter deltas, the static cycle total plus the
         dynamically resolved first-instruction boundary interlock, and
         the end-of-run producer state. Returns ``None`` when there is
-        nothing to fold (reference-wrapped sole blocks self-account)."""
+        nothing to fold (an untimed block without census, or a block of
+        one wrapped ``ecall``/``ebreak``, which self-accounts)."""
         if not records:
             return None
         merged: Dict[object, int] = {}
@@ -536,22 +542,22 @@ class FastMachine(Machine):
 
     def _emit(self, ins: Instr, pc: int):
         """Function for one instruction: its semantics row compiled with
-        the operands bound, or the wrapped reference handler of a rare
-        op. None when the instruction is architecturally dead (an
-        rd-only op writing x0): it still counts in instret via the
-        block's bulk add, and the fold bills it."""
-        row = semantics.ROWS.get(ins.op)
-        if row is None:
-            return self._emit_wrapped(ins, pc)
-        if row.rd_only and not ins.rd:
+        the operands bound. None when the instruction does nothing
+        architectural (an empty body, or an rd-only op writing x0): it
+        still counts in instret via the block's bulk add, and the fold
+        bills it."""
+        row = semantics.ROWS[ins.op]
+        if not row.body or (row.rd_only and not ins.rd):
             return None
         return semantics.translated(ins.op, self._mode is _TIMED)(
             self, ins, pc)
 
     def _emit_wrapped(self, ins: Instr, pc: int):
-        """Reference handler pre-bound to its operands. Used for every
-        op without a semantics row."""
-        def run(m=self, pc=pc, handler=self._dispatch[ins.op], ins=ins):
+        """The reference handler of an ``ecall``/``ebreak``, pre-bound
+        to its operands (bound here: ``_dispatch`` may still hold the
+        binding stub)."""
+        def run(m=self, pc=pc, handler=semantics.reference(ins.op)(self),
+                ins=ins):
             m.pc = pc
             return handler(ins)
 

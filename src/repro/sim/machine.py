@@ -8,14 +8,14 @@ metadata moves through the SMAC address mapping. A timing model can be
 attached to convert the retired instruction stream into cycle counts
 (the FPGA role).
 
-The semantics of the 80 hot mnemonics are rows of
+The semantics of all 97 mnemonics are rows of
 :mod:`repro.sim.semantics`, which both engines compile: this machine
-binds a row's reference handler on the first dispatch of its mnemonic.
-The 17 rare ones (CSR ops, ``fence``, ``ecall``/``ebreak``, the
-decompressing metadata loads, MPX and AVX) are the handlers written
-out below. Their single-instruction loop, ``_dispatch_loop``, is the
-*reference engine*: it runs ``step()``, observed runs and the fast
-engine's cold entries and budget tails.
+binds a row's reference handler on the first dispatch of its mnemonic,
+and keeps only what the rows call back into (the trap helpers, the CSR
+file, the lock-window snoop and ``_retire``). Its single-instruction
+loop, ``_dispatch_loop``, is the *reference engine*: it runs
+``step()``, observed runs and the fast engine's cold entries and budget
+tails.
 
 SRF propagation rules (Section 3.2 "in-pipeline propagation"):
 
@@ -48,7 +48,7 @@ from repro.errors import (
     TemporalViolation,
 )
 from repro.isa import csr as csrdef
-from repro.isa.instructions import Instr, SPEC_TABLE
+from repro.isa.instructions import Instr
 from repro.obs.host import observe_host
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.timing import BREAKDOWN_KEYS
@@ -67,17 +67,6 @@ SIM_COUNTERS = ("loads", "stores", "branches", "taken",
 _ZERO_REGS = (0,) * 32
 _INVALID_SRF = (SRF_INVALID,) * 32
 _NO_WIDE = (None,) * 32
-
-# Syscall numbers (proxy-kernel flavoured).
-SYS_WRITE = 64
-SYS_EXIT = 93
-SYS_ABORT = 1000
-# Classified safety traps raised by software protection runtimes
-# (SBCETS check failures, ASAN reports, canary smashes).
-SYS_TRAP_SPATIAL = 1001
-SYS_TRAP_TEMPORAL = 1002
-SYS_TRAP_ASAN = 1003
-SYS_TRAP_CANARY = 1004
 
 STATUS_EXIT = "exit"
 STATUS_SPATIAL = "spatial_violation"
@@ -199,8 +188,10 @@ class Machine:
         self.fault_hook: Optional[Callable[["Machine"], None]] = None
         self._lock_lo = self.config.lock_base
         self._lock_hi = self.config.lock_limit
+        # mnemonic -> handler: each row's reference handler is bound
+        # on the first dispatch of its mnemonic (see _bind_row).
         self._dispatch: Dict[str, Callable[[Instr], Optional[int]]] = \
-            self._build_dispatch()
+            dict.fromkeys(semantics.ROWS, self._bind_row)
 
     @property
     def stats(self) -> Dict[str, int]:
@@ -379,6 +370,14 @@ class Machine:
             self.instret += 1
             remaining -= 1
 
+    def _bind_row(self, ins: Instr) -> Optional[int]:
+        """First dispatch of a mnemonic: bind its reference handler (the
+        row is compiled once per process) in place of this stub, then
+        run it."""
+        handler = semantics.reference(ins.op)(self)
+        self._dispatch[ins.op] = handler
+        return handler(ins)
+
     def metrics_snapshot(self) -> Dict[str, object]:
         """Combined flat snapshot of the machine's registry plus the
         timing model's (when the pipeline keeps its own registry)."""
@@ -449,12 +448,6 @@ class Machine:
     # SRF helpers
     # ------------------------------------------------------------------
 
-    def _srf_invalidate(self, rd: int):
-        if rd == 0:
-            return
-        self.srf[rd] = SRF_INVALID
-        self.srf_wide[rd] = None
-
     def srf_metadata(self, reg: int):
         """Decompressed metadata bound to ``reg`` (testing/debug hook)."""
         lower, upper, lvalid, uvalid = self.srf[reg]
@@ -479,26 +472,9 @@ class Machine:
         :meth:`_spatial_fail`)."""
         raise TemporalViolation(self.pc, key, stored, lock)
 
-    def _spatial_bounds(self, reg: int, addr: int) -> Tuple[int, int]:
-        """Decompressed ``(base, bound)`` window of ``SRF[reg]``; an
-        unbound pointer reports a zero-window violation at ``addr``."""
-        lower, _, lvalid, _ = self.srf[reg]
-        if not lvalid:
-            self._spatial_fail(addr, 0, 0)
-        return self.compressor.decompress_spatial(lower)
-
     # ------------------------------------------------------------------
-    # Shadow memory plumbing
+    # Lock-window snoop and CSR file (the rows call these)
     # ------------------------------------------------------------------
-
-    def _smac(self, container: int) -> int:
-        """Shadow-memory address calculation (Eq. 1) + budget guard."""
-        addr = (container << 2) + self.csrs[csrdef.HWST_SM_OFFSET]
-        budget = self.config.shadow_budget
-        if budget and self.memory.shadow_bytes_touched > budget:
-            raise ShadowMemoryExhausted(
-                self.memory.shadow_bytes_touched, budget)
-        return addr
 
     def _snoop_lock_store(self, addr: int, value: int):
         """Keep the keybuffer coherent with a pointer-sized store into
@@ -512,98 +488,6 @@ class Machine:
         if tracer is not None:
             tracer.emit("kb", "clear" if value == 0 else "invalidate",
                         ts=self._now(), args={"lock": addr})
-
-    # ------------------------------------------------------------------
-    # Handlers
-    # ------------------------------------------------------------------
-
-    def _build_dispatch(self) -> Dict[str, Callable[[Instr], Optional[int]]]:
-        # The hot ops are compiled from their semantics rows, bound to
-        # this machine on first dispatch; the rare ones are below.
-        d: Dict[str, Callable[[Instr], Optional[int]]] = dict.fromkeys(
-            semantics.ROWS, self._bind_row)
-        d["ecall"] = self._op_ecall
-        d["ebreak"] = self._op_ebreak
-        d["fence"] = self._op_fence
-        d["csrrw"] = self._make_csr("w")
-        d["csrrs"] = self._make_csr("s")
-        d["csrrc"] = self._make_csr("c")
-        # HWST128 decompressing metadata loads (wrapper/library path).
-        d["lbas"] = self._make_meta_gpr_load("base")
-        d["lbnd"] = self._make_meta_gpr_load("bound")
-        d["lkey"] = self._make_meta_gpr_load("key")
-        d["lloc"] = self._make_meta_gpr_load("lock")
-        # MPX comparator model.
-        d["bndcl"] = self._op_bndcl
-        d["bndcu"] = self._op_bndcu
-        d["bndldx"] = self._op_bndldx
-        d["bndstx"] = self._op_bndstx
-        # AVX comparator model.
-        d["vld256"] = self._op_vld256
-        d["vst256"] = self._op_vst256
-        d["vchk"] = self._op_vchk
-        return d
-
-    def _bind_row(self, ins: Instr) -> Optional[int]:
-        """First dispatch of a hot op: bind its reference handler (the
-        row is compiled once per process) in place of this stub, then
-        run it."""
-        handler = semantics.reference(ins.op)(self)
-        self._dispatch[ins.op] = handler
-        return handler(ins)
-
-    def _op_fence(self, ins: Instr):
-        self._retire(ins)
-        return None
-
-    def _op_ebreak(self, ins: Instr):
-        raise EcallAbort("ebreak")
-
-    def _op_ecall(self, ins: Instr):
-        number = self.regs[17]  # a7
-        if number == SYS_EXIT:
-            raise EcallExit(bits.to_s64(self.regs[10]))
-        if number == SYS_WRITE:
-            buf, length = self.regs[11], self.regs[12]
-            self.output += self.memory.load_bytes(buf, length)
-            self.regs[10] = length
-            # Retire only on the path that returns: a trapping ecall is
-            # never counted in instret, so the profiler and the timing
-            # model must not see it either (retire fires exactly once
-            # per *retired* instruction — the fast engine relies on
-            # this invariant at trap boundaries).
-            self._retire(ins)
-            return None
-        if number == SYS_ABORT:
-            raise EcallAbort("program abort")
-        if number == SYS_TRAP_SPATIAL:
-            raise SpatialViolation(self.pc, self.regs[10], 0, 0)
-        if number == SYS_TRAP_TEMPORAL:
-            raise TemporalViolation(self.pc, self.regs[10], 0, 0)
-        if number == SYS_TRAP_ASAN:
-            raise EcallAbort("asan-report")
-        if number == SYS_TRAP_CANARY:
-            raise EcallAbort("stack-smashing-detected")
-        raise IllegalInstruction(self.pc, f"unknown ecall {number}")
-
-    def _make_csr(self, kind: str):
-        def handler(ins: Instr):
-            addr = ins.imm
-            old = self._csr_read(addr)
-            src = self.regs[ins.rs1]
-            if kind == "w":
-                self._csr_write(addr, src)
-            elif kind == "s" and ins.rs1 != 0:
-                self._csr_write(addr, old | src)
-            elif kind == "c" and ins.rs1 != 0:
-                self._csr_write(addr, old & ~src)
-            if ins.rd:
-                self.regs[ins.rd] = old
-                self._srf_invalidate(ins.rd)
-            self._retire(ins)
-            return None
-
-        return handler
 
     def _csr_read(self, addr: int) -> int:
         if addr == csrdef.CYCLE:
@@ -619,115 +503,3 @@ class Machine:
             self._lock_lo = value
         elif addr == csrdef.HWST_LOCK_LIMIT:
             self._lock_hi = value
-
-    # -- HWST128 ---------------------------------------------------------
-
-    def _make_meta_gpr_load(self, which: str):
-        temporal = which in ("key", "lock")
-        ct_loads = self._ct["loads"]
-        ct_hwst = self._ct["hwst_ops"]
-        ct_shadow = self._ct["shadow_ops"]
-
-        def handler(ins: Instr):
-            container = bits.to_u64(self.regs[ins.rs1] + ins.imm)
-            shadow_addr = self._smac(container) + (8 if temporal else 0)
-            value = self.memory.load_u64(shadow_addr)
-            if temporal:
-                key, lock = self.compressor.decompress_temporal(value)
-                result = key if which == "key" else lock
-            else:
-                base, bound = self.compressor.decompress_spatial(value)
-                result = base if which == "base" else bound
-            if ins.rd:
-                self.regs[ins.rd] = bits.to_u64(result)
-                self._srf_invalidate(ins.rd)
-            ct_loads.value += 1
-            ct_hwst.value += 1
-            ct_shadow.value += 1
-            self._retire(ins, mem_addr=shadow_addr)
-            return None
-
-        return handler
-
-    # -- MPX comparator model ---------------------------------------------
-
-    def _op_bndcl(self, ins: Instr):
-        addr = self.regs[ins.rs2]
-        base, bound = self._spatial_bounds(ins.rs1, addr)
-        if addr < base:
-            self._spatial_fail(addr, base, bound)
-        self._retire(ins)
-        return None
-
-    def _op_bndcu(self, ins: Instr):
-        addr = self.regs[ins.rs2]
-        base, bound = self._spatial_bounds(ins.rs1, addr)
-        if addr >= bound:
-            self._spatial_fail(addr, base, bound)
-        self._retire(ins)
-        return None
-
-    def _op_bndldx(self, ins: Instr):
-        container = bits.to_u64(self.regs[ins.rs1] + ins.imm)
-        shadow_addr = self._smac(container)
-        value = self.memory.load_u64(shadow_addr)
-        _, upper_v, _, uvalid = self.srf[ins.rd]
-        self.srf[ins.rd] = (value, upper_v, True, uvalid)
-        self._ct["loads"].value += 2  # MPX bound-table walk: two accesses
-        self._ct["shadow_ops"].value += 1
-        self._retire(ins, mem_addr=shadow_addr, mem2=shadow_addr + 8)
-        return None
-
-    def _op_bndstx(self, ins: Instr):
-        container = bits.to_u64(self.regs[ins.rs1] + ins.imm)
-        shadow_addr = self._smac(container)
-        lower_v, _, lvalid, _ = self.srf[ins.rs2]
-        self.memory.store_u64(shadow_addr, lower_v if lvalid else 0)
-        self._ct["stores"].value += 2
-        self._ct["shadow_ops"].value += 1
-        self._retire(ins, mem_addr=shadow_addr, is_store=True,
-                     mem2=shadow_addr + 8)
-        return None
-
-    # -- AVX comparator model -----------------------------------------------
-
-    def _op_vld256(self, ins: Instr):
-        container = bits.to_u64(self.regs[ins.rs1] + ins.imm)
-        shadow_addr = self._smac(container)
-        fields = tuple(self.memory.load_u64(shadow_addr + 8 * i)
-                       for i in range(4))
-        self.srf_wide[ins.rd] = fields  # (base, bound, key, lock)
-        self.srf[ins.rd] = SRF_INVALID
-        self._ct["loads"].value += 1
-        self._ct["shadow_ops"].value += 1
-        self._retire(ins, mem_addr=shadow_addr)
-        return None
-
-    def _op_vst256(self, ins: Instr):
-        container = bits.to_u64(self.regs[ins.rs1] + ins.imm)
-        shadow_addr = self._smac(container)
-        fields = self.srf_wide[ins.rs2] or (0, 0, 0, 0)
-        for i, value in enumerate(fields):
-            self.memory.store_u64(shadow_addr + 8 * i, value)
-        self._ct["stores"].value += 1
-        self._ct["shadow_ops"].value += 1
-        self._retire(ins, mem_addr=shadow_addr, is_store=True)
-        return None
-
-    def _op_vchk(self, ins: Instr):
-        """WDL wide check: spatial + temporal in one vector operation."""
-        wide = self.srf_wide[ins.rs1]
-        addr = self.regs[ins.rs2]
-        if wide is None:
-            self._spatial_fail(addr, 0, 0)
-        base, bound, key, lock = wide
-        if addr < base or addr >= bound:
-            self._spatial_fail(addr, base, bound)
-        mem2 = None
-        if lock:
-            stored = self.memory.load_u64(lock)
-            mem2 = lock
-            if stored != key:
-                self._temporal_fail(key, stored, lock)
-        self._retire(ins, mem2=mem2)
-        return None

@@ -1,24 +1,23 @@
-"""Instruction semantics, once: one source template per hot mnemonic.
+"""Instruction semantics, once: one source template per mnemonic.
 
-:data:`ROWS` holds one :class:`Row` per mnemonic the fast engine
-translates natively (80 of the 97 in ``SPEC_TABLE``). A row states what
-the instruction does as Python source over named operands, the
-``sim.*`` census it bills and what the timing model reads of it. Both
-engines compile their code from it:
+:data:`ROWS` holds one :class:`Row` for each of the 97 mnemonics in
+``SPEC_TABLE``. A row states what the instruction does as Python source
+over named operands, the ``sim.*`` census it bills and what the timing
+model reads of it. Both engines compile their code from it:
 
 * :func:`reference` gives the reference engine's handler
   (``Machine._dispatch``): an operand prologue that reads ``ins``, the
   body, the census and ``m._retire(...)``;
 * :func:`translated` gives the fast engine's per-instruction function:
   operands bound as default arguments, the body, then only the dynamic
-  charges (D-cache outcome, keybuffer miss, taken-branch redirect) —
-  the census and every static cost go to the block's fold;
+  charges (D-cache outcome, keybuffer miss, second access, taken-branch
+  redirect) — the census and every static cost go to the block's fold;
 * :func:`fused` composes the ``tchk`` row with a checked access into one
   translated function that still retires as two instructions.
 
-The 17 rare mnemonics (CSR ops, ``fence``, ``ecall``/``ebreak``, the
-decompressing metadata loads, MPX and AVX) have no row: they stay
-hand-written reference handlers, which the fast engine wraps.
+The fast engine translates every row but ``ecall`` and ``ebreak``: those
+two terminators can trap after the block's fold has run, so it runs
+their reference handler, which retires (and bills) itself.
 
 A body is a block of statements. It reads the names below, and nothing
 else of the machine:
@@ -33,7 +32,8 @@ else of the machine:
 * ``memory``, ``csrs`` and ``comp`` (the compressor): state ``reset()``
   — or a ``codec_corrupt`` fault, mid-run — replaces, so the reference
   handler reads them through ``m`` on every call;
-* ``m``, the machine, for the trap helpers and the lock-window snoop.
+* ``m``, the machine, for the trap helpers, the CSR file, the output
+  stream and the lock-window snoop.
 
 Some lines differ per variant. A line starting ``ref:`` is only in the
 reference handler: tracer hooks (the fast engine never runs with a
@@ -58,12 +58,18 @@ from typing import Callable, Dict, NamedTuple, Tuple
 
 from repro import bits
 from repro.core.config import ALIGN_SHIFT
-from repro.errors import ShadowMemoryExhausted
+from repro.errors import (
+    EcallAbort,
+    EcallExit,
+    IllegalInstruction,
+    ShadowMemoryExhausted,
+)
 from repro.isa import csr as csrdef
 from repro.isa.instructions import SPEC_TABLE
 
 __all__ = ["Row", "ROWS", "SRF_INVALID", "reference", "translated",
-           "fused"]
+           "fused", "SYS_WRITE", "SYS_EXIT", "SYS_ABORT", "SYS_TRAP_SPATIAL",
+           "SYS_TRAP_TEMPORAL", "SYS_TRAP_ASAN", "SYS_TRAP_CANARY"]
 
 # SRF entry: (lower, upper, spatial_valid, temporal_valid)
 SRF_INVALID = (0, 0, False, False)
@@ -74,12 +80,14 @@ M64 = bits.MASK64
 class Row(NamedTuple):
     """One mnemonic's semantics."""
 
-    body: str                 # statements over the names above
-    census: Tuple[str, ...]   # sim.* counters billed once per retire
+    body: str                 # statements over the names above (may be empty)
+    census: Tuple[str, ...]   # sim.* counters billed per retire (may repeat)
     #: What the timing model reads (a ``_CHARGES`` key): nothing, the
-    #: ``addr`` of a "load" or "store", the ``taken`` outcome and
-    #: ``target`` of a "branch", the ``target`` of a "jump", or the
-    #: keybuffer-miss lock ``mem2`` of a "tchk".
+    #: ``addr`` of a "load" or "store", that ``addr`` and the bound-table
+    #: walk's second word ``addr + 8`` of a "walk load" or "walk store",
+    #: the ``taken`` outcome and ``target`` of a "branch", the ``target``
+    #: of a "jump", the keybuffer-miss lock ``mem2`` of a "tchk", or the
+    #: in-check key load from ``lock`` of a "vchk".
     charge: str = ""
     decode: Tuple[Tuple[str, str], ...] = ()  # row-specific operands
     rd_only: bool = False     # the body only writes x[rd] (a nop for x0)
@@ -226,15 +234,33 @@ _BRANCH_COND = {
     "bgeu": "regs[rs1] >= regs[rs2]",
 }
 
-# SCU: the fused bounds check of ``addr`` against SRF[rs1].
-_SPATIAL_CHECK = """
+# Metadata decoding: through the compressor ``comp`` in the reference
+# (a codec fault may replace it mid-run), with its masks inline in the
+# translated function. ``lower`` -> ``base``/``bound``, ``upper`` ->
+# ``key``/``lock``.
+_SPATIAL_DECODE = """
+ref: base, bound = comp.decompress_spatial(lower)
+fast: base = (lower & base_mask) << ALIGN_SHIFT
+fast: bound = base + (((lower >> base_w) & range_mask) << ALIGN_SHIFT)
+"""
+_TEMPORAL_DECODE = """
+ref: key, lock = comp.decompress_temporal(upper)
+fast: lock = upper & lock_mask
+fast: key = (upper >> lock_w) & key_mask
+fast: if lock:
+fast:     lock = lock_base + ((lock - 1) << 3)
+"""
+
+# The window SRF[rs1] bounds ``addr`` to; an unbound pointer fails.
+_SPATIAL_BOUNDS = """
 e = srf[rs1]
 if not e[2]:
     m._spatial_fail(addr, 0, 0)
 lower = e[0]
-ref: base, bound = comp.decompress_spatial(lower)
-fast: base = (lower & base_mask) << ALIGN_SHIFT
-fast: bound = base + (((lower >> base_w) & range_mask) << ALIGN_SHIFT)
+""" + _SPATIAL_DECODE
+
+# SCU: the fused bounds check of ``addr`` against SRF[rs1].
+_SPATIAL_CHECK = _SPATIAL_BOUNDS + """
 if addr < base or addr + {nbytes} > bound:
     m._spatial_fail(addr, base, bound)
 """
@@ -260,11 +286,7 @@ e = srf[rs1]
 if not e[3]:
     m._temporal_fail(0, 0, 0)
 upper = e[1]
-ref: key, lock = comp.decompress_temporal(upper)
-fast: lock = upper & lock_mask
-fast: key = (upper >> lock_w) & key_mask
-fast: if lock:
-fast:     lock = lock_base + ((lock - 1) << 3)
+""" + _TEMPORAL_DECODE + """
 if lock == 0:
     m._temporal_fail(key, 0, 0)
 cached = kb.lookup(lock)
@@ -346,6 +368,85 @@ def _shadow(upper: bool, store: bool) -> Row:
     return Row(body, census, "store" if store else "load", traps=True)
 
 
+def _meta_load(field: str) -> Row:
+    """lbas/lbnd/lkey/lloc: one field of a shadow half, decoded, -> x[rd]."""
+    if field in ("key", "lock"):
+        body = _SMAC.format(off=" + 8") + "upper = memory.load_u64(addr)\n" \
+            + _TEMPORAL_DECODE
+    else:
+        body = _SMAC.format(off="") + "lower = memory.load_u64(addr)\n" \
+            + _SPATIAL_DECODE
+    body += _WRITE_RD_UNLESS_X0.format(value=f"{field} & 0xFFFFFFFFFFFFFFFF")
+    return Row(body, ("loads", "hwst_ops", "shadow_ops"), "load", traps=True)
+
+
+def _bndc(test: str) -> Row:
+    """bndcl/bndcu: one side of SRF[rs1]'s window against x[rs2]."""
+    body = "addr = regs[rs2]\n" + _SPATIAL_BOUNDS \
+        + f"if {test}:\n    m._spatial_fail(addr, base, bound)\n"
+    return Row(body, (), traps=True)
+
+
+# WDL wide check: spatial and temporal in one vector compare of the
+# (base, bound, key, lock) fields; the key load is inside the check.
+_VCHK = """
+wide = srf_wide[rs1]
+addr = regs[rs2]
+if wide is None:
+    m._spatial_fail(addr, 0, 0)
+base, bound, key, lock = wide
+if addr < base or addr >= bound:
+    m._spatial_fail(addr, base, bound)
+if lock:
+    stored = memory.load_u64(lock)
+    if stored != key:
+        m._temporal_fail(key, stored, lock)
+"""
+
+# CSR ops read the old value (m._csr_read knows cycle/instret) and write
+# through m._csr_write (which moves the keybuffer's lock window).
+_CSR_WRITE = {
+    "csrrw": "m._csr_write(imm, regs[rs1])\n",
+    "csrrs": "if rs1:\n    m._csr_write(imm, old | regs[rs1])\n",
+    "csrrc": "if rs1:\n    m._csr_write(imm, old & ~regs[rs1])\n",
+}
+
+# Syscall numbers (proxy-kernel flavoured).
+SYS_WRITE = 64
+SYS_EXIT = 93
+SYS_ABORT = 1000
+# Classified safety traps raised by software protection runtimes
+# (SBCETS check failures, ASAN reports, canary smashes).
+SYS_TRAP_SPATIAL = 1001
+SYS_TRAP_TEMPORAL = 1002
+SYS_TRAP_ASAN = 1003
+SYS_TRAP_CANARY = 1004
+
+# Only SYS_WRITE returns (and retires): a trapping ecall is never
+# counted, so neither the profiler nor the timing model may see it.
+_ECALL = """
+number = regs[17]
+if number == SYS_EXIT:
+    raise EcallExit((regs[10] ^ 0x8000000000000000) - 0x8000000000000000)
+if number == SYS_WRITE:
+    length = regs[12]
+    m.output += memory.load_bytes(regs[11], length)
+    regs[10] = length
+elif number == SYS_ABORT:
+    raise EcallAbort("program abort")
+elif number == SYS_TRAP_SPATIAL:
+    m._spatial_fail(regs[10], 0, 0)
+elif number == SYS_TRAP_TEMPORAL:
+    m._temporal_fail(regs[10], 0, 0)
+elif number == SYS_TRAP_ASAN:
+    raise EcallAbort("asan-report")
+elif number == SYS_TRAP_CANARY:
+    raise EcallAbort("stack-smashing-detected")
+else:
+    raise IllegalInstruction(m.pc, f"unknown ecall {number}")
+"""
+
+
 def _build_rows() -> Dict[str, Row]:
     rows: Dict[str, Row] = {}
     for op, spec in SPEC_TABLE.items():
@@ -385,10 +486,44 @@ def _build_rows() -> Dict[str, Row]:
     rows["sbdu"] = _shadow(upper=True, store=True)
     rows["lbdls"] = _shadow(upper=False, store=False)
     rows["lbdus"] = _shadow(upper=True, store=False)
+    # Decompressing metadata loads (the wrapper/library path).
+    for op, field in (("lbas", "base"), ("lbnd", "bound"),
+                      ("lkey", "key"), ("lloc", "lock")):
+        rows[op] = _meta_load(field)
+    # MPX comparator model: the bound-table walk accesses two words.
+    rows["bndcl"] = _bndc("addr < base")
+    rows["bndcu"] = _bndc("addr >= bound")
+    smac = _SMAC.format(off="")
+    rows["bndldx"] = Row(
+        smac + "value = memory.load_u64(addr)\n"
+        "e = srf[rd]\nsrf[rd] = (value, e[1], True, e[3])\n",
+        ("loads", "loads", "shadow_ops"), "walk load", traps=True)
+    rows["bndstx"] = Row(
+        smac + "e = srf[rs2]\nmemory.store_u64(addr, e[0] if e[2] else 0)\n",
+        ("stores", "stores", "shadow_ops"), "walk store", traps=True)
+    # AVX comparator model: four metadata words per 256-bit access.
+    rows["vld256"] = Row(
+        smac + "srf_wide[rd] = (\n"
+        "    memory.load_u64(addr), memory.load_u64(addr + 8),\n"
+        "    memory.load_u64(addr + 16), memory.load_u64(addr + 24))\n"
+        "srf[rd] = INVALID\n",
+        ("loads", "shadow_ops"), "load", traps=True)
+    rows["vst256"] = Row(
+        smac + "fields = srf_wide[rs2] or (0, 0, 0, 0)\n"
+        "for i in range(4):\n"
+        "    memory.store_u64(addr + 8 * i, fields[i])\n",
+        ("stores", "shadow_ops"), "store", traps=True)
+    rows["vchk"] = Row(_VCHK, (), "vchk", traps=True)
+    rows["fence"] = Row("", ())
+    for op, write in _CSR_WRITE.items():
+        rows[op] = Row("old = m._csr_read(imm)\n" + write
+                       + _WRITE_RD_UNLESS_X0.format(value="old"), ())
+    rows["ecall"] = Row(_ECALL, (), traps=True)
+    rows["ebreak"] = Row('raise EcallAbort("ebreak")\n', (), traps=True)
     return rows
 
 
-#: mnemonic -> Row, for every mnemonic the fast engine translates.
+#: mnemonic -> Row, for every mnemonic of ``SPEC_TABLE``.
 ROWS: Dict[str, Row] = _build_rows()
 
 
@@ -428,6 +563,20 @@ if taken:
 timed: if mem2 is not None:
 timed:     pl.key_load(mem2)
 """),
+    "walk load": ("m._retire(ins, addr, False, False, None, addr + 8)", """
+timed: if not dcache.access(addr, False):
+timed:     pl.dcache_miss()
+timed: pl.second_access(addr + 8)
+"""),
+    "walk store": ("m._retire(ins, addr, True, False, None, addr + 8)", """
+timed: if not dcache.access(addr, True):
+timed:     pl.dcache_miss()
+timed: pl.second_access(addr + 8)
+"""),
+    "vchk": ("m._retire(ins, None, False, False, None, lock or None)", """
+timed: if lock:
+timed:     pl.second_access(lock)
+"""),
 }
 
 _FIELDS = {"rd": "ins.rd", "rs1": "ins.rs1", "rs2": "ins.rs2",
@@ -456,8 +605,11 @@ _FAST_ONLY = {
 _NAMESPACE = {
     "INVALID": SRF_INVALID, "ALIGN_SHIFT": ALIGN_SHIFT,
     "SM_OFFSET": csrdef.HWST_SM_OFFSET,
-    "ShadowMemoryExhausted": ShadowMemoryExhausted,
+    "ShadowMemoryExhausted": ShadowMemoryExhausted, "EcallAbort": EcallAbort,
+    "EcallExit": EcallExit, "IllegalInstruction": IllegalInstruction,
     "sext32": sext32, "div64": div64, "rem64": rem64,
+    **{name: value for name, value in globals().items()
+       if name.startswith("SYS_")},
 }
 
 
@@ -513,7 +665,7 @@ def _compile(name: str, params: str, function: str, binds: Dict[str, str],
                      for arg, default in binds.items())
     source = (f"def make({params}):\n"
               f"    def {function}({args}):\n"
-              + _indent(_indent(statements))
+              + _indent(_indent(statements or "pass\n"))
               + f"    return {function}\n")
     filename = f"<semantics:{name}>"
     linecache.cache[filename] = (len(source), None,

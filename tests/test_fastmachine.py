@@ -36,8 +36,8 @@ from repro.pipeline.timing import InOrderPipeline
 from repro.schemes import compile_source
 from repro.sim import DEFAULT_ENGINE, ENGINES, FastMachine, make_machine
 from repro.sim.machine import (
-    Machine, STATUS_EXIT, STATUS_FAULT, STATUS_LIMIT, STATUS_SPATIAL,
-    STATUS_TEMPORAL,
+    Machine, STATUS_ABORT, STATUS_EXIT, STATUS_FAULT, STATUS_LIMIT,
+    STATUS_SPATIAL, STATUS_TEMPORAL,
 )
 from repro.sim.memory import DEFAULT_LAYOUT
 from repro.sim.program import Program
@@ -85,16 +85,18 @@ def eager_fast(**kwargs):
     return machine
 
 
-def run_both(instrs, **kwargs):
+def run_both(instrs, timed=False):
     """Run an instruction sequence on the reference and the (eagerly
-    translating) fast engine; return machines and results after
-    asserting observational equivalence."""
-    ref = Machine(**kwargs)
-    fast = eager_fast(**kwargs)
+    translating) fast engine, each with its own timing model when
+    ``timed``; return machines and results after asserting
+    observational equivalence."""
+    ref = Machine(timing=InOrderPipeline() if timed else None)
+    fast = eager_fast(timing=InOrderPipeline() if timed else None)
     a = ref.run(make_program(instrs))
     b = fast.run(make_program(instrs))
     assert_results_equal(a, b)
     assert ref.regs == fast.regs
+    assert ref.srf == fast.srf and ref.srf_wide == fast.srf_wide
     return ref, fast, a, b
 
 
@@ -139,7 +141,8 @@ class TestWorkloadLockstep:
     """Ref-vs-fast over real workload kernels, timed and untimed."""
 
     @pytest.mark.parametrize("workload", ("sha", "treeadd", "dijkstra"))
-    @pytest.mark.parametrize("scheme", ("baseline", "hwst128_tchk"))
+    @pytest.mark.parametrize("scheme", ("baseline", "hwst128_tchk", "hwst128",
+                                        "bogo", "wdl_wide"))
     @pytest.mark.parametrize("timed", (False, True),
                              ids=("untimed", "timed"))
     def test_lockstep(self, workload, scheme, timed):
@@ -148,6 +151,23 @@ class TestWorkloadLockstep:
         fast = run_on(FastMachine, source, scheme, timed)
         assert ref.status == STATUS_EXIT and ref.exit_code == 0
         assert_results_equal(ref, fast, f"{workload}/{scheme}")
+
+
+class TestBlocksIgnoreTiming:
+    """A program translates into the same blocks with and without a
+    timing model: no op needs a block of its own to retire timed."""
+
+    @pytest.mark.parametrize("scheme", ("hwst128", "bogo", "wdl_wide"))
+    def test_timed_blocks_are_untimed_blocks(self, scheme):
+        program = compile_source(WORKLOADS["sha"].source("small"), scheme,
+                                 HwstConfig())
+        stats = {}
+        for timed in (False, True):
+            machine = FastMachine(config=HwstConfig(),
+                                  timing=InOrderPipeline() if timed else None)
+            assert machine.run(program).ok
+            stats[timed] = machine.fast_stats()
+        assert stats[True] == stats[False]
 
 
 class TestFuzzLockstep:
@@ -159,9 +179,10 @@ class TestFuzzLockstep:
     translation, or after cold entries on the reference loop, as the
     default engine runs them. Every program runs untimed and timed
     (where a mid-block trap unwinds the block's timing fold) under
-    three schemes, ``hwst128_tchk`` adding fused ``tchk`` pairs, and
-    the full counter census must match. CI runs the same sweep at 200
-    programs (REPRO_LOCKSTEP_FUZZ_N=200).
+    five schemes — ``hwst128_tchk`` adding fused ``tchk`` pairs,
+    ``hwst128`` its metadata loads, ``bogo`` and ``wdl_wide`` the MPX
+    and AVX ops — and the full counter census must match. CI runs the
+    same sweep at 200 programs (REPRO_LOCKSTEP_FUZZ_N=200).
     """
 
     N = int(os.environ.get("REPRO_LOCKSTEP_FUZZ_N", "20"))
@@ -180,7 +201,8 @@ class TestFuzzLockstep:
         trapping = fused = 0
         for index, kind in plan_programs(seed=29, count=self.N):
             program = generate_program(29, index, kind)
-            for scheme in ("hwst128", "hwst128_tchk", "sbcets"):
+            for scheme in ("hwst128", "hwst128_tchk", "sbcets", "bogo",
+                           "wdl_wide"):
                 for timed in (False, True):
                     ref = run_on(Machine, program.source, scheme, timed,
                                  cache=cache, max_instructions=2_000_000)
@@ -379,29 +401,122 @@ class TestTrapAccounting:
     def test_csr_instret_read_is_exact(self):
         # A csrrs of instret in the middle of hot code must observe
         # the exact architectural count despite the fast engine's
-        # bulk per-block crediting.
+        # bulk per-block crediting. Timed, a read of cycle must see
+        # every cost folded before it (a D-cache miss, a load-use
+        # stall, mul latency) and none of its own.
+        read_cycle = Instr("csrrs", rd=9, rs1=0, imm=csrdef.CYCLE)
         seq = [
             Instr("addi", rd=6, rs1=0, imm=1),
             Instr("addi", rd=6, rs1=6, imm=1),
             Instr("csrrs", rd=5, rs1=0, imm=csrdef.INSTRET),
             Instr("addi", rd=6, rs1=6, imm=1),
+        ] + li_sequence(7, DEFAULT_LAYOUT.heap_base) + [
+            Instr("ld", rd=7, rs1=7, imm=0),
+            Instr("addi", rd=8, rs1=7, imm=1),
+            Instr("mul", rd=8, rs1=8, rs2=8),
+            read_cycle,
+            Instr("addi", rd=6, rs1=6, imm=1),
         ] + exit_seq()
-        ref, fast, _, _ = run_both(seq)
-        assert ref.regs[5] == 2
-        assert fast.regs[5] == 2
+        before = seq.index(read_cycle)
+        cycles = {}
+        for timed in (False, True):
+            ref, fast, _, _ = run_both(seq, timed)
+            assert ref.regs[5] == fast.regs[5] == 2
+            cycles[timed] = ref.regs[9]
+        miss = InOrderPipeline().params.dcache_miss_penalty
+        assert cycles[False] == before       # untimed, cycle is instret
+        assert cycles[True] > before + miss
 
     def test_limit_trap_matches(self):
         # Budget exhaustion mid-loop: the fast engine's budget tail
         # runs on the reference loop and must report the same limit.
-        seq = [
-            Instr("addi", rd=5, rs1=5, imm=1),
-            Instr("jal", rd=0, imm=-4),
-        ]
-        ref = Machine().run(make_program(seq), max_instructions=1001)
-        fast = FastMachine().run(make_program(seq),
-                                 max_instructions=1001)
-        assert ref.status == STATUS_LIMIT
-        assert_results_equal(ref, fast, "limit")
+        # A budget that ends exactly at the end of text is a limit
+        # too, not a fetch outside text: nothing translates past it.
+        loop = [Instr("addi", rd=5, rs1=5, imm=1),
+                Instr("jal", rd=0, imm=-4)]
+        straight = [Instr("addi", rd=5, rs1=5, imm=1)] * 3
+        for seq, budget, new_fast in ((loop, 1001, FastMachine),
+                                      (straight, 3, eager_fast)):
+            ref = Machine().run(make_program(seq), max_instructions=budget)
+            fast = new_fast().run(make_program(seq),
+                                  max_instructions=budget)
+            assert ref.status == STATUS_LIMIT
+            assert_results_equal(ref, fast, f"limit {budget}")
+
+
+HEAP = DEFAULT_LAYOUT.heap_base
+#: A 64-byte object, and the lock/key pair of a live allocation.
+BASE, BOUND = HEAP + 0x100, HEAP + 0x140
+LOCK, KEY = HEAP + 0x300, 0x1234
+
+
+def bound_srf(rd):
+    """SRF[rd] <- the spatial window [BASE, BOUND)."""
+    return li_sequence(28, BASE) + li_sequence(29, BOUND) + [
+        Instr("bndrs", rd=rd, rs1=28, rs2=29)]
+
+
+def wide_srf(rd, lock=0):
+    """Wide SRF[rd] <- (BASE, BOUND, KEY, lock), through shadow memory
+    and ``vld256``; a non-zero ``lock`` holds KEY."""
+    container = HEAP + 0x200
+    shadow = (container << 2) + HwstConfig().shadow_offset
+    seq = li_sequence(6, shadow)
+    for i, value in enumerate((BASE, BOUND, KEY, lock)):
+        seq += li_sequence(7, value) + [Instr("sd", rs1=6, rs2=7, imm=8 * i)]
+    if lock:
+        seq += li_sequence(6, lock) + li_sequence(7, KEY) + [
+            Instr("sd", rs1=6, rs2=7, imm=0)]
+    return seq + li_sequence(6, container) + [
+        Instr("vld256", rd=rd, rs1=6, imm=0)]
+
+
+class TestRareRows:
+    """Eagerly translated, timed and untimed: the rows no scheme emits
+    (``lbnd``, ``csrrc``, ``fence``, ``ebreak``) or traps on (a failing
+    ``bndcl``, ``bndcu`` or ``vchk``), and a ``vchk`` whose in-check
+    key load is a second access."""
+
+    CASES = {
+        "lbnd": (bound_srf(5) + li_sequence(6, BASE) + [
+            Instr("sbdl", rs1=6, rs2=5, imm=0),
+            Instr("lbnd", rd=7, rs1=6, imm=0),
+            Instr("addi", rd=8, rs1=7, imm=0)], STATUS_EXIT),
+        "csrrc": (li_sequence(6, 1) + [
+            Instr("csrrc", rd=5, rs1=6, imm=csrdef.HWST_STATUS),
+            Instr("csrrc", rd=7, rs1=0, imm=csrdef.HWST_STATUS),
+            Instr("csrrs", rd=8, rs1=0, imm=csrdef.HWST_STATUS)],
+            STATUS_EXIT),
+        "fence": ([Instr("addi", rd=5, rs1=0, imm=1), Instr("fence"),
+                   Instr("addi", rd=5, rs1=5, imm=1)], STATUS_EXIT),
+        "ebreak": ([Instr("addi", rd=5, rs1=0, imm=1), Instr("ebreak")],
+                   STATUS_ABORT),
+        "bndcl": (bound_srf(5) + li_sequence(6, BASE - 8) + [
+            Instr("bndcl", rs1=5, rs2=6)], STATUS_SPATIAL),
+        "bndcu": (bound_srf(5) + li_sequence(6, BOUND) + [
+            Instr("bndcu", rs1=5, rs2=6)], STATUS_SPATIAL),
+        "vchk": (wide_srf(9) + li_sequence(10, BOUND) + [
+            Instr("vchk", rs1=9, rs2=10)], STATUS_SPATIAL),
+        "vchk_lock": (wide_srf(9, LOCK) + li_sequence(10, BASE) + [
+            Instr("vchk", rs1=9, rs2=10),
+            Instr("addi", rd=11, rs1=10, imm=8),
+            Instr("vchk", rs1=9, rs2=11)], STATUS_EXIT),
+    }
+
+    @pytest.mark.parametrize("timed", (False, True),
+                             ids=("untimed", "timed"))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_lockstep(self, case, timed):
+        seq, status = self.CASES[case]
+        ref, fast, result, _ = run_both(seq + exit_seq(), timed)
+        assert result.status == status, result.detail
+        assert fast.fast_stats()["block_runs"] > 0
+        if case == "lbnd":
+            assert ref.regs[8] == BOUND
+        if case == "csrrc":
+            assert (ref.regs[5], ref.regs[7], ref.regs[8]) == (3, 2, 2)
+        if status != STATUS_EXIT:
+            assert result.trap_pc == TEXT + 4 * (len(seq) - 1)
 
 
 class TestObservedModes:
@@ -666,6 +781,13 @@ class TestEngineIdentity:
 
         doc = self._on_both(monkeypatch, built, lambda: fig4_overhead(
             scale="small", workloads=["treeadd"]))
+        assert "sim.fast" not in doc
+
+    def test_fig5_rows(self, monkeypatch, built):
+        from repro.harness.experiments import fig5_speedup
+
+        doc = self._on_both(monkeypatch, built, lambda: fig5_speedup(
+            scale="small", workloads=["gobmk"]))
         assert "sim.fast" not in doc
 
     def test_juliet_coverage(self, monkeypatch, built):

@@ -180,11 +180,13 @@ class TestRuntimeInjectors:
 class TestCodecFaultSites:
     """``codec_corrupt`` reaches every decode site of the reference loop
     (which runs every fault-hooked run, on either engine): armed just
-    before a ``sd.chk``, ``ld.chk`` or ``tchk``, the flipped bit turns
-    a clean exit into a violation at that instruction. The first
-    execution of each is armed before its handler is bound; the last
-    one after, so a handler that kept the compressor it was bound with
-    misses the fault."""
+    before a ``sd.chk``, ``ld.chk``, ``tchk``, an MPX bounds check or a
+    metadata load, the flipped bit turns a clean exit into a violation.
+    A check traps at that instruction; a metadata load feeds
+    ``hwst128``'s software check, whose runtime raises the trap later.
+    The first execution of each is armed before its handler is bound;
+    the last one after, so a handler that kept the compressor it was
+    bound with misses the fault."""
 
     SOURCE = """
 int main() {
@@ -199,34 +201,54 @@ int main() {
 
     @pytest.fixture(scope="class")
     def sites(self):
-        program = compile_source(self.SOURCE, "hwst128_tchk", HwstConfig())
-        machine = Machine()
-        machine.load(program)
-        seen = {}  # op -> [(instret, pc), ...] in execution order
-        with pytest.raises(EcallExit):
-            while True:
-                op = program.instr_at(machine.pc).op
-                seen.setdefault(op, []).append((machine.instret, machine.pc))
-                machine.step()
-        return program, seen
+        """scheme -> (program, {op: [(instret, pc), ...]} in execution
+        order), traced on first use."""
+        traced = {}
+
+        def of(scheme):
+            if scheme not in traced:
+                program = compile_source(self.SOURCE, scheme, HwstConfig())
+                machine = Machine()
+                machine.load(program)
+                seen = {}
+                with pytest.raises(EcallExit):
+                    while True:
+                        op = program.instr_at(machine.pc).op
+                        seen.setdefault(op, []).append(
+                            (machine.instret, machine.pc))
+                        machine.step()
+                traced[scheme] = program, seen
+            return traced[scheme]
+
+        return of
 
     @pytest.mark.parametrize("engine", ("ref", "fast"))
     @pytest.mark.parametrize("nth", (0, -1))
-    @pytest.mark.parametrize("op, select", [("sd.chk", 0), ("ld.chk", 0),
-                                            ("tchk", 1)])
-    def test_armed_before_a_check_flips_it(self, sites, engine, nth, op,
-                                           select):
-        program, seen = sites
+    @pytest.mark.parametrize("scheme, op, select, bit", [
+        pytest.param("hwst128_tchk", "sd.chk", 0, 2, id="sd.chk-0"),
+        pytest.param("hwst128_tchk", "ld.chk", 0, 2, id="ld.chk-0"),
+        pytest.param("hwst128_tchk", "tchk", 1, 2, id="tchk-1"),
+        pytest.param("bogo", "bndcl", 0, 2, id="bogo-bndcl"),
+        pytest.param("bogo", "bndcu", 0, 37, id="bogo-bndcu"),
+        pytest.param("hwst128", "lloc", 1, 2, id="hwst128-lloc"),
+        pytest.param("hwst128", "lkey", 1, 20, id="hwst128-lkey"),
+    ])
+    def test_armed_before_a_check_flips_it(self, sites, engine, nth, scheme,
+                                           op, select, bit):
+        program, seen = sites(scheme)
         assert len(seen[op]) > 1
         instret, pc = seen[op][nth]
         assert make_machine(engine).run(program).ok
         machine = make_machine(engine)
         machine.fault_hook = RuntimeInjector(FaultSpec(
-            kind="codec_corrupt", trigger=instret, bit=2, select=select))
+            kind="codec_corrupt", trigger=instret, bit=bit, select=select))
         result = machine.run(program)
-        assert result.trap_class in ("SpatialViolation",
-                                     "TemporalViolation"), result.status
-        assert result.trap_pc == pc
+        if op in ("lkey", "lloc"):
+            assert result.trap_class == "TemporalViolation", result.status
+        else:
+            assert result.trap_class in ("SpatialViolation",
+                                         "TemporalViolation"), result.status
+            assert result.trap_pc == pc
 
 
 class TestLinkFaults:

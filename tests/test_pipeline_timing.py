@@ -333,6 +333,29 @@ class TestDynamicCharges:
         assert p.breakdown["tchk_miss"] == 2 * fill
         assert p.cycles == first + fill
 
+    def test_second_access_hit_and_miss(self):
+        p = pipe()
+        miss = p.params.dcache_miss_penalty
+        first = p.second_access(0x1100_0000)     # cold line: D-cache miss
+        assert first == 1 + miss
+        assert p.second_access(0x1100_0008) == 1  # line now cached
+        assert p.breakdown["wide"] == 2
+        assert p.breakdown["dmiss"] == miss
+        assert p.cycles == first + 1
+
+    def test_retire_walks_the_second_word(self):
+        # bndldx: the row, the primary access, then the walk's second
+        # word (on the next line here) — a beat plus its own D-cache read.
+        p = pipe()
+        cost = p.retire(Instr("bndldx", rd=1, rs1=2), 0x1100_0018, False,
+                        False, None, 0x1100_0020)
+        miss = p.params.dcache_miss_penalty
+        walk = p.params.smac_extra + p.params.mpx_walk_extra
+        assert cost == p.cycles == (1 + walk) + miss + (1 + miss)
+        assert p.breakdown == {**dict.fromkeys(p.breakdown, 0), "base": 1,
+                               "wide": walk + 1, "dmiss": 2 * miss}
+        assert p.dcache.misses == 2
+
     def test_retire_uses_the_miss_methods(self):
         p = pipe()
         cost = p.retire(Instr("tchk", rs1=5), None, False, False, False,
