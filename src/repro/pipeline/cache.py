@@ -46,6 +46,8 @@ class DataCache(HitMissStats):
         self._set_mask = params.sets - 1
         if params.sets & self._set_mask and params.sets != 1:
             raise ValueError("set count must be a power of two")
+        self._tag_shift = self._set_mask.bit_length()
+        self._ways = params.ways
         # Per-set list of tags in LRU order (front = most recent).
         self._sets = [[] for _ in range(params.sets)]
         self._init_hit_miss(metrics)
@@ -53,20 +55,22 @@ class DataCache(HitMissStats):
     def access(self, addr: int, is_store: bool = False) -> bool:
         """Look up ``addr``; allocate on miss. Returns hit/miss."""
         line = addr >> self._line_shift
-        index = line & self._set_mask
-        tag = line >> (self._set_mask.bit_length())
-        ways = self._sets[index]
+        ways = self._sets[line & self._set_mask]
+        tag = line >> self._tag_shift
+        if ways and ways[0] == tag:
+            # A hit in the most recently used way: LRU order stands.
+            self._hits.value += 1
+            return True
         try:
             pos = ways.index(tag)
         except ValueError:
             self._misses.value += 1
             ways.insert(0, tag)
-            if len(ways) > self.params.ways:
+            if len(ways) > self._ways:
                 ways.pop()
             return False
         self._hits.value += 1
-        if pos:
-            ways.insert(0, ways.pop(pos))
+        ways.insert(0, ways.pop(pos))
         return True
 
     def flush(self):

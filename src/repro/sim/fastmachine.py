@@ -23,6 +23,11 @@ points (docs/fast-iss.md covers the full contract):
   (translation, superblocks, fusion, fold, unwind, invalidation);
   ``repro conform`` tests the semantics themselves against
   :mod:`repro.spec`.
+* **Software TLB.** A translated load or store reads or writes a
+  resident page straight from the memory's ``tlb``/``stlb`` page maps
+  with a ``struct`` unpack or pack, and falls back to the reference's
+  checked ``load_uint``/``store_uint`` for anything the maps cannot
+  serve (:mod:`repro.sim.memory` states the maps' invariant).
 * **Cold entries.** The first entry at a pc runs its basic block on
   the reference ``_dispatch_loop``: decoding code that runs once costs
   more than interpreting it, and most of a short program (a Juliet

@@ -5,6 +5,20 @@ linear-mapped shadow region costs nothing until metadata is written.
 Accesses outside every mapped region raise :class:`MemoryFault` — the
 simulated equivalent of a SIGSEGV, which is what an unprotected baseline
 run produces on a null dereference.
+
+:meth:`Memory.load_uint` and :meth:`Memory.store_uint` are the checked
+data path: span check, shadow accounting, lazy allocation and the store
+watch. Beside the page table, two page maps form a software TLB for the
+fast engine's translated code: ``tlb`` for user pages and ``stlb`` for
+shadow pages. A map lists a page (the same ``bytearray`` as ``_pages``)
+only while the page is resident, lies wholly inside one mapped span,
+lies wholly outside (``tlb``) or wholly inside (``stlb``) the shadow
+region, and does not overlap the store-watch window. So an in-page
+access to a listed page can neither fault, allocate nor trigger the
+watch, and the checked path would only have added its size to
+``shadow_bytes_touched`` for an ``stlb`` page. Pages enter their map on
+allocation; :meth:`Memory._map` clears and refills both maps in place,
+and :meth:`Memory.watch_stores` evicts the pages its window overlaps.
 """
 
 from __future__ import annotations
@@ -81,11 +95,24 @@ class Memory:
         # translated blocks. None keeps the store path at a single
         # attribute test.
         self._store_watch: Optional[Tuple[int, int, object]] = None
+        # The software TLB (module docstring): page index -> page.
+        self.tlb: Dict[int, bytearray] = {}
+        self.stlb: Dict[int, bytearray] = {}
 
     def watch_stores(self, lo: int, hi: int, callback) -> None:
         """Invoke ``callback(addr, size)`` on every store overlapping
-        ``[lo, hi)`` (one watch window; None callback clears it)."""
-        self._store_watch = None if callback is None else (lo, hi, callback)
+        ``[lo, hi)`` (one watch window; None callback clears it). The
+        pages the window overlaps leave the TLB maps, so every store
+        into them takes the checked path."""
+        if callback is None:
+            self._store_watch = None
+            return
+        self._store_watch = (lo, hi, callback)
+        for pages in (self.tlb, self.stlb):
+            for index in [index for index in pages
+                          if lo < (index + 1) << PAGE_SHIFT
+                          and index << PAGE_SHIFT < hi]:
+                del pages[index]
 
     # -- region management --------------------------------------------------
 
@@ -116,6 +143,26 @@ class Memory:
         self._spans = spans
         self._hot = (1, 0)
         self._hot2 = (1, 0)
+        self.tlb.clear()
+        self.stlb.clear()
+        for index, page in self._pages.items():
+            self._admit(index, page)
+
+    def _admit(self, index: int, page: bytearray) -> None:
+        """Enter resident page ``index`` into the TLB map its placement
+        allows, if any (see the module docstring)."""
+        lo = index << PAGE_SHIFT
+        hi = lo + PAGE_SIZE
+        watch = self._store_watch
+        if watch is not None and lo < watch[1] and hi > watch[0]:
+            return
+        if not self.is_mapped(lo, PAGE_SIZE):
+            return
+        shadow = self._shadow_range
+        if shadow is None or hi <= shadow[0] or lo >= shadow[1]:
+            self.tlb[index] = page
+        elif shadow[0] <= lo and hi <= shadow[1]:
+            self.stlb[index] = page
 
     def region_of(self, addr: int) -> Optional[str]:
         """Name of the region containing ``addr`` (None when unmapped)."""
@@ -157,8 +204,13 @@ class Memory:
     def _page(self, page_index: int) -> bytearray:
         page = self._pages.get(page_index)
         if page is None:
-            page = bytearray(PAGE_SIZE)
-            self._pages[page_index] = page
+            page = self._allocate(page_index)
+        return page
+
+    def _allocate(self, page_index: int) -> bytearray:
+        page = bytearray(PAGE_SIZE)
+        self._pages[page_index] = page
+        self._admit(page_index, page)
         return page
 
     @property
@@ -220,8 +272,7 @@ class Memory:
             index = addr >> PAGE_SHIFT
             page = self._pages.get(index)
             if page is None:
-                page = bytearray(PAGE_SIZE)
-                self._pages[index] = page
+                page = self._allocate(index)
             return int.from_bytes(page[offset:offset + size], "little")
         return int.from_bytes(self.load_bytes(addr, size), "little")
 
@@ -248,8 +299,7 @@ class Memory:
             index = addr >> PAGE_SHIFT
             page = self._pages.get(index)
             if page is None:
-                page = bytearray(PAGE_SIZE)
-                self._pages[index] = page
+                page = self._allocate(index)
             page[offset:offset + size] = value.to_bytes(size, "little")
         else:
             self.store_bytes(addr, value.to_bytes(size, "little"))

@@ -33,15 +33,28 @@ else of the machine:
   — or a ``codec_corrupt`` fault, mid-run — replaces, so the reference
   handler reads them through ``m`` on every call;
 * ``m``, the machine, for the trap helpers, the CSR file, the output
-  stream and the lock-window snoop.
+  stream and the lock-window snoop;
+* in ``fast:`` lines only, ``tlb`` and ``stlb`` (the memory's software
+  TLB page maps, see :mod:`repro.sim.memory`) and the precompiled
+  ``struct`` helpers ``unpack1``/``2``/``4``/``8`` and
+  ``pack1``/``2``/``4``/``8`` (little-endian unsigned words), bound at
+  translate time like the compressor's masks.
 
 Some lines differ per variant. A line starting ``ref:`` is only in the
 reference handler: tracer hooks (the fast engine never runs with a
-tracer) and metadata decoding through ``comp``, which a codec fault
-may have replaced. A line starting ``fast:`` is only in the translated
-function: the same decoding with the compressor's masks bound inline,
-so the fast path stays call-free. A line starting ``timed:`` is only in
-a translated function compiled for a timing model.
+tracer), metadata decoding through ``comp``, which a codec fault may
+have replaced, and the ``Memory`` calls of the scalar accesses. A line
+starting ``fast:`` is only in the translated function, and has two
+uses: the same decoding with the compressor's masks bound inline, so
+the fast path stays call-free, and the TLB path of every scalar
+memory access — a ``struct`` unpack or pack on a page the TLB lists,
+falling back to the reference's ``load_uint``/``store_uint`` when it
+does not (:func:`_load`, :func:`_store`). The reference keeps the
+``Memory`` calls on purpose, as it keeps the compressor decode: engine
+lockstep then compares the TLB path against the checked path on every
+observable (shadow bytes, pages allocated, faults, text-store
+invalidation). A line starting ``timed:`` is only in a translated
+function compiled for a timing model.
 
 Each variant is compiled on first use and cached per process; its
 source is registered in :mod:`linecache`, so tracebacks through it show
@@ -54,6 +67,7 @@ import functools
 import keyword
 import linecache
 import re
+import struct
 from typing import Callable, Dict, NamedTuple, Tuple
 
 from repro import bits
@@ -66,6 +80,7 @@ from repro.errors import (
 )
 from repro.isa import csr as csrdef
 from repro.isa.instructions import SPEC_TABLE
+from repro.sim.memory import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE
 
 __all__ = ["Row", "ROWS", "SRF_INVALID", "reference", "translated",
            "fused", "SYS_WRITE", "SYS_EXIT", "SYS_ABORT", "SYS_TRAP_SPATIAL",
@@ -234,6 +249,56 @@ _BRANCH_COND = {
     "bgeu": "regs[rs1] >= regs[rs2]",
 }
 
+
+def _indent(source: str) -> str:
+    return "".join("    " + line for line in source.splitlines(True))
+
+
+# Scalar memory accesses: every one a row makes is one of these two
+# fragments. The translated function reads or writes a page the
+# software TLB lists (``tlb`` for user pages, ``stlb`` for shadow pages,
+# see repro.sim.memory) with a precompiled ``struct`` unpack or pack,
+# and an ``stlb`` access adds its size to the shadow bytes touched. An
+# access no map serves (its page not listed, or straddled) takes
+# ``load_uint``/``store_uint``, the reference's path, which checks,
+# counts, allocates and watches. ``addr`` and ``value`` name locals.
+def _load(value: str, addr: str, nbytes: int, shadow: bool = False) -> str:
+    """``value`` = the unsigned ``nbytes``-byte word at ``addr``, through
+    ``stlb`` when ``shadow`` (a shadow-region access), else ``tlb``."""
+    return _tlb_access(
+        addr, nbytes, shadow,
+        f"{value} = unpack{nbytes}(page, {addr} & {PAGE_MASK:#x})[0]",
+        f"{value} = memory.load_uint({addr}, {nbytes})")
+
+
+def _store(addr: str, nbytes: int, value: str, shadow: bool = False) -> str:
+    """Store the low ``nbytes`` bytes of ``value`` at ``addr``."""
+    mask = (1 << (8 * nbytes)) - 1
+    return _tlb_access(
+        addr, nbytes, shadow,
+        f"pack{nbytes}(page, {addr} & {PAGE_MASK:#x}, {value} & {mask:#x})",
+        f"memory.store_uint({addr}, {nbytes}, {value})")
+
+
+def _tlb_access(addr: str, nbytes: int, shadow: bool, hit: str,
+                checked: str) -> str:
+    """``fast:`` lines that run ``hit`` when the map lists the page of
+    ``addr`` and the access stays inside it, else ``checked``; and the
+    ``ref:`` line, ``checked``."""
+    in_page = f" and {addr} & {PAGE_MASK:#x} <= {PAGE_SIZE - nbytes}" \
+        if nbytes > 1 else ""
+    count = (f"fast:     memory.shadow_bytes_touched += {nbytes}\n"
+             if shadow else "")
+    table = "stlb" if shadow else "tlb"
+    return (f"fast: page = {table}.get({addr} >> {PAGE_SHIFT})\n"
+            f"fast: if page is not None{in_page}:\n"
+            f"{count}"
+            f"fast:     {hit}\n"
+            f"fast: else:\n"
+            f"fast:     {checked}\n"
+            f"ref: {checked}\n")
+
+
 # Metadata decoding: through the compressor ``comp`` in the reference
 # (a codec fault may replace it mid-run), with its masks inline in the
 # translated function. ``lower`` -> ``base``/``bound``, ``upper`` ->
@@ -295,7 +360,7 @@ if cached is not None:
         m._temporal_fail(key, cached, lock)
     mem2 = None
 else:
-    stored = memory.load_u64(lock)
+""" + _indent(_load("stored", "lock", 8, shadow=True)) + """
     evicted = kb.fill(lock, stored)
     ref: tracer = m._tracer_kb
     ref: if tracer is not None:
@@ -331,14 +396,14 @@ def _access(spec) -> Row:
     if spec.checked:
         census += ("hwst_ops",)
     if spec.is_load:
-        body += f"value = memory.load_uint(addr, {nbytes})\n"
+        body += _load("value", "addr", nbytes)
         if spec.mem_signed and nbytes < 8:
             sign = 1 << (8 * nbytes - 1)
             body += f"value = ((value ^ {sign:#x}) - {sign:#x})" \
                 " & 0xFFFFFFFFFFFFFFFF\n"
         body += _WRITE_RD_UNLESS_X0.format(value="value")
         return Row(body, census, "load", traps=True)
-    body += f"value = regs[rs2]\nmemory.store_uint(addr, {nbytes}, value)\n"
+    body += "value = regs[rs2]\n" + _store("addr", nbytes, "value")
     if nbytes == 8:
         # a pointer-sized store into the lock table: keybuffer snoop
         body += "if m._lock_lo <= addr < m._lock_hi:\n" \
@@ -354,11 +419,11 @@ def _shadow(upper: bool, store: bool) -> Row:
         body += "e = srf[rs2]\n" + (
             "value = e[1] if e[3] else 0\n" if upper
             else "value = e[0] if e[2] else 0\n")
-        body += "memory.store_u64(addr, value)\n"
+        body += _store("addr", 8, "value", shadow=True)
         kind = '"store" if value else "clear"'
     else:
         # lbdls/lbdus: shadow memory -> an SRF half of rd, undecoded
-        body += "value = memory.load_u64(addr)\ne = srf[rd]\n" + (
+        body += _load("value", "addr", 8, shadow=True) + "e = srf[rd]\n" + (
             "srf[rd] = (e[0], value, e[2], True)\n" if upper
             else "srf[rd] = (value, e[1], True, e[3])\n")
         body += "srf_wide[rd] = None\n"
@@ -371,11 +436,11 @@ def _shadow(upper: bool, store: bool) -> Row:
 def _meta_load(field: str) -> Row:
     """lbas/lbnd/lkey/lloc: one field of a shadow half, decoded, -> x[rd]."""
     if field in ("key", "lock"):
-        body = _SMAC.format(off=" + 8") + "upper = memory.load_u64(addr)\n" \
-            + _TEMPORAL_DECODE
+        body = _SMAC.format(off=" + 8") \
+            + _load("upper", "addr", 8, shadow=True) + _TEMPORAL_DECODE
     else:
-        body = _SMAC.format(off="") + "lower = memory.load_u64(addr)\n" \
-            + _SPATIAL_DECODE
+        body = _SMAC.format(off="") \
+            + _load("lower", "addr", 8, shadow=True) + _SPATIAL_DECODE
     body += _WRITE_RD_UNLESS_X0.format(value=f"{field} & 0xFFFFFFFFFFFFFFFF")
     return Row(body, ("loads", "hwst_ops", "shadow_ops"), "load", traps=True)
 
@@ -398,7 +463,7 @@ base, bound, key, lock = wide
 if addr < base or addr >= bound:
     m._spatial_fail(addr, base, bound)
 if lock:
-    stored = memory.load_u64(lock)
+""" + _indent(_load("stored", "lock", 8, shadow=True)) + """
     if stored != key:
         m._temporal_fail(key, stored, lock)
 """
@@ -495,23 +560,26 @@ def _build_rows() -> Dict[str, Row]:
     rows["bndcu"] = _bndc("addr >= bound")
     smac = _SMAC.format(off="")
     rows["bndldx"] = Row(
-        smac + "value = memory.load_u64(addr)\n"
-        "e = srf[rd]\nsrf[rd] = (value, e[1], True, e[3])\n",
+        smac + _load("value", "addr", 8, shadow=True)
+        + "e = srf[rd]\nsrf[rd] = (value, e[1], True, e[3])\n",
         ("loads", "loads", "shadow_ops"), "walk load", traps=True)
     rows["bndstx"] = Row(
-        smac + "e = srf[rs2]\nmemory.store_u64(addr, e[0] if e[2] else 0)\n",
+        smac + "e = srf[rs2]\nvalue = e[0] if e[2] else 0\n"
+        + _store("addr", 8, "value", shadow=True),
         ("stores", "stores", "shadow_ops"), "walk store", traps=True)
     # AVX comparator model: four metadata words per 256-bit access.
     rows["vld256"] = Row(
-        smac + "srf_wide[rd] = (\n"
-        "    memory.load_u64(addr), memory.load_u64(addr + 8),\n"
-        "    memory.load_u64(addr + 16), memory.load_u64(addr + 24))\n"
-        "srf[rd] = INVALID\n",
+        smac + _load("w0", "addr", 8, shadow=True)
+        + "".join(f"word = addr + {8 * i}\n"
+                  + _load(f"w{i}", "word", 8, shadow=True)
+                  for i in (1, 2, 3))
+        + "srf_wide[rd] = (w0, w1, w2, w3)\nsrf[rd] = INVALID\n",
         ("loads", "shadow_ops"), "load", traps=True)
     rows["vst256"] = Row(
         smac + "fields = srf_wide[rs2] or (0, 0, 0, 0)\n"
         "for i in range(4):\n"
-        "    memory.store_u64(addr + 8 * i, fields[i])\n",
+        + _indent("word = addr + 8 * i\nvalue = fields[i]\n"
+                  + _store("word", 8, "value", shadow=True)),
         ("stores", "shadow_ops"), "store", traps=True)
     rows["vchk"] = Row(_VCHK, (), "vchk", traps=True)
     rows["fence"] = Row("", ())
@@ -587,8 +655,12 @@ _BOUND = {"regs": "m.regs", "srf": "m.srf", "srf_wide": "m.srf_wide",
 #: State the reference handler reads through ``m`` on every call.
 _PER_CALL = {"memory": "m.memory", "csrs": "m.csrs",
              "comp": "m.compressor"}
-#: Translate-time constants of the fast variant's inline decoding and
-#: of its dynamic timing charges.
+#: The little-endian unsigned word of each access size, precompiled.
+_WORD = {n: struct.Struct("<" + code)
+         for n, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))}
+
+#: Translate-time constants of the fast variant's inline decoding, its
+#: TLB accesses and its dynamic timing charges.
 _FAST_ONLY = {
     "base_mask": "m.compressor._base_mask",
     "base_w": "m.compressor._widths.base",
@@ -597,13 +669,16 @@ _FAST_ONLY = {
     "lock_w": "m.compressor._widths.lock",
     "key_mask": "m.compressor._key_mask",
     "lock_base": "m.config.lock_base",
+    "tlb": "m.memory.tlb", "stlb": "m.memory.stlb",
+    **{f"unpack{n}": f"WORD[{n}].unpack_from" for n in _WORD},
+    **{f"pack{n}": f"WORD[{n}].pack_into" for n in _WORD},
     "pl": "m.timing", "dcache": "m.timing.dcache",
     "penalty": "m.timing.redirect[0]",
     "bk_redirect": "m.timing.redirect[1]",
 }
 
 _NAMESPACE = {
-    "INVALID": SRF_INVALID, "ALIGN_SHIFT": ALIGN_SHIFT,
+    "INVALID": SRF_INVALID, "ALIGN_SHIFT": ALIGN_SHIFT, "WORD": _WORD,
     "SM_OFFSET": csrdef.HWST_SM_OFFSET,
     "ShadowMemoryExhausted": ShadowMemoryExhausted, "EcallAbort": EcallAbort,
     "EcallExit": EcallExit, "IllegalInstruction": IllegalInstruction,
@@ -629,10 +704,6 @@ def _variant(source: str, *markers: str) -> str:
         elif text and marker not in _MARKERS:
             lines.append(line)
     return "".join(line + "\n" for line in lines)
-
-
-def _indent(source: str) -> str:
-    return "".join("    " + line for line in source.splitlines(True))
 
 
 def _census(row: Row) -> str:

@@ -37,7 +37,7 @@ from repro.schemes import compile_source
 from repro.sim import DEFAULT_ENGINE, ENGINES, FastMachine, make_machine
 from repro.sim.machine import (
     Machine, STATUS_ABORT, STATUS_EXIT, STATUS_FAULT, STATUS_LIMIT,
-    STATUS_SPATIAL, STATUS_TEMPORAL,
+    STATUS_OOM, STATUS_SPATIAL, STATUS_TEMPORAL,
 )
 from repro.sim.memory import DEFAULT_LAYOUT
 from repro.sim.program import Program
@@ -138,11 +138,15 @@ def run_on(new_machine, source, scheme, timed, cache=None, **kwargs):
 
 
 class TestWorkloadLockstep:
-    """Ref-vs-fast over real workload kernels, timed and untimed."""
+    """Ref-vs-fast over real workload kernels, timed and untimed.
+
+    The software runtimes of ``sbcets`` and ``asan`` reach shadow memory
+    through plain ``ld``/``sd``: those accesses must miss the user-page
+    TLB and take the checked path, which counts their shadow bytes."""
 
     @pytest.mark.parametrize("workload", ("sha", "treeadd", "dijkstra"))
     @pytest.mark.parametrize("scheme", ("baseline", "hwst128_tchk", "hwst128",
-                                        "bogo", "wdl_wide"))
+                                        "bogo", "wdl_wide", "sbcets", "asan"))
     @pytest.mark.parametrize("timed", (False, True),
                              ids=("untimed", "timed"))
     def test_lockstep(self, workload, scheme, timed):
@@ -151,6 +155,49 @@ class TestWorkloadLockstep:
         fast = run_on(FastMachine, source, scheme, timed)
         assert ref.status == STATUS_EXIT and ref.exit_code == 0
         assert_results_equal(ref, fast, f"{workload}/{scheme}")
+
+
+class TestShadowBudgetLockstep:
+    """The shadow budget trap (Sec. 5.1's lbm OOM) fires from translated
+    code, where the TLB path counts the shadow bytes the budget guard
+    reads, with the reference loop's status, trap pc, instret, cycles
+    and census."""
+
+    SOURCE = """
+    int main(void) {
+        long i;
+        long *tab[64];
+        for (i = 0; i < 64; i++) {
+            tab[i] = (long*)malloc(64);
+            tab[i][0] = i;
+        }
+        return 0;
+    }"""
+
+    @pytest.mark.parametrize("scheme", ("hwst128_tchk", "bogo"))
+    @pytest.mark.parametrize("timed", (False, True),
+                             ids=("untimed", "timed"))
+    def test_budget_trap_matches(self, scheme, timed):
+        config = HwstConfig(shadow_budget=1024)
+        program = compile_source(self.SOURCE, scheme, config)
+        results = {}
+        unwound = []
+        for engine, new_machine in (("ref", Machine), ("fast", FastMachine),
+                                    ("eager", eager_fast)):
+            machine = new_machine(
+                config=config, timing=InOrderPipeline() if timed else None)
+            if engine != "ref":
+                unwind = machine._unwind
+                machine._unwind = lambda block, completed, unwind=unwind: (
+                    unwound.append(engine), unwind(block, completed))
+            results[engine] = machine.run(program)
+        assert results["ref"].status == STATUS_OOM
+        assert results["ref"].stats["shadow_bytes"] > 1024
+        # Each fast run trapped inside a translated block.
+        assert unwound == ["fast", "eager"]
+        for engine in ("fast", "eager"):
+            assert_results_equal(results["ref"], results[engine],
+                                 f"{scheme}/{engine}")
 
 
 class TestBlocksIgnoreTiming:

@@ -76,3 +76,52 @@ class TestBehaviour:
         cache.access(0)
         cache.reset_stats()
         assert cache.hits == 0 and cache.misses == 0
+
+
+class ReferenceLRU:
+    """The cache's contract as a plain LRU list per set."""
+
+    def __init__(self, params):
+        self.params = params
+        self.sets = [[] for _ in range(params.sets)]
+
+    def access(self, addr):
+        line = addr // self.params.line_bytes
+        ways = self.sets[line % self.params.sets]
+        tag = line // self.params.sets
+        hit = tag in ways
+        if hit:
+            ways.remove(tag)
+        ways.insert(0, tag)
+        del ways[self.params.ways:]
+        return hit
+
+
+@st.composite
+def geometries(draw):
+    line_bytes = 1 << draw(st.integers(min_value=0, max_value=7))
+    ways = draw(st.integers(min_value=1, max_value=6))
+    sets = 1 << draw(st.integers(min_value=0, max_value=5))
+    return CacheParams(size_bytes=sets * ways * line_bytes, ways=ways,
+                       line_bytes=line_bytes)
+
+
+class TestAgainstReferenceLRU:
+    @given(params=geometries(), data=st.data())
+    def test_replay_matches_reference(self, params, data):
+        """Property: over any address stream, every access's hit or
+        miss, the counters and the final LRU order of every set are the
+        reference model's. Addresses come from a small pool of lines
+        (so ways fill, hit at every depth and evict) plus wide ones."""
+        span = params.line_bytes * params.sets * (params.ways + 2)
+        addrs = data.draw(st.lists(
+            st.one_of(st.integers(min_value=0, max_value=span),
+                      st.integers(min_value=0, max_value=(1 << 64) - 1)),
+            min_size=1, max_size=300))
+        cache = DataCache(params)
+        model = ReferenceLRU(params)
+        outcomes = [cache.access(addr, bool(addr & 1)) for addr in addrs]
+        assert outcomes == [model.access(addr) for addr in addrs]
+        assert cache.hits == outcomes.count(True)
+        assert cache.misses == outcomes.count(False)
+        assert cache._sets == model.sets
