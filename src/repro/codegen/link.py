@@ -13,13 +13,16 @@ runtime library, lowered once by :func:`lower_runtime` into a
 4. ``_start`` programs the HWST128 CSRs (the paper: field widths and
    the shadow offset are set at the beginning of the program), calls
    ``__rt_init`` then ``main``, and exits with main's return value;
-5. call/hi/lo relocations are patched.
+5. call/hi/lo relocations are patched: the image's recorded sites,
+   ``_start``'s and the freshly lowered user functions', in text order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro import bits
 from repro.core.config import HwstConfig
@@ -113,21 +116,26 @@ def _stub_ret() -> Instr:
     return Instr("jalr", rd=ZERO, rs1=RA, imm=0)
 
 
-def _const_stub(value: int) -> List[Instr]:
-    return li_sequence(A0, value) + [_stub_ret()]
+def _const_stub(value: int) -> Tuple[Instr, ...]:
+    return (*li_sequence(A0, value), _stub_ret())
 
 
-def _ecall_stub(number: int, returns: bool = True) -> List[Instr]:
+def _ecall_stub(number: int, returns: bool = True) -> Tuple[Instr, ...]:
     out = li_sequence(A7, number) + [Instr("ecall")]
     if returns:
         out.append(_stub_ret())
-    return out
+    return tuple(out)
 
 
+@lru_cache(maxsize=32)
 def asm_stubs(config: HwstConfig,
-              layout: MemoryLayout) -> Dict[str, List[Instr]]:
-    """Hand-written assembly functions linked into every program."""
-    return {
+              layout: MemoryLayout) -> Mapping[str, Tuple[Instr, ...]]:
+    """Hand-written assembly functions linked into every program.
+
+    Built once per ``(config, layout)`` and shared read-only by every
+    program linked with them; none carries a relocation.
+    """
+    return MappingProxyType({
         "exit": _ecall_stub(SYS_EXIT, returns=False),
         "abort": _ecall_stub(SYS_ABORT, returns=False),
         "__ecall_write": _ecall_stub(SYS_WRITE),
@@ -140,13 +148,17 @@ def asm_stubs(config: HwstConfig,
         "__lock_table_base": _const_stub(config.lock_base),
         "__lock_table_end": _const_stub(config.lock_limit),
         "__shadow_offset": _const_stub(config.shadow_offset),
-        "__cycles": [Instr("csrrs", rd=A0, rs1=ZERO, imm=csrdef.CYCLE),
-                     _stub_ret()],
-    }
+        "__cycles": (Instr("csrrs", rd=A0, rs1=ZERO, imm=csrdef.CYCLE),
+                     _stub_ret()),
+    })
 
 
-def _start_code(config: HwstConfig) -> List[Instr]:
-    """Entry stub: program the HWST128 CSRs, init the runtime, run main."""
+@lru_cache(maxsize=32)
+def _start_code(config: HwstConfig) -> Tuple[Instr, ...]:
+    """Entry stub: program the HWST128 CSRs, init the runtime, run main.
+
+    Built once per ``config``; its two calls are relocation sites.
+    """
     widths = config.widths
     packed = csrdef.pack_meta_widths(widths.base, widths.range,
                                      widths.lock, widths.key)
@@ -163,7 +175,13 @@ def _start_code(config: HwstConfig) -> List[Instr]:
     out.append(Instr("jal", rd=RA, sym="main", sym_kind="call"))
     out += li_sequence(A7, SYS_EXIT)
     out.append(Instr("ecall"))
-    return out
+    return tuple(out)
+
+
+def _sites(code: Iterable[Instr], offset: int = 0) -> List[int]:
+    """Indices (plus ``offset``) of ``code``'s open relocations."""
+    return [offset + index for index, ins in enumerate(code)
+            if ins.sym is not None]
 
 
 @dataclass(frozen=True)
@@ -171,15 +189,20 @@ class RuntimeImage:
     """A runtime library lowered once, to be linked into many programs.
 
     It keeps only what linking needs: the globals in layout order, the
-    call :class:`~repro.ir.verify.Interface`, and each function's RV64
-    body with its ``call``/``hi``/``lo`` relocations still open. The IR
-    is dropped. :func:`build_program` never mutates the bodies, so one
-    image serves every program built from it.
+    call :class:`~repro.ir.verify.Interface`, each function's RV64 body
+    with its ``call``/``hi``/``lo`` relocations still open, the same
+    bodies back to back as ``text`` (their placement order), and
+    ``relocs``, the indices into ``text`` of the open relocations. The
+    IR is dropped. :func:`build_program` places ``text`` in one piece,
+    patches a copy of each instruction at ``relocs`` and never mutates
+    the image, so one image serves every program built from it.
     """
 
     globals: Mapping[str, GlobalData]
     bodies: Mapping[str, Tuple[Instr, ...]]
     interface: Interface
+    text: Tuple[Instr, ...]
+    relocs: Tuple[int, ...]
 
 
 def lower_runtime(module: Module, options: CodegenOptions,
@@ -191,8 +214,10 @@ def lower_runtime(module: Module, options: CodegenOptions,
     with phases.phase("lower"):
         bodies = {name: tuple(compile_function(fn, options))
                   for name, fn in module.functions.items()}
+    text = tuple(ins for body in bodies.values() for ins in body)
     return RuntimeImage(globals=dict(module.globals), bodies=bodies,
-                        interface=interface(module))
+                        interface=interface(module), text=text,
+                        relocs=tuple(_sites(text)))
 
 
 def _check_no_clash(module: Module, runtime: RuntimeImage) -> None:
@@ -219,6 +244,12 @@ def build_program(module: Module, runtime: RuntimeImage,
     The runtime's functions and globals are placed after the module's.
     A module may not define a name the runtime defines (``LinkError``);
     it may override an assembly stub.
+
+    Only recorded relocation sites are patched: the image's
+    ``relocs``, ``_start``'s and those of the user functions lowered
+    here, in text order, so the first bad one raises its ``LinkError``.
+    ``_start`` and the stubs are built once per ``config`` and
+    ``layout`` and carry no other site.
 
     ``phases`` (a :class:`repro.obs.phases.PhaseTimers`) splits the
     backend wall time into the per-function ``lower`` phase and the
@@ -256,56 +287,64 @@ def build_program(module: Module, runtime: RuntimeImage,
                 f"data segment overflows into the heap "
                 f"({cursor:#x} > {layout.heap_base:#x})")
 
-    # 2. Compile functions.
+    # 2. Compile the user's functions.
     with phases.phase("lower"):
-        chunks: List[tuple] = [("_start", _start_code(config))]
+        user = [(name, compile_function(fn, options))
+                for name, fn in module.functions.items()]
+
+    with phases.phase("link"):
+        # 3. Place sequentially: _start, the stubs no definition
+        # overrides, the user's functions, then the runtime's text in
+        # one piece. Record the relocation sites in text order.
+        text_base = layout.text_base
+        start = _start_code(config)
+        func_addr: Dict[str, int] = {"_start": text_base}
+        instrs: List[Instr] = list(start)
+        sites = _sites(start)
         for name, code in asm_stubs(config, layout).items():
             if name in module.functions or name in runtime.bodies:
                 continue  # a runtime/user definition overrides the stub
-            chunks.append((name, code))
-        for name, fn in module.functions.items():
-            chunks.append((name, compile_function(fn, options)))
-        chunks += runtime.bodies.items()
-
-    with phases.phase("link"):
-        # 3. Place sequentially.
-        func_addr: Dict[str, int] = {}
-        instrs: List[Instr] = []
-        for name, code in chunks:
-            func_addr[name] = layout.text_base + 4 * len(instrs)
-            instrs.extend(code)
-        text_end = layout.text_base + 4 * len(instrs)
+            func_addr[name] = text_base + 4 * len(instrs)
+            instrs += code
+        for name, code in user:
+            func_addr[name] = text_base + 4 * len(instrs)
+            sites += _sites(code, len(instrs))
+            instrs += code
+        offset = len(instrs)
+        for name, body in runtime.bodies.items():
+            func_addr[name] = text_base + 4 * offset
+            offset += len(body)
+        sites += [len(instrs) + index for index in runtime.relocs]
+        instrs += runtime.text
+        text_end = text_base + 4 * len(instrs)
         if text_end > layout.data_base:
             raise LinkError(f"text overflows data base ({text_end:#x})")
 
         # 4. Patch relocations. A patched instruction is a new object:
         # the original may belong to a runtime image that every
         # program linked against it shares.
-        for index, ins in enumerate(instrs):
-            if ins.sym is None:
-                continue
-            pc = layout.text_base + 4 * index
-            if ins.sym_kind == "call":
-                target = func_addr.get(ins.sym)
+        for index in sites:
+            ins = instrs[index]
+            sym, kind = ins.sym, ins.sym_kind
+            if kind == "call":
+                target = func_addr.get(sym)
                 if target is None:
-                    raise LinkError(f"undefined function {ins.sym!r}")
-                imm = target - pc
+                    raise LinkError(f"undefined function {sym!r}")
+                imm = target - (text_base + 4 * index)
                 if not bits.fits_signed(imm, 21):
-                    raise LinkError(f"call to {ins.sym!r} out of jal range")
-            elif ins.sym_kind in ("hi", "lo"):
-                addr = global_addr.get(ins.sym)
+                    raise LinkError(f"call to {sym!r} out of jal range")
+            elif kind == "hi" or kind == "lo":
+                addr = global_addr.get(sym)
                 if addr is None:
-                    raise LinkError(f"undefined global {ins.sym!r}")
+                    raise LinkError(f"undefined global {sym!r}")
                 hi = (addr + 0x800) >> 12
-                if ins.sym_kind == "hi":
-                    imm = hi & 0xFFFFF
-                else:
-                    imm = addr - (hi << 12)
+                imm = hi & 0xFFFFF if kind == "hi" else addr - (hi << 12)
             else:
                 raise LinkError(
-                    f"unresolved local label {ins.sym!r} escaped codegen")
+                    f"unresolved local label {sym!r} escaped codegen")
+            # Positional: a keyword argument costs half as much again.
             instrs[index] = Instr(ins.op, ins.rd, ins.rs1, ins.rs2, imm,
-                                  comment=ins.comment)
+                                  None, "", ins.comment)
 
     symbols = dict(func_addr)
     symbols.update(global_addr)
