@@ -16,10 +16,11 @@ __version__ = "1.0.0"
 def compile_and_run(source: str, scheme: str = "baseline", **kwargs):
     """Compile mini-C ``source`` under ``scheme`` and execute it.
 
-    Convenience wrapper around :mod:`repro.schemes`; returns a
-    :class:`repro.sim.machine.RunResult`. Extra keyword arguments are
-    forwarded to :func:`repro.schemes.run_source`.
+    Returns a :class:`repro.sim.machine.RunResult`. Extra keyword
+    arguments are forwarded to
+    :func:`repro.harness.runner.run_program`, the one compile-and-run
+    path.
     """
-    from repro.schemes import run_source
+    from repro.harness.runner import run_program
 
-    return run_source(source, scheme=scheme, **kwargs)
+    return run_program(source, scheme, **kwargs)

@@ -26,7 +26,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.config import HwstConfig
-from repro.errors import (EXIT_FAILURE, EXIT_INTERRUPTED, EXIT_OK,
+from repro.errors import (EXIT_FAILURE, EXIT_OK, CampaignInterrupted,
                           ReproError, exit_code_for, exit_code_for_status)
 from repro.harness.runner import detected
 from repro.pipeline.timing import InOrderPipeline
@@ -171,18 +171,16 @@ def cmd_run(args) -> int:
 
 def cmd_stats(args) -> int:
     """Run a program and pretty-print the full metric tree."""
-    from repro.obs import MetricsRegistry, PhaseTimers
+    from repro.harness.runner import run_program
+    from repro.obs import MetricsRegistry
     from repro.obs.metrics import format_tree
     from repro.obs.stats import derived_rates
 
-    source = _read_source(args.file)
     metrics = MetricsRegistry()
-    phases = PhaseTimers(metrics=metrics)
-    program = compile_source(source, args.scheme, _config(args),
-                             phases=phases)
-    timing = None if args.no_timing else InOrderPipeline(metrics=metrics)
-    machine = make_machine(timing=timing, metrics=metrics)
-    result = machine.run(program, max_instructions=args.max_instructions)
+    result = run_program(_read_source(args.file), args.scheme,
+                         _config(args), timing=not args.no_timing,
+                         max_instructions=args.max_instructions,
+                         metrics=metrics)
     print(f"{args.file} under {args.scheme}: {result.status} "
           f"({result.instret} instructions, {result.cycles} cycles)")
     rates = derived_rates(result.stats, instret=result.instret,
@@ -296,24 +294,51 @@ def cmd_analyze(args) -> int:
     return 1 if failed else 0
 
 
-def _heartbeat(args, total: int, label: str, executor=None):
-    """Build the campaign Heartbeat from ``--heartbeat SECONDS``
-    (0 = off, the default: short runs and tests stay silent)."""
-    if not getattr(args, "heartbeat", 0):
-        return None
-    from repro.obs import Heartbeat
+def _print_report(args, text: str, summary: str, doc: dict) -> None:
+    """A campaign's table and executor summary on stdout, and its
+    report document at ``--out``."""
+    from repro.harness.parallel import report_to_json
 
-    registry = executor.registry if executor is not None else None
-    return Heartbeat(total=total, label=label,
-                     interval_s=args.heartbeat, metrics=registry)
+    print(text)
+    print(summary)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(report_to_json(doc))
+        print(f"report -> {args.out}")
+
+
+def _campaign(args, label: str, run) -> int:
+    """The body of ``repro fuzz`` and ``repro faultcampaign``.
+
+    ``run(executor=, heartbeat=, stop=)`` runs the campaign on one
+    executor, with SIGTERM/SIGINT turned into its stop flag and a
+    heartbeat from ``--heartbeat SECONDS`` (0 = off, the default:
+    short runs and tests stay silent). An interrupted campaign still
+    writes its truncated report, then raises
+    :class:`~repro.errors.CampaignInterrupted` (exit 12).
+    """
+    from repro.harness.parallel import SweepExecutor
+
+    with SweepExecutor(jobs=args.jobs) as executor, \
+            _graceful_stop() as stop:
+        heartbeat = None
+        if args.heartbeat:
+            from repro.obs import Heartbeat
+
+            heartbeat = Heartbeat(total=args.n, label=label,
+                                  interval_s=args.heartbeat,
+                                  metrics=executor.registry)
+        report = run(executor=executor, heartbeat=heartbeat, stop=stop)
+    doc = report.to_dict()
+    _print_report(args, report.table(), executor.summary(), doc)
+    if report.interrupted:
+        raise CampaignInterrupted(doc["completed"], args.n)
+    return 0 if report.clean else 1
 
 
 def cmd_faultcampaign(args) -> int:
     """Seeded fault-injection campaign with a differential oracle."""
-    import json
-
     from repro.faultinject import FAMILIES, run_campaign
-    from repro.harness.parallel import SweepExecutor
 
     families = [name.strip() for name in args.faults.split(",")
                 if name.strip()]
@@ -322,66 +347,31 @@ def cmd_faultcampaign(args) -> int:
         print(f"error: unknown fault families {unknown}; known: "
               f"{sorted(FAMILIES)}", file=sys.stderr)
         return 2
-    with SweepExecutor(jobs=args.jobs) as executor, \
-            _graceful_stop() as stop:
-        heartbeat = _heartbeat(args, total=args.n, label="faultinject",
-                               executor=executor)
-        report = run_campaign(
-            scheme=args.scheme, families=families, n=args.n,
-            seed=args.seed, executor=executor,
-            wallclock_budget=args.wallclock, heartbeat=heartbeat,
-            engine_lockstep=args.engine_lockstep, stop=stop)
-    print(report.table())
-    print(executor.summary())
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report -> {args.out}")
-    if report.interrupted:
-        print(f"interrupted after {len(report.injections)}/{args.n} "
-              "injections; truncated report is valid", file=sys.stderr)
-        return EXIT_INTERRUPTED
-    # Gate on harness health: injections are *supposed* to be detected
-    # or masked (and silent corruption is a finding, not a failure),
-    # but a crash or hang means the harness itself misbehaved.
-    return 0 if report.clean else 1
+    # Exit 1 gates on harness health: injections are *supposed* to be
+    # detected or masked (and silent corruption is a finding, not a
+    # failure), but a crash or hang means the harness misbehaved.
+    return _campaign(args, "faultinject", lambda **hooks: run_campaign(
+        scheme=args.scheme, families=families, n=args.n,
+        seed=args.seed, wallclock_budget=args.wallclock,
+        engine_lockstep=args.engine_lockstep, **hooks))
 
 
 def cmd_fuzz(args) -> int:
     """Coverage-guided differential fuzzing campaign."""
     from repro.fuzz import run_fuzz
-    from repro.harness.parallel import SweepExecutor
 
-    with SweepExecutor(jobs=args.jobs) as executor, \
-            _graceful_stop() as stop:
-        heartbeat = _heartbeat(args, total=args.n, label="fuzz",
-                               executor=executor)
-        report = run_fuzz(
-            n=args.n, seed=args.seed, executor=executor,
-            corpus_dir=args.corpus,
-            reduce_divergences=not args.no_reduce,
-            wallclock_budget=args.wallclock, heartbeat=heartbeat,
-            engine_lockstep=args.engine_lockstep,
-            spec_lockstep=args.spec_lockstep, stop=stop)
-    print(report.table())
-    print(executor.summary())
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json())
-        print(f"report -> {args.out}")
-    if report.interrupted:
-        print(f"interrupted after {len(report.programs)}/{args.n} "
-              "programs; truncated report is valid", file=sys.stderr)
-        return EXIT_INTERRUPTED
-    return 0 if report.clean else 1
+    return _campaign(args, "fuzz", lambda **hooks: run_fuzz(
+        n=args.n, seed=args.seed, corpus_dir=args.corpus,
+        reduce_divergences=not args.no_reduce,
+        wallclock_budget=args.wallclock,
+        engine_lockstep=args.engine_lockstep,
+        spec_lockstep=args.spec_lockstep, **hooks))
 
 
 def cmd_conform(args) -> int:
     """Conformance campaign: executable spec vs the ISS engines."""
     from repro.errors import EXIT_SPEC_DIVERGENCE
-    from repro.harness.conform import (divergences_of, report_to_json,
-                                       run_conform)
+    from repro.harness.conform import divergences_of, run_conform
     from repro.harness.parallel import SweepExecutor
 
     schemes = [name.strip() for name in args.schemes.split(",")
@@ -408,22 +398,17 @@ def cmd_conform(args) -> int:
             max_instructions=args.max_instructions,
             heartbeat_s=args.heartbeat, registry=executor.registry,
             executor=executor)
-        summary = executor.summary()
     totals = report["totals"]
-    print(f"conform: {totals['cells']} cells, "
-          f"{totals['equiv_cases']} equivalence cases, "
-          f"{totals['retires']} lockstep retires, "
-          f"{totals['mnemonics_covered']} mnemonics covered, "
-          f"{totals['divergences']} divergences")
+    lines = [f"conform: {totals['cells']} cells, "
+             f"{totals['equiv_cases']} equivalence cases, "
+             f"{totals['retires']} lockstep retires, "
+             f"{totals['mnemonics_covered']} mnemonics covered, "
+             f"{totals['divergences']} divergences"]
     never = report["coverage"]["never_exercised"]
     if never and not args.skip_lockstep:
-        print(f"never exercised by the lockstep corpus ({len(never)}): "
-              + " ".join(never))
-    print(summary)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report_to_json(report))
-        print(f"report -> {args.out}")
+        lines.append(f"never exercised by the lockstep corpus "
+                     f"({len(never)}): " + " ".join(never))
+    _print_report(args, "\n".join(lines), executor.summary(), report)
     return EXIT_SPEC_DIVERGENCE if divergences_of(report) else EXIT_OK
 
 

@@ -24,12 +24,13 @@
    regardless of parallelism. ``fault.*`` counters land on the
    executor's metrics registry.
 
-A campaign is **interruptible**: pass ``stop`` (a zero-argument
-callable, e.g. a flag set by a SIGTERM handler) and cells run in
-bounded chunks with the flag checked at each chunk boundary. An
-interrupted campaign still returns a *valid* report over the completed
-prefix, marked ``"interrupted": true`` + ``"completed": N`` —
-uninterrupted reports carry neither key, so their bytes are unchanged.
+A campaign is **interruptible**: cells always run in chunks of 16
+(:func:`~repro.harness.parallel.run_chunks`), and ``stop`` (a
+zero-argument callable, e.g. a flag set by a SIGTERM handler) is
+checked at each chunk boundary. An interrupted campaign still returns
+a *valid* report over the completed prefix, marked
+``"interrupted": true`` + ``"completed": N`` — uninterrupted reports
+carry neither key, so their bytes are unchanged.
 """
 
 from __future__ import annotations
@@ -40,9 +41,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import HwstConfig
 from repro.harness.compile_cache import process_cache
-from repro.harness.parallel import (
-    CellResult, STATUS_HANG, run_cells,
-)
+from repro.harness.parallel import CellResult, STATUS_HANG, run_chunks
 from repro.faultinject.faults import (
     FaultSpec, LINK_KINDS, RuntimeInjector, apply_link_fault, kinds_for,
 )
@@ -62,9 +61,9 @@ REPORT_SCHEMA = "repro.faultinject/v1"
 #: genuinely wedged run is caught quickly.
 _STEP_SLACK = 50_000
 
-#: Cells per executor submission when a ``stop`` flag is wired in —
-#: the granularity at which an interrupt takes effect. Kept a multiple
-#: of the default target count so chunks retain target grouping.
+#: Cells per executor submission — the granularity at which an
+#: interrupt takes effect. Kept a multiple of the default target count
+#: so chunks retain target grouping.
 _STOP_CHUNK = 16
 
 
@@ -275,12 +274,10 @@ def run_campaign(scheme: str = "hwst128",
     (including instret). It never changes the report bytes — it either
     passes silently or aborts loudly.
 
-    ``stop`` (optional zero-argument callable) makes the campaign
-    interruptible: cells run in chunks of ``_STOP_CHUNK`` and the flag
-    is polled at every chunk boundary; once it returns True the report
-    is finalised over the completed prefix with ``interrupted=True``.
-    Without ``stop`` all cells go to the executor in one submission,
-    exactly as before.
+    Cells run in chunks of ``_STOP_CHUNK``. ``stop`` (optional
+    zero-argument callable) is polled before every chunk; once it
+    returns True the report is finalised over the completed prefix
+    with ``interrupted=True``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1: {n}")
@@ -316,27 +313,14 @@ def run_campaign(scheme: str = "hwst128",
             config=config, wallclock_budget=wallclock_budget)
         for index, (target, fault) in enumerate(plan)
     ]
-    interrupted = False
-    if stop is None:
-        progress = None
-        if heartbeat is not None:
-            def progress(done, _total):
-                heartbeat.tick(done, phase="inject")
-        results = run_cells(cells, executor=executor, jobs=jobs,
-                            progress=progress)
-    else:
-        results = []
-        for start in range(0, len(cells), _STOP_CHUNK):
-            if stop():
-                interrupted = True
-                break
-            progress = None
-            if heartbeat is not None:
-                def progress(done, _total, _base=start):
-                    heartbeat.tick(_base + done, phase="inject")
-            results.extend(run_cells(
-                cells[start:start + _STOP_CHUNK],
-                executor=executor, jobs=jobs, progress=progress))
+    progress = None
+    if heartbeat is not None:
+        def progress(done):
+            heartbeat.tick(done, phase="inject")
+    results, interrupted = run_chunks(
+        [cells[start:start + _STOP_CHUNK]
+         for start in range(0, len(cells), _STOP_CHUNK)],
+        executor=executor, jobs=jobs, stop=stop, progress=progress)
 
     scoreboard = {cls: 0 for cls in CLASSES}
     by_kind = {kind: {cls: 0 for cls in CLASSES} for kind in kinds}

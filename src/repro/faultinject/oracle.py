@@ -40,7 +40,7 @@ from repro.sim.machine import Machine, STATUS_LIMIT, STATUS_SPATIAL, \
     STATUS_TEMPORAL
 
 __all__ = ["RunProfile", "classify", "engine_pair", "golden_run",
-           "profile_run",
+           "profile_run", "profile_source",
            "DETECTED", "MASKED", "SILENT_CORRUPTION", "CRASH", "HANG",
            "CLASSES"]
 
@@ -108,10 +108,23 @@ def profile_run(machine: Machine, result) -> RunProfile:
     )
 
 
-def _untimed_profiles(engines: Tuple[Optional[str], ...], source: str,
-                      scheme: str, config: Optional[HwstConfig],
-                      max_instructions: int, cache) -> List[RunProfile]:
+def profile_source(source: str, scheme: str,
+                   config: Optional[HwstConfig] = None,
+                   max_instructions: int = 50_000_000,
+                   cache=None, engines: Tuple[Optional[str], ...] = (None,),
+                   timed: bool = False,
+                   profiler=None) -> Tuple[List[RunProfile], object]:
+    """Compile ``source`` once through ``cache`` (the process cache by
+    default) and profile one run of it on each of ``engines``.
+
+    ``engines`` names the execution cores (``None`` is the default
+    engine); ``timed`` attaches the pipeline timing model; ``profiler``
+    (a :class:`~repro.obs.profiler.CycleProfiler`) is attached to every
+    machine and left holding the per-PC cycles. Returns the profiles,
+    one per engine, and the compiled program.
+    """
     from repro.harness.compile_cache import process_cache
+    from repro.pipeline.timing import InOrderPipeline
     from repro.sim import make_machine
 
     config = config or HwstConfig()
@@ -119,10 +132,12 @@ def _untimed_profiles(engines: Tuple[Optional[str], ...], source: str,
     program = cache.compile(source, scheme, config)
     profiles = []
     for engine in engines:
-        machine = make_machine(engine, config=config, timing=None)
+        machine = make_machine(engine, config=config,
+                               timing=InOrderPipeline() if timed else None,
+                               profiler=profiler)
         result = machine.run(program, max_instructions=max_instructions)
         profiles.append(profile_run(machine, result))
-    return profiles
+    return profiles, program
 
 
 def golden_run(source: str, scheme: str,
@@ -135,8 +150,9 @@ def golden_run(source: str, scheme: str,
     state, and injected runs use the same machine construction so the
     comparison is apples-to-apples.
     """
-    return _untimed_profiles((None,), source, scheme, config,
-                             max_instructions, cache)[0]
+    (golden,), _ = profile_source(source, scheme, config, max_instructions,
+                                  cache)
+    return golden
 
 
 def engine_pair(source: str, scheme: str,
@@ -146,8 +162,9 @@ def engine_pair(source: str, scheme: str,
     """The engine-lockstep oracle's two sides: ``(ref, fast)`` profiles
     of one untimed build. Both engines are named explicitly, so the
     default engine can never turn the check into fast-vs-fast."""
-    ref, fast = _untimed_profiles(("ref", "fast"), source, scheme, config,
-                                  max_instructions, cache)
+    (ref, fast), _ = profile_source(source, scheme, config,
+                                    max_instructions, cache,
+                                    engines=("ref", "fast"))
     return ref, fast
 
 

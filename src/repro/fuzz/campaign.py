@@ -1,10 +1,11 @@
 """Fuzz campaign driver: generate → probe → classify → reduce → report.
 
-A campaign runs in *rounds*.  Each round plans ``round_size`` programs,
-generates them with the current coverage-derived production weights,
-fans the oracle probes across the :class:`~repro.harness.parallel.\
-SweepExecutor` worker pool, then folds the observed coverage back into
-the weights for the next round.  Coverage is merged in program-index
+A campaign runs in *rounds*, the chunks of
+:func:`~repro.harness.parallel.run_chunks`.  Each round plans
+``round_size`` programs, generates them with the current
+coverage-derived production weights, fans the oracle probes across the
+executor's worker pool, then folds the observed coverage back into the
+weights for the next round.  Coverage is merged in program-index
 order at the round barrier, so the generated corpus — and therefore the
 whole report — is a pure function of ``(seed, n, round_size)``; the
 jobs count only changes wallclock, never a byte of the report.
@@ -18,7 +19,6 @@ record) land in ``corpus_dir`` when one is given.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -29,7 +29,8 @@ from repro.fuzz.oracle import (
     DEFAULT_SCHEMES, Divergence, classify_program, probe_program,
 )
 from repro.harness.parallel import (
-    CellResult, STATUS_HANG, STATUS_WORKER_DIED, SweepExecutor, run_cells,
+    CellResult, STATUS_HANG, STATUS_WORKER_DIED, SweepExecutor,
+    report_to_json, run_chunks,
 )
 
 __all__ = ["FuzzCell", "FuzzReport", "REPORT_SCHEMA", "run_fuzz"]
@@ -191,10 +192,7 @@ class FuzzReport:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json())
+        return report_to_json(self.to_dict())
 
     def table(self) -> str:
         board = self.scoreboard()
@@ -261,46 +259,35 @@ def run_fuzz(n: int, seed: int,
     report = FuzzReport(seed=seed, n=n, schemes=schemes,
                         round_size=round_size)
     coverage = FuzzCoverage()
-    weights: Optional[Dict[str, float]] = None
+    features: Dict[int, Tuple[str, ...]] = {}
     divergent: List[Tuple[FuzzCell, List[Divergence]]] = []
 
-    done = 0
-    while done < n:
-        if stop is not None and stop():
-            report.interrupted = True
-            break
-        batch = min(round_size, n - done)
-        plan = plan_programs(seed, batch, start=done)
-        cells = []
-        for index, kind in plan:
+    def round_cells(start):
+        # A lazy chunk: nothing is generated until run_chunks runs it,
+        # after ``stop`` is polled and every earlier round's coverage
+        # is folded into the weights.
+        weights = coverage.weights() if start else None
+        for index, kind in plan_programs(
+                seed, min(round_size, n - start), start=start):
             program = generate_program(seed, index, kind, weights)
-            cells.append((program, FuzzCell(
+            features[index] = program.features
+            yield FuzzCell(
                 index=index, name=program.name, kind=program.kind,
                 expect=program.expect, source=program.source,
                 schemes=schemes, max_instructions=max_instructions,
                 wallclock_budget=wallclock_budget,
                 engine_lockstep=engine_lockstep,
-                spec_lockstep=spec_lockstep)))
-        progress = None
-        if heartbeat is not None:
-            base_done = done
+                spec_lockstep=spec_lockstep)
 
-            def progress(round_done, _total, _base=base_done):
-                heartbeat.tick(
-                    _base + round_done,
-                    divergent_programs=len(divergent),
-                    phase="probe")
-        results = run_cells([cell for _, cell in cells],
-                            executor=executor, jobs=jobs,
-                            progress=progress)
-        # Fold results back in index order — the only order that exists
-        # as far as the report is concerned, whatever jobs= was.
-        for (program, cell), result in zip(cells, results):
+    def fold(cells, results):
+        # Index order — the only order that exists as far as the
+        # report is concerned, whatever jobs= was.
+        for cell, result in zip(cells, results):
             if result.measured:
                 verdicts = result.extra["verdicts"]
                 found = [Divergence(**d)
                          for d in result.extra["divergences"]]
-                coverage.observe(program.features,
+                coverage.observe(features[cell.index],
                                  result.extra["functions"])
                 status = result.extra["statuses"].get(schemes[-1], "")
             else:
@@ -319,9 +306,16 @@ def run_fuzz(n: int, seed: int,
             })
             if found:
                 divergent.append((cell, found))
-        weights = coverage.weights()
-        done += batch
 
+    progress = None
+    if heartbeat is not None:
+        def progress(done):
+            heartbeat.tick(done, divergent_programs=len(divergent),
+                           phase="probe")
+    _, report.interrupted = run_chunks(
+        (round_cells(start) for start in range(0, n, round_size)),
+        executor=executor, jobs=jobs, stop=stop, progress=progress,
+        fold=fold)
     report.coverage = coverage.to_dict()
 
     corpus = Path(corpus_dir) if corpus_dir else None
@@ -370,6 +364,5 @@ def run_fuzz(n: int, seed: int,
             if "reduced_source" in record:
                 (corpus / f"{cell.name}.min.c").write_text(
                     record["reduced_source"])
-            stem.with_suffix(".json").write_text(
-                json.dumps(record, indent=2, sort_keys=True) + "\n")
+            stem.with_suffix(".json").write_text(report_to_json(record))
     return report

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import FieldWidths, HwstConfig
-from repro.faultinject.oracle import RunProfile, engine_pair, profile_run
+from repro.faultinject.oracle import RunProfile, engine_pair, profile_source
 from repro.sim.machine import (
     STATUS_EXIT, STATUS_LIMIT, STATUS_SPATIAL, STATUS_TEMPORAL,
 )
@@ -104,21 +104,6 @@ class ProgramProbe:
     spec: Optional[dict] = None
 
 
-def _profile(cache, source: str, scheme: str, config: HwstConfig,
-             max_instructions: int, timed: bool = False,
-             profiler=None) -> Tuple[RunProfile, object]:
-    from repro.sim import make_machine
-
-    program = cache.compile(source, scheme, config)
-    timing = None
-    if timed:
-        from repro.pipeline.timing import InOrderPipeline
-        timing = InOrderPipeline()
-    machine = make_machine(config=config, timing=timing, profiler=profiler)
-    result = machine.run(program, max_instructions=max_instructions)
-    return profile_run(machine, result), program
-
-
 def probe_program(source: str,
                   schemes: Sequence[str] = DEFAULT_SCHEMES,
                   config: Optional[HwstConfig] = None,
@@ -150,8 +135,8 @@ def probe_program(source: str,
     config = config or HwstConfig()
     profiles: Dict[str, RunProfile] = {}
     for scheme in schemes:
-        profiles[scheme], _ = _profile(cache, source, scheme, config,
-                                       max_instructions)
+        (profiles[scheme],), _ = profile_source(source, scheme, config,
+                                                max_instructions, cache)
     functions: Tuple[str, ...] = ()
     spec_record: Optional[dict] = None
     if "hwst128" in schemes:
@@ -178,14 +163,14 @@ def probe_program(source: str,
                 "status": lockstep.outcome.status,
                 "retires": lockstep.retires,
             }
-        profiles["hwst128@alt"], _ = _profile(
-            cache, source, "hwst128", alt_config(config), max_instructions)
+        (profiles["hwst128@alt"],), _ = profile_source(
+            source, "hwst128", alt_config(config), max_instructions, cache)
         profiler = None
         if collect_coverage:
             from repro.obs.profiler import CycleProfiler
             profiler = CycleProfiler()
-        profiles["hwst128@timed"], program = _profile(
-            cache, source, "hwst128", config, max_instructions,
+        (profiles["hwst128@timed"],), program = profile_source(
+            source, "hwst128", config, max_instructions, cache,
             timed=True, profiler=profiler)
         if profiler is not None:
             report = profiler.report(program)

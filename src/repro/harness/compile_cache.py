@@ -410,7 +410,6 @@ class CompileCache:
 
     def compile(self, source: str, scheme: str,
                 config: Optional[HwstConfig] = None,
-                program_name: str = "program",
                 metrics=None, tracer=None):
         """Compile ``source`` under ``scheme``, reusing cached artefacts.
 
@@ -441,17 +440,16 @@ class CompileCache:
                 return program
         self.misses += 1
         program = self._compile_and_publish(
-            source, scheme, config, key, program_name, metrics, tracer)
+            source, scheme, config, key, metrics, tracer)
         self._keep(self._programs, key, program)
         return program
 
     def _compile_and_publish(self, source, scheme, config, key,
-                             program_name, metrics, tracer):
+                             metrics, tracer):
         """Compile (coalescing with concurrent processes via the disk
         store's per-key lock when one is attached) and publish."""
         if self.disk is None:
-            return self._compile(source, scheme, config, program_name,
-                                 metrics, tracer)
+            return self._compile(source, scheme, config, metrics, tracer)
         if not self.disk.acquire(key):
             # Another live process is compiling this very key: wait for
             # its publish instead of duplicating the work. A crashed
@@ -462,7 +460,7 @@ class CompileCache:
             if program is not None:
                 return program
             return self._publish(key, self._compile(
-                source, scheme, config, program_name, metrics, tracer))
+                source, scheme, config, metrics, tracer))
         try:
             # Double-check under the lock: the artifact may have been
             # published between our miss and the acquire.
@@ -470,7 +468,7 @@ class CompileCache:
             if program is not None:
                 return program
             return self._publish(key, self._compile(
-                source, scheme, config, program_name, metrics, tracer))
+                source, scheme, config, metrics, tracer))
         finally:
             self.disk._unlock(key)
 
@@ -481,8 +479,7 @@ class CompileCache:
             pass                   # store full/unwritable: serve anyway
         return program
 
-    def _compile(self, source, scheme, config, program_name, metrics,
-                 tracer):
+    def _compile(self, source, scheme, config, metrics, tracer):
         from repro.schemes import compile_source
 
         phases = None
@@ -490,8 +487,8 @@ class CompileCache:
             from repro.obs.phases import PhaseTimers
 
             phases = PhaseTimers(metrics=metrics, tracer=tracer)
-        return compile_source(source, scheme, config, program_name,
-                              phases=phases, cache=self)
+        return compile_source(source, scheme, config, phases=phases,
+                              cache=self)
 
     @staticmethod
     def _replay_analyze(program, metrics) -> None:

@@ -12,12 +12,12 @@ both worlds. It builds picklable cells for the sweep executor:
   the run-level observables (status / exit code / instret / output /
   trap class / trap pc) compared against the agreed outcome.
 
-:func:`run_conform` fans the cells through :class:`SweepExecutor`
-(same heartbeat + telemetry discipline as the fuzz and fault-injection
-campaigns) and folds the envelopes into a deterministic
-``repro.spec/v1`` report: results appear in cell input order, no
-timestamps or host state, so same-seed runs are byte-identical at any
-``--jobs``.
+:func:`run_conform` runs the cells as one chunk of
+:func:`~repro.harness.parallel.run_chunks`, which runs the fuzz and
+fault-injection campaigns too, and folds the envelopes into a
+deterministic ``repro.spec/v1`` report: results appear in cell input
+order, no timestamps or host state, so same-seed runs are
+byte-identical at any ``--jobs``.
 
 Divergence is *data* here (campaigns complete and report), and becomes
 an exit code only at the CLI (``repro conform`` exits
@@ -26,13 +26,14 @@ an exit code only at the CLI (``repro conform`` exits
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import FieldWidths, HwstConfig
 from repro.harness.compile_cache import process_cache
-from repro.harness.parallel import CellResult, SweepExecutor
+from repro.harness.parallel import (
+    CellResult, SweepExecutor, report_to_json, run_chunks,
+)
 from repro.harness.runner import WORKLOADS
 from repro.isa.instructions import SPEC_TABLE
 from repro.obs.heartbeat import Heartbeat
@@ -351,15 +352,8 @@ def run_conform(workloads: Optional[Sequence[str]] = None,
     heartbeat = Heartbeat(total=len(cells), label="conform",
                           interval_s=heartbeat_s, stream=heartbeat_stream,
                           metrics=registry)
-    own_executor = executor is None
-    if executor is None:
-        executor = SweepExecutor(jobs=jobs, registry=registry)
-    try:
-        results = executor.run(
-            cells, progress=lambda done, total: heartbeat.tick(done))
-    finally:
-        if own_executor:
-            executor.close()
+    results, _ = run_chunks([cells], executor=executor, jobs=jobs,
+                            progress=heartbeat.tick)
     corpus = {
         "schemes": list(schemes) if lockstep else [],
         "scale": scale,
@@ -381,7 +375,3 @@ def run_conform(workloads: Optional[Sequence[str]] = None,
 
 def divergences_of(report: dict) -> int:
     return int(report["totals"]["divergences"])
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"

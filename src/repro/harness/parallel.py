@@ -34,6 +34,12 @@ scale) cells. This module runs those cells through one engine:
   counters merge into the parent executor's ``MetricsRegistry``
   (``compile.cache.hits`` etc.) and its merged ``obs`` snapshot.
 
+* **Campaigns run in chunks.** :func:`run_chunks` drives the fuzz,
+  fault-injection and conformance campaigns: chunks run one after
+  another on one executor, with a stop flag polled between them and
+  each chunk's results folded before the next is drawn.
+  :func:`run_cells` is its one-chunk case.
+
 ``jobs=1`` runs every cell inline in the parent process — same code
 path, no pool — and produces bit-identical experiment dicts to the
 pre-executor serial harness.
@@ -42,19 +48,23 @@ pre-executor serial harness.
 from __future__ import annotations
 
 import ctypes
+import json
 import threading
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.core.config import HwstConfig
 from repro.harness.compile_cache import process_cache
+from repro.harness.runner import WORKLOADS, run_program
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.pipeline.timing import TimingParams
 
 __all__ = ["CellSpec", "CellResult", "SweepExecutor", "run_cells",
+           "run_chunks", "report_to_json",
            "WallclockTimeout", "wallclock_guard", "DeadlineGuard",
            "STATUS_HANG", "STATUS_WORKER_DIED"]
 
@@ -287,10 +297,6 @@ def _spec_identity(spec) -> Tuple[str, Optional[str], str]:
 
 def _run_cellspec(spec: CellSpec) -> CellResult:
     """The classic compile-and-simulate cell body (may raise)."""
-    from repro.pipeline.timing import InOrderPipeline
-    from repro.sim import make_machine
-    from repro.workloads import WORKLOADS
-
     if spec.source is not None:
         source = spec.source
     else:
@@ -300,15 +306,12 @@ def _run_cellspec(spec: CellSpec) -> CellResult:
                 f"unknown workload {spec.workload!r}; known: "
                 f"{sorted(WORKLOADS)}")
         source = workload.source(spec.scale)
-    config = spec.config or HwstConfig()
     registry = MetricsRegistry() if spec.collect_registry else None
-    program = process_cache().compile(source, spec.scheme, config,
-                                      metrics=registry)
-    pipeline = InOrderPipeline(spec.timing_params, metrics=registry) \
-        if spec.timing else None
-    machine = make_machine(config=config, timing=pipeline, metrics=registry)
-    result = machine.run(program,
-                         max_instructions=spec.max_instructions)
+    result = run_program(source, spec.scheme, spec.config,
+                         timing=spec.timing,
+                         timing_params=spec.timing_params,
+                         max_instructions=spec.max_instructions,
+                         metrics=registry, cache=process_cache())
     return CellResult(
         tag=spec.tag, workload=spec.workload, scheme=spec.scheme,
         ok=result.ok, status=result.status,
@@ -531,13 +534,55 @@ class SweepExecutor:
         return line
 
 
+def run_chunks(chunks: Iterable[Iterable[CellSpec]],
+               executor: Optional[SweepExecutor] = None,
+               jobs: int = 1,
+               stop: Optional[Callable[[], bool]] = None,
+               progress: Optional[Callable[[int], None]] = None,
+               fold: Optional[Callable[[List, List[CellResult]],
+                                       None]] = None,
+               ) -> Tuple[List[CellResult], bool]:
+    """Run a campaign's ``chunks`` of cells, one after another.
+
+    Every chunk runs on ``executor``, or on one transient executor
+    with ``jobs`` workers that is closed after the last chunk.
+    ``stop`` (a zero-argument flag) is polled before each chunk, and a
+    chunk is listed only after that poll, so a lazily generated chunk
+    costs nothing once ``stop`` is set. ``progress(done)`` ticks with
+    the campaign-wide count of finished cells; ``fold(cells,
+    results)`` receives each chunk's results before the next chunk is
+    drawn, so a lazy chunk may depend on everything folded so far.
+    Returns the results in input order and whether ``stop`` cut the
+    run short.
+    """
+    if executor is None:
+        with SweepExecutor(jobs=jobs) as transient:
+            return run_chunks(chunks, transient, stop=stop,
+                              progress=progress, fold=fold)
+    results: List[CellResult] = []
+    for chunk in chunks:
+        if stop is not None and stop():
+            return results, True
+        cells = list(chunk)
+        tick = None
+        if progress is not None:
+            def tick(done, _total, _base=len(results)):
+                progress(_base + done)
+        done = executor.run(cells, progress=tick)
+        results.extend(done)
+        if fold is not None:
+            fold(cells, done)
+    return results, False
+
+
 def run_cells(cells: Sequence[CellSpec],
               executor: Optional[SweepExecutor] = None,
-              jobs: int = 1,
-              progress: Optional[Callable[[int, int], None]] = None,
-              ) -> List[CellResult]:
+              jobs: int = 1) -> List[CellResult]:
     """Run cells on ``executor``, or a transient one (closed after)."""
-    if executor is not None:
-        return executor.run(cells, progress=progress)
-    with SweepExecutor(jobs=jobs) as transient:
-        return transient.run(cells, progress=progress)
+    return run_chunks([cells], executor, jobs)[0]
+
+
+def report_to_json(doc: dict) -> str:
+    """The one rendering of a campaign report, ``--out`` file or fuzz
+    corpus record: sorted keys, two-space indent, trailing newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -112,9 +112,3 @@ class Heartbeat:
         if tracer is not None and tracer.wants("campaign"):
             tracer.emit("campaign", self.label, ts=elapsed * 1e6,
                         args=payload)
-
-    def progress(self, done: int, total: int) -> None:
-        """Adapter matching the executor's ``progress(done, total)``
-        callback shape (``total`` is re-asserted from the executor's
-        view but the constructor's value wins for ETA math)."""
-        self.tick(done)

@@ -1,5 +1,6 @@
 """Protection schemes: compile pipelines gluing instrumentation,
-runtime, codegen and the machine together.
+runtime and codegen together. Running a program is the harness's job
+(:func:`repro.harness.runner.run_program`).
 
 Available schemes (the paper's Figures 4-6 cast):
 
@@ -19,8 +20,7 @@ Available schemes (the paper's Figures 4-6 cast):
 from repro.schemes.compile import (
     SCHEMES,
     compile_source,
-    run_source,
     scheme_names,
 )
 
-__all__ = ["SCHEMES", "compile_source", "run_source", "scheme_names"]
+__all__ = ["SCHEMES", "compile_source", "scheme_names"]

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.codegen.link import RuntimeImage, build_program, lower_runtime
 from repro.codegen.lower import CodegenOptions
@@ -15,9 +15,6 @@ from repro.minic import analyze, tokenize
 from repro.minic.parser import Parser
 from repro.minic.sema import LITERAL_PREFIX
 from repro.obs.phases import NULL_PHASES
-from repro.pipeline.timing import InOrderPipeline, TimingParams
-from repro.sim import make_machine
-from repro.sim.machine import RunResult
 from repro.sim.memory import DEFAULT_LAYOUT
 
 
@@ -128,7 +125,6 @@ def runtime_image(spec: SchemeSpec, options: CodegenOptions,
 
 def compile_source(source: str, scheme: str = "baseline",
                    config: Optional[HwstConfig] = None,
-                   program_name: str = "program",
                    phases=None, cache=None):
     """Compile mini-C ``source`` under ``scheme`` into a Program.
 
@@ -155,7 +151,7 @@ def compile_source(source: str, scheme: str = "baseline",
     config = config or HwstConfig()
     phases = phases if phases is not None else NULL_PHASES
 
-    module = _compile_unit(source, program_name, phases, cache)
+    module = _compile_unit(source, "program", phases, cache)
     if spec.instrument is not None:
         from repro.ir.instrument import PASSES, instrument_module
 
@@ -200,7 +196,7 @@ def compile_source(source: str, scheme: str = "baseline",
     image = runtime_image(spec, options, phases, cache)
     verify_module(module, linked=image.interface)
 
-    meta: Dict[str, object] = {"scheme": scheme, "name": program_name}
+    meta: Dict[str, object] = {"scheme": scheme, "name": "program"}
     if "analyze" in module.meta:
         # Keep the elision summary on the Program so cached builds can
         # replay the compile.analyze.* counters without re-analysing.
@@ -210,31 +206,3 @@ def compile_source(source: str, scheme: str = "baseline",
                             meta=meta, phases=phases)
     return program
 
-
-def run_source(source: str, scheme: str = "baseline",
-               config: Optional[HwstConfig] = None,
-               timing: bool = True,
-               timing_params: Optional[TimingParams] = None,
-               max_instructions: int = 200_000_000,
-               program_name: str = "program",
-               metrics=None, tracer=None, profiler=None,
-               phases=None) -> RunResult:
-    """Compile and execute ``source`` under ``scheme``.
-
-    The optional observability hooks (``metrics`` registry, ``tracer``,
-    ``profiler``, compile ``phases``) are threaded into both the
-    compile pipeline and the machine; pass one shared
-    :class:`~repro.obs.metrics.MetricsRegistry` to get the full
-    ``compile.* / sim.* / pipeline.*`` tree in one snapshot.
-    """
-    config = config or HwstConfig()
-    if phases is None and metrics is not None:
-        from repro.obs.phases import PhaseTimers
-        phases = PhaseTimers(metrics=metrics, tracer=tracer)
-    program = compile_source(source, scheme, config, program_name,
-                             phases=phases)
-    pipeline = InOrderPipeline(timing_params, metrics=metrics) \
-        if timing else None
-    machine = make_machine(config=config, timing=pipeline, metrics=metrics,
-                           tracer=tracer, profiler=profiler)
-    return machine.run(program, max_instructions=max_instructions)

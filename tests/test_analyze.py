@@ -472,15 +472,15 @@ int main(void) {
 
     def test_elision_preserves_output_and_saves_instructions(self):
         from repro.obs.metrics import MetricsRegistry
-        from repro.schemes import run_source
+        from repro.harness.runner import run_program
 
         config = HwstConfig(elide_checks=True)
         wins = 0
         for scheme in ("hwst128_tchk", "sbcets"):
-            base = run_source(CLEAN_LOOP, scheme)
+            base = run_program(CLEAN_LOOP, scheme)
             registry = MetricsRegistry()
-            elided = run_source(CLEAN_LOOP, scheme, config=config,
-                                metrics=registry)
+            elided = run_program(CLEAN_LOOP, scheme, config=config,
+                                 metrics=registry)
             assert elided.status == base.status
             assert elided.exit_code == base.exit_code
             assert elided.output == base.output
@@ -770,25 +770,25 @@ class TestHoist:
         assert snap["compile.analyze.temporal_elided"] >= 1
 
     def test_hoist_preserves_output_and_saves_instructions(self):
-        from repro.schemes import run_source
+        from repro.harness.runner import run_program
 
         config = HwstConfig(elide_checks=True)
         for scheme in ("hwst128_tchk", "hwst128", "sbcets"):
-            base = run_source(HOIST_LOOP, scheme)
-            elided = run_source(HOIST_LOOP, scheme, config=config)
+            base = run_program(HOIST_LOOP, scheme)
+            elided = run_program(HOIST_LOOP, scheme, config=config)
             assert elided.status == base.status, scheme
             assert elided.output == base.output, scheme
             assert elided.instret < base.instret, scheme
 
     def test_hoist_preserves_temporal_trap_on_dangling_loop(self):
-        from repro.schemes import run_source
+        from repro.harness.runner import run_program
 
         dangling = HOIST_LOOP.replace("setup();",
                                       "setup();\n    free(g);")
         config = HwstConfig(elide_checks=True)
         for scheme in ("hwst128_tchk", "sbcets"):
-            base = run_source(dangling, scheme)
-            elided = run_source(dangling, scheme, config=config)
+            base = run_program(dangling, scheme)
+            elided = run_program(dangling, scheme, config=config)
             assert base.status == "temporal_violation", scheme
             assert elided.status == "temporal_violation", scheme
 

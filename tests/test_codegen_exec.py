@@ -7,11 +7,11 @@ compiler's conformance suite.
 
 import pytest
 
-from repro.schemes import run_source
+from repro.harness.runner import run_program
 
 
 def run(source, **kwargs):
-    result = run_source(source, "baseline", timing=False, **kwargs)
+    result = run_program(source, "baseline", timing=False, **kwargs)
     assert result.status == "exit", (result.status, result.detail)
     return result
 

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.schemes import run_source
+from repro.harness.runner import run_program
 
 
 def exit_code(source, scheme="baseline"):
-    result = run_source(source, scheme, timing=False,
-                        max_instructions=30_000_000)
+    result = run_program(source, scheme, timing=False,
+                         max_instructions=30_000_000)
     assert result.status == "exit", (result.status, result.detail)
     return result.exit_code
 

@@ -13,7 +13,7 @@ ISS arithmetic at once.
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.schemes import run_source
+from repro.harness.runner import run_program
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
@@ -106,7 +106,7 @@ def test_expression_evaluation_matches_python(expr, a, b, c):
         print_int(r);
         return 0;
     }}"""
-    result = run_source(source, "baseline", timing=False)
+    result = run_program(source, "baseline", timing=False)
     assert result.status == "exit", result.detail
     expected = expr.evaluate({"a": a, "b": b, "c": c})
     assert result.output_text() == str(expected), expr.text
@@ -138,7 +138,7 @@ def test_bubble_sort_matches_python(values):
         }}
         return 0;
     }}"""
-    result = run_source(source, "hwst128_tchk", timing=False)
+    result = run_program(source, "hwst128_tchk", timing=False)
     assert result.ok, result.detail
     expected = "".join(f"{v} " for v in sorted(values))
     assert result.output_text() == expected
@@ -167,7 +167,7 @@ def test_division_identities(dividend_scale, divisor):
         }}
         return 0;
     }}"""
-    result = run_source(source, "baseline", timing=False)
+    result = run_program(source, "baseline", timing=False)
     assert result.status == "exit" and result.exit_code == 0
 
 
@@ -184,7 +184,7 @@ def test_string_roundtrip(text):
         print_str(s);
         return (int)strlen(s) - {len(text)};
     }}"""
-    result = run_source(source, "sbcets", timing=False)
+    result = run_program(source, "sbcets", timing=False)
     assert result.status == "exit", result.detail
     assert result.exit_code == 0
     assert result.output_text() == text

@@ -4,7 +4,8 @@ Four contracts:
 
 * **Independence** — ``repro.spec`` imports nothing from the simulator
   (or any other implementation package); the spec is a second opinion,
-  not a re-export.
+  not a re-export. The compiler packages import no engine, timing
+  model or harness: the ISA is their only contract with the machine.
 * **Completeness** — every mnemonic in the encoding tables has a spec
   handler and a per-instruction equivalence battery, and the battery
   finds zero divergences.
@@ -74,6 +75,19 @@ def _lockstep(source, scheme, config=None, **kwargs):
 # Independence
 # ---------------------------------------------------------------------------
 
+def _imports_of(path: Path):
+    """Every absolute module name ``path`` imports, at any depth."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:            # relative import: same package
+                continue
+            yield node.module or ""
+
+
 class TestSpecIndependence:
     #: The only first-party packages the spec may touch: its own
     #: modules and the pure encoding tables. Everything else
@@ -81,22 +95,10 @@ class TestSpecIndependence:
     #: implementation the spec must stay independent of.
     ALLOWED_PREFIXES = ("repro.spec", "repro.isa")
 
-    @staticmethod
-    def _imports_of(path: Path):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    yield alias.name
-            elif isinstance(node, ast.ImportFrom):
-                if node.level:        # relative import: inside repro.spec
-                    continue
-                yield node.module or ""
-
     def test_spec_never_imports_an_implementation(self):
         violations = []
         for path in sorted(SPEC_DIR.glob("*.py")):
-            for module in self._imports_of(path):
+            for module in _imports_of(path):
                 if module.split(".")[0] != "repro":
                     continue          # stdlib
                 if not module.startswith(self.ALLOWED_PREFIXES):
@@ -113,6 +115,29 @@ class TestSpecIndependence:
 
     def test_table_covers_every_encoded_mnemonic(self):
         assert set(SPEC_EXEC) == set(SPEC_TABLE)
+
+
+class TestCompilerLayering:
+    """The compiler stops at the ISA: it builds a ``Program`` and never
+    runs one, so it imports no engine, timing model or harness."""
+
+    PACKAGES = ("minic", "ir", "codegen", "schemes", "analyze")
+    #: ``repro.sim`` itself and its engines are off limits; the memory
+    #: layout, instruction semantics and ``Program`` stay allowed.
+    FORBIDDEN_PREFIXES = ("repro.harness", "repro.pipeline",
+                          "repro.sim.machine", "repro.sim.fastmachine")
+
+    def test_compiler_imports_no_engine_or_harness(self):
+        root = SPEC_DIR.parent
+        violations = []
+        for package in self.PACKAGES:
+            for path in sorted((root / package).rglob("*.py")):
+                violations.extend(
+                    f"{path.relative_to(root)}: imports {module}"
+                    for module in _imports_of(path)
+                    if module == "repro.sim"
+                    or module.startswith(self.FORBIDDEN_PREFIXES))
+        assert violations == [], violations
 
 
 # ---------------------------------------------------------------------------

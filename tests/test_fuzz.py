@@ -279,6 +279,21 @@ class TestInterrupt:
         assert doc["interrupted"] is True
         assert doc["completed"] == 25
 
+    def test_interrupted_prefix_matches_the_full_run(self):
+        # Stopping after round 2 covers the hand-off of coverage-derived
+        # weights from round 1 to round 2, not only round 1's programs.
+        polls = []
+
+        def stop_after_second_round():
+            polls.append(True)
+            return len(polls) > 2
+
+        partial = run_fuzz(75, seed=42, jobs=1,
+                           stop=stop_after_second_round)
+        full = run_fuzz(75, seed=42, jobs=1)
+        assert len(partial.programs) == 50
+        assert partial.programs == full.programs[:50]
+
     def test_immediate_stop_yields_empty_valid_report(self):
         report = run_fuzz(50, seed=42, jobs=1, stop=lambda: True)
         assert report.interrupted

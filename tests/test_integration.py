@@ -16,7 +16,8 @@ from repro.core.config import HwstConfig
 from repro.errors import LinkError
 from repro.isa import csr as csrdef
 from repro.isa.encoding import decode_program, encode_program
-from repro.schemes import compile_source, run_source
+from repro.harness.runner import run_program
+from repro.schemes import compile_source
 from repro.sim.machine import Machine
 from repro.sim.memory import DEFAULT_LAYOUT
 
@@ -153,7 +154,7 @@ class TestShadowBudget:
         """Paper Sec. 5.1: lbm cannot finish under SBCETS due to
         insufficient memory — reproduced as a shadow budget."""
         config = HwstConfig(shadow_budget=4096)
-        result = run_source("""
+        result = run_program("""
         int main(void) {
             long i;
             long *tab[64];
@@ -166,7 +167,7 @@ class TestShadowBudget:
         assert result.status == "shadow_oom"
 
     def test_unlimited_budget_by_default(self):
-        result = run_source("""
+        result = run_program("""
         int main(void) {
             long *p = (long*)malloc(64);
             p[0] = 1;
@@ -202,7 +203,7 @@ def test_compiled_sum_matches_python(values):
         print_int(hi);
         return 0;
     }}"""
-    result = run_source(source, "hwst128_tchk", timing=False)
+    result = run_program(source, "hwst128_tchk", timing=False)
     assert result.ok, result.detail
     expected = f"{sum(values)} {min(values)} {max(values)}"
     assert result.output_text() == expected

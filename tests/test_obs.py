@@ -608,10 +608,10 @@ int main() {
 class TestIntegration:
     def test_metrics_match_legacy_stats(self):
         from repro.obs import MetricsRegistry
-        from repro.schemes import run_source
+        from repro.harness.runner import run_program
 
         reg = MetricsRegistry()
-        result = run_source(SRC, "hwst128_tchk", metrics=reg)
+        result = run_program(SRC, "hwst128_tchk", metrics=reg)
         assert result.ok
         snap = reg.snapshot()
         stats = result.stats
@@ -636,9 +636,9 @@ class TestIntegration:
         must still be present (zeroed), so downstream consumers never
         KeyError."""
         from repro.pipeline.timing import BREAKDOWN_KEYS
-        from repro.schemes import run_source
+        from repro.harness.runner import run_program
 
-        result = run_source(SRC, "baseline", timing=False)
+        result = run_program(SRC, "baseline", timing=False)
         assert result.ok
         assert result.stats["dcache_hits"] == 0
         assert result.stats["dcache_misses"] == 0
@@ -646,10 +646,10 @@ class TestIntegration:
             assert result.stats[f"cyc_{key}"] == 0
 
     def test_trace_categories_from_run(self):
-        from repro.schemes import run_source
+        from repro.harness.runner import run_program
 
         tracer = Tracer()
-        result = run_source(SRC, "hwst128_tchk", tracer=tracer)
+        result = run_program(SRC, "hwst128_tchk", tracer=tracer)
         assert result.ok
         cats = {e.cat for e in tracer.events()}
         assert {"retire", "kb", "shadow", "sim"} <= cats
@@ -657,34 +657,34 @@ class TestIntegration:
 
     def test_host_gauges_in_run_result_metrics(self):
         from repro.obs import MetricsRegistry
-        from repro.schemes import run_source
+        from repro.harness.runner import run_program
 
         reg = MetricsRegistry()
-        result = run_source(SRC, "baseline", metrics=reg)
+        result = run_program(SRC, "baseline", metrics=reg)
         assert result.ok
         assert result.metrics["host.peak_rss_kb"] > 0
         assert result.metrics["host.gc_collections"] >= 0
 
     def test_trace_dropped_counter_surfaces_overflow(self):
         from repro.obs import MetricsRegistry
-        from repro.schemes import run_source
+        from repro.harness.runner import run_program
 
         reg = MetricsRegistry()
         tracer = Tracer(capacity=16)           # far too small
-        result = run_source(SRC, "hwst128_tchk", metrics=reg,
-                            tracer=tracer)
+        result = run_program(SRC, "hwst128_tchk", metrics=reg,
+                             tracer=tracer)
         assert result.ok
         assert tracer.dropped > 0
         assert result.metrics["obs.trace.dropped"] == tracer.dropped
 
     def test_trace_dropped_counter_zero_when_roomy(self):
         from repro.obs import MetricsRegistry
-        from repro.schemes import run_source
+        from repro.harness.runner import run_program
 
         reg = MetricsRegistry()
         tracer = Tracer(capacity=1 << 20)
-        result = run_source(SRC, "baseline", metrics=reg,
-                            tracer=tracer)
+        result = run_program(SRC, "baseline", metrics=reg,
+                             tracer=tracer)
         assert result.ok
         assert result.metrics["obs.trace.dropped"] == 0
 

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.schemes import run_source
+from repro.harness.runner import run_program
 
 
 def exit_code(source):
-    result = run_source(source, "baseline", timing=False)
+    result = run_program(source, "baseline", timing=False)
     assert result.status == "exit", (result.status, result.detail)
     return result.exit_code
 
@@ -192,8 +192,8 @@ class TestPrng:
             print_int(rand_next() % 1000);
             return 0;
         }"""
-        base = run_source(source, "baseline", timing=False)
-        hwst = run_source(source, "hwst128_tchk", timing=False)
+        base = run_program(source, "baseline", timing=False)
+        hwst = run_program(source, "hwst128_tchk", timing=False)
         assert base.output == hwst.output
 
 
@@ -210,16 +210,16 @@ class TestLockRuntime:
             }
             return 0;
         }"""
-        result = run_source(source, "hwst128_tchk", timing=False,
-                            max_instructions=20_000_000)
+        result = run_program(source, "hwst128_tchk", timing=False,
+                             max_instructions=20_000_000)
         assert result.ok, (result.status, result.detail)
 
     def test_abort_reports_as_abort(self):
-        result = run_source("int main(void){ abort(); return 0; }",
-                            "baseline", timing=False)
+        result = run_program("int main(void){ abort(); return 0; }",
+                             "baseline", timing=False)
         assert result.status == "abort"
 
     def test_exit_code_propagates(self):
-        result = run_source("int main(void){ exit(7); return 0; }",
-                            "baseline", timing=False)
+        result = run_program("int main(void){ exit(7); return 0; }",
+                             "baseline", timing=False)
         assert result.status == "exit" and result.exit_code == 7

@@ -8,7 +8,7 @@ program output) and the per-scheme detection capabilities.
 import pytest
 
 from repro.harness.runner import detected, run_program
-from repro.schemes import SCHEMES, run_source, scheme_names
+from repro.schemes import SCHEMES, scheme_names
 
 ALL_SCHEMES = scheme_names()
 
@@ -48,7 +48,7 @@ int main(void) {
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_clean_program_passes(scheme):
     """Functional transparency: no scheme breaks a correct program."""
-    result = run_source(CLEAN_PROGRAM, scheme, timing=False)
+    result = run_program(CLEAN_PROGRAM, scheme, timing=False)
     assert result.status == "exit", (scheme, result.status, result.detail)
     assert result.exit_code == 0, (scheme, result.exit_code)
 
@@ -56,7 +56,7 @@ def test_clean_program_passes(scheme):
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_output_identical_across_schemes(scheme):
     """Instrumentation must not change observable behaviour."""
-    result = run_source(CLEAN_PROGRAM, scheme, timing=False)
+    result = run_program(CLEAN_PROGRAM, scheme, timing=False)
     assert result.output == b"23"
 
 
@@ -186,15 +186,15 @@ def test_detection_matrix(source, scheme, expected):
 
 class TestViolationClassification:
     def test_spatial_vs_temporal_statuses(self):
-        spatial = run_source(HEAP_OVERFLOW, "hwst128_tchk", timing=False)
-        temporal = run_source(USE_AFTER_FREE, "hwst128_tchk",
-                              timing=False)
+        spatial = run_program(HEAP_OVERFLOW, "hwst128_tchk", timing=False)
+        temporal = run_program(USE_AFTER_FREE, "hwst128_tchk",
+                               timing=False)
         assert spatial.status == "spatial_violation"
         assert temporal.status == "temporal_violation"
 
     def test_sbcets_traps_are_classified_too(self):
-        spatial = run_source(HEAP_OVERFLOW, "sbcets", timing=False)
-        temporal = run_source(USE_AFTER_FREE, "sbcets", timing=False)
+        spatial = run_program(HEAP_OVERFLOW, "sbcets", timing=False)
+        temporal = run_program(USE_AFTER_FREE, "sbcets", timing=False)
         assert spatial.status == "spatial_violation"
         assert temporal.status == "temporal_violation"
 
@@ -206,12 +206,12 @@ class TestViolationClassification:
             for (i = 0; i < 7; i++) { buf[i] = -1; }
             return 0;
         }"""
-        result = run_source(smash, "gcc", timing=False)
+        result = run_program(smash, "gcc", timing=False)
         assert result.status == "abort"
         assert "smash" in result.detail
 
     def test_detected_violation_property(self):
-        result = run_source(HEAP_OVERFLOW, "hwst128_tchk", timing=False)
+        result = run_program(HEAP_OVERFLOW, "hwst128_tchk", timing=False)
         assert result.detected_violation
 
 
@@ -223,7 +223,7 @@ class TestSchemeRegistry:
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
-            run_source("int main(void){ return 0; }", "nope")
+            run_program("int main(void){ return 0; }", "nope")
 
     def test_descriptions_exist(self):
         for spec in SCHEMES.values():
