@@ -3,9 +3,9 @@
 ``analyze_module`` drives the interprocedural analysis
 (:mod:`repro.analyze.interproc` — call-graph summaries bottom-up,
 call-site contexts top-down) over an IR module and collects structured
-findings; ``analyze_source`` runs just the front end (lex/parse/sema/
-irgen — no instrumentation, no runtime link) and then analyzes the
-result, which is what the ``repro analyze`` CLI uses.
+findings; ``analyze_source`` runs just the compiler's front end
+(lex/parse/sema/irgen — no instrumentation, no runtime link) and then
+analyzes the result, which is what the ``repro analyze`` CLI uses.
 
 Severity convention: ``error`` findings are *must*-style facts (a
 trapping execution provably exists on a feasible path); ``warning``
@@ -265,16 +265,19 @@ def _dead_code_findings(fn, cfg: CFG, report: AnalysisReport):
 
 
 def analyze_source(source: str, name: str = "program",
-                   config: Optional[HwstConfig] = None
-                   ) -> AnalysisReport:
-    """Front-end + analysis for mini-C source (no instrumentation)."""
-    from repro.ir.irgen import lower_unit
-    from repro.minic.lexer import tokenize
-    from repro.minic.parser import Parser
-    from repro.minic.sema import analyze
+                   config: Optional[HwstConfig] = None,
+                   cache=None) -> AnalysisReport:
+    """Front-end + analysis for mini-C source (no instrumentation).
 
-    tokens = tokenize(source)
-    unit = Parser(tokens).parse_translation_unit()
-    sema = analyze(unit)
-    module = lower_unit(sema, name)
-    return analyze_module(module, config)
+    The module comes from :func:`repro.schemes.compile.compile_unit`,
+    the front end ``compile_source`` runs, so with ``cache`` (a
+    :class:`repro.harness.compile_cache.CompileCache`) a source that
+    was just compiled is linted from the unit tier instead of being
+    lexed, parsed and lowered again. The report is named ``name``.
+    """
+    from repro.schemes.compile import compile_unit
+
+    report = analyze_module(compile_unit(source, "program", cache=cache),
+                            config)
+    report.name = name
+    return report

@@ -176,7 +176,7 @@ def probe_program(source: str,
             report = profiler.report(program)
             functions = tuple(sorted(
                 fn.name for fn in report.functions if fn.name != "?"))
-    lint = analyze_source(source, "fuzz", config)
+    lint = analyze_source(source, "fuzz", config, cache)
     lint_kinds = tuple(sorted({f.kind for f in lint.errors()}))
     return ProgramProbe(profiles=profiles, lint_kinds=lint_kinds,
                         functions=functions, spec=spec_record)

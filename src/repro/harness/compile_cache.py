@@ -13,7 +13,9 @@ each artefact by SHA-256 of everything that can change it. A full tier
   one translation unit, keyed by source text + unit name. Scheme- and
   config-independent: instrumentation runs after this stage. Stored
   as *sealed pickles*, so a hit hands back a fresh ``Module`` that
-  instrumentation may mutate freely.
+  instrumentation may mutate freely. The linter
+  (:func:`repro.analyze.analyze_source`) reads the same tier, so a
+  source that was just compiled is linted without a second front end.
 * **runtime tier** — each scheme's runtime library as a
   :class:`~repro.codegen.link.RuntimeImage` (front end, verification
   and lowering done once), keyed by the runtime source + the
@@ -50,9 +52,14 @@ use:
   format-version/sha-256 guard (or does not unpickle) is deleted and
   recompiled, and the fresh artifact is re-published
   (``compile.cache.disk_corrupt`` counts the repair);
-* **size-capped LRU eviction** — reads refresh the artifact mtime;
-  when the store grows past ``max_bytes`` the oldest artifacts are
-  evicted (``compile.cache.disk_evictions``).
+* **size-capped LRU eviction** — reads refresh the artifact mtime; a
+  trim drops the oldest artifacts until the store fits ``max_bytes``
+  (``compile.cache.disk_evictions``). A trim scans the whole store, so
+  a process does not trim on every publish: it trims on its first
+  publish and then whenever it has published ``max_bytes //
+  TRIM_EVERY`` bytes since its last trim. Right after a trim the store
+  is at most ``max_bytes``; between trims each publishing process adds
+  at most ``max_bytes // TRIM_EVERY``.
 """
 
 from __future__ import annotations
@@ -93,6 +100,10 @@ def _digest(*parts: str) -> str:
 #: field tuples.
 CACHE_FORMAT = 2
 
+#: A :class:`DiskArtifactStore` trims itself once a process has
+#: published ``max_bytes // TRIM_EVERY`` bytes since its last trim.
+TRIM_EVERY = 16
+
 
 def _seal(payload) -> tuple:
     """Wrap a pickled artefact with its format version + fingerprint."""
@@ -118,6 +129,13 @@ class DiskArtifactStore:
     advisory locks with stale recovery, repair-on-corruption, LRU
     eviction). All counters are process-local and folded into the
     parent registry the same way the in-memory tiers' are.
+
+    A trim (:meth:`_evict`) stats every artifact, so :meth:`store`
+    trims only on this instance's first publish and then each time it
+    has published ``max_bytes // TRIM_EVERY`` bytes: right after a trim
+    the store is at most ``max_bytes``, and between trims each
+    publishing process adds at most ``max_bytes // TRIM_EVERY``. Below
+    a 16-byte cap that share is 0 and every publish trims.
     """
 
     def __init__(self, root, max_bytes: int = 256 * 1024 * 1024,
@@ -137,6 +155,10 @@ class DiskArtifactStore:
         self.evictions = 0
         self.lock_breaks = 0
         self.lock_waits = 0
+        # Bytes published since the last trim. Starting at the trim
+        # share makes the first publish trim, so a store left over its
+        # cap (by other processes, or under a larger cap) is cut back.
+        self._untrimmed = max_bytes // TRIM_EVERY
 
     # -- paths --------------------------------------------------------------
 
@@ -177,7 +199,8 @@ class DiskArtifactStore:
         return payload
 
     def store(self, key: str, payload) -> None:
-        """Atomically publish ``payload`` under ``key``, then evict."""
+        """Atomically publish ``payload`` under ``key``, then trim if
+        this process has published its share since the last trim."""
         data = pickle.dumps(_seal(payload))
         fd, tmp = tempfile.mkstemp(dir=self.objects, suffix=".tmp")
         try:
@@ -190,7 +213,10 @@ class DiskArtifactStore:
             except OSError:
                 pass
             raise
-        self._evict()
+        self._untrimmed += len(data)
+        if self._untrimmed >= self.max_bytes // TRIM_EVERY:
+            self._untrimmed = 0
+            self._evict()
 
     def _evict(self) -> None:
         """Drop oldest artifacts until the store fits ``max_bytes``."""
@@ -367,7 +393,7 @@ class CompileCache:
         return _digest("runtime", source,
                        json.dumps(asdict(options), sort_keys=True))
 
-    # -- unit tier (used by schemes.compile_source) -------------------------
+    # -- unit tier (used by schemes.compile_unit) ---------------------------
 
     def load_unit(self, source: str, name: str):
         """Fresh front-end ``Module`` for ``source``, or None on miss.

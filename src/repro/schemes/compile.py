@@ -76,13 +76,16 @@ def scheme_names():
 RUNTIME_LITERAL_PREFIX = "__rt.str."
 
 
-def _compile_unit(source: str, name: str, phases=NULL_PHASES,
-                  cache=None, literal_prefix: str = LITERAL_PREFIX):
+def compile_unit(source: str, name: str, phases=NULL_PHASES,
+                 cache=None, literal_prefix: str = LITERAL_PREFIX):
     """Front end for one translation unit, phase-timed stage by stage.
 
     ``cache`` (a :class:`repro.harness.compile_cache.CompileCache`)
     memoises the scheme-independent front-end result; a hit returns a
     fresh unpickled ``Module`` that later passes may mutate freely.
+    :func:`compile_source` and the linter
+    (:func:`repro.analyze.analyze_source`) both get their user module
+    here, under the unit name ``"program"``.
     """
     if cache is not None:
         module = cache.load_unit(source, name)
@@ -114,8 +117,8 @@ def runtime_image(spec: SchemeSpec, options: CodegenOptions,
         image = cache.load_runtime(source, options)
         if image is not None:
             return image
-    module = _compile_unit(source, "runtime", phases,
-                           literal_prefix=RUNTIME_LITERAL_PREFIX)
+    module = compile_unit(source, "runtime", phases,
+                          literal_prefix=RUNTIME_LITERAL_PREFIX)
     verify_module(module)
     image = lower_runtime(module, options, phases)
     if cache is not None:
@@ -151,7 +154,7 @@ def compile_source(source: str, scheme: str = "baseline",
     config = config or HwstConfig()
     phases = phases if phases is not None else NULL_PHASES
 
-    module = _compile_unit(source, "program", phases, cache)
+    module = compile_unit(source, "program", phases, cache)
     if spec.instrument is not None:
         from repro.ir.instrument import PASSES, instrument_module
 

@@ -200,8 +200,9 @@ def evaluate(source: str,
     """Compile + run + lint ``source``: the pure service core.
 
     A deterministic function of its arguments (``cache`` only short-
-    circuits identical compiles; the simulator is deterministic, so
-    cached and fresh verdicts are identical). Toolchain failures are
+    circuits identical compiles, and hands the linter the front end
+    the compile just ran; the simulator is deterministic, so cached
+    and fresh verdicts are identical). Toolchain failures are
     *data* — a verdict with ``status="toolchain_error"`` and the same
     documented exit code the CLI maps — never an exception, so one
     broken translation unit cannot poison a worker.
@@ -245,7 +246,8 @@ def evaluate(source: str,
     try:
         from repro.analyze import analyze_source
 
-        analysis = analyze_source(source, name="<request>").to_dict()
+        analysis = analyze_source(source, name="<request>",
+                                  cache=cache).to_dict()
     except ToolchainError as err:
         analysis = {"error": f"{type(err).__name__}: {err}"}
 

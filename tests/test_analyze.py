@@ -5,6 +5,8 @@ static findings must agree with the dynamic oracle)."""
 
 import json
 
+import pytest
+
 from repro.analyze import (
     CFG, Interval, ReachingDefinitions, analyze_module, analyze_source,
     elide_module, run_forward,
@@ -360,6 +362,31 @@ int main(void) {
         first = data["findings"][0]
         assert {"kind", "severity", "function", "block", "line",
                 "message"} <= set(first)
+
+    @pytest.mark.parametrize("caller", ["evaluate", "probe_program"])
+    def test_callers_lint_from_the_unit_tier(self, monkeypatch, caller):
+        # Both callers compile the source before they lint it, so with
+        # a cache the linter's module is a unit-tier hit: one front end
+        # per source.
+        import repro.minic.lexer
+        import repro.schemes.compile
+        from repro.fuzz.oracle import probe_program
+        from repro.harness.compile_cache import CompileCache
+        from repro.serve.protocol import evaluate
+
+        source = "int main(void) { int buf[2]; return buf[3]; }\n"
+        lexed = []
+        tokenize = repro.minic.lexer.tokenize
+
+        def counting(text):
+            lexed.append(text)
+            return tokenize(text)
+
+        for module in (repro.minic.lexer, repro.schemes.compile):
+            monkeypatch.setattr(module, "tokenize", counting)
+        run = {"evaluate": evaluate, "probe_program": probe_program}
+        run[caller](source, cache=CompileCache())
+        assert lexed.count(source) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ reporting the planted shed/restart/repair counts.
 """
 
 import asyncio
+import hashlib
 import json
 import os
 import pickle
@@ -20,8 +21,8 @@ import pytest
 
 from repro import errors
 from repro.core.config import HwstConfig
-from repro.harness.compile_cache import CACHE_FORMAT, CompileCache, \
-    DiskArtifactStore
+from repro.harness.compile_cache import CACHE_FORMAT, TRIM_EVERY, \
+    CompileCache, DiskArtifactStore
 from repro.obs.metrics import MetricsRegistry, to_prometheus
 from repro.serve.app import ServeApp
 from repro.serve.protocol import DEFAULT_MAX_INSTRUCTIONS, \
@@ -30,6 +31,7 @@ from repro.serve.protocol import DEFAULT_MAX_INSTRUCTIONS, \
 from repro.serve.store import ResultCache
 from repro.serve.supervisor import CRASH_EXIT_CODE, STATUS_DEGRADED, \
     STATUS_QUARANTINED, STATUS_SERVED, ServeCell, Supervisor
+from repro.workloads.juliet import generate_corpus
 
 CLEAN = """
 int main(void) {
@@ -189,6 +191,143 @@ class TestEvaluate:
         assert envelope["overhead"]["baseline_cycles"] is None
 
 
+#: SHA-256 of ``canonical_json(evaluate(source))`` under
+#: ``DEFAULT_SCHEMES``: this file's CLEAN, TEMPORAL and BAD_SYNTAX, and
+#: case 0's bad and good source of each Juliet (CWE, subtype) pair.
+ENVELOPE_SHA256 = {
+    "CLEAN":
+        "ebe9dc330809958f5473039ee7084a06094befa172a37f7650777aebbb62d3ba",
+    "TEMPORAL":
+        "ca15e59b685b3c0a479e44b873d3c834dbb13edef53feafd861c2c419f578d0e",
+    "BAD_SYNTAX":
+        "a97848e142f685ddf63a770530f839e0ac7e0a3cdfc61f61e1c0bd0bfa3ab4ed",
+    "121/loop_to_canary/bad":
+        "61fc0ba0e4431304f6dcad62a68be1d6840977b530d61873f7a0c0fce5313275",
+    "121/loop_to_canary/good":
+        "9e3ef46c79ba3437a738766ff958c4880adf67f6b5d1114c660f2b2e5f58cb81",
+    "121/inter_object/bad":
+        "91a6461f76122ca000cb5b2e51d8e499b8ef9ed02baa11f6f55c8e5a9a1d3894",
+    "121/inter_object/good":
+        "caad45579e32943e2c246ebb41755416f296908433923425c3875b360c7caba2",
+    "121/far_write/bad":
+        "fe5751a231501bacfc1bb96758f0b776d44a19c914fbe0c7a02b7a5276eef92f",
+    "121/far_write/good":
+        "d1292bae11a1aea58b6ef9cd1d70d86cf12471be2d3a4b9ec41513a74faa1e3b",
+    "121/intra_struct/bad":
+        "5074411db6516a4713089b951f2135c1b8815607c1aa98b607087df03e7814ed",
+    "121/intra_struct/good":
+        "6d60db559623b783d75e41c2e3f9d0bce513090129981545309bb9318999d0b2",
+    "122/heap_loop/bad":
+        "379d5cb67fb9373a4181173b28d3560660d8c06721759cc2306a595cdc05c351",
+    "122/heap_loop/good":
+        "74465f193e20a476430b152d3b08f1ddde52236b2e89e0c8b4e392c542d43141",
+    "122/memcpy_overflow/bad":
+        "abefc18d63c4baa5b0ecad105f5006926a1611e2604d96e98d32b4a7d724eb80",
+    "122/memcpy_overflow/good":
+        "dcff4338d2a238c4369f945d6ac75177f68d420889cca6557a4283c56d8d80e1",
+    "122/odd_off_by_one/bad":
+        "da6aa95c3d41db0b8939edc31612cac92a9bce4961847e00f80414bd8e30735f",
+    "122/odd_off_by_one/good":
+        "3fe159fec5c565ec3dec022c4cac8156334eee9f219271394efa061dbce7dd6a",
+    "122/heap_far/bad":
+        "82de7e3e5527da5df5711b4987e37ed718e80cd32c504b17e8f9cfcc36997e43",
+    "122/heap_far/good":
+        "1437db1c7c4afceea2653ef3e0ebb60f73fab6442209559fa51952c292364686",
+    "122/heap_intra/bad":
+        "c7be890c8903f3eff5d5ce97ed88b3d1dfd26c114e0a5449c86c58dd3cc2f7a3",
+    "122/heap_intra/good":
+        "5c419da35858c1b96eb761e6a0cd66b026bfa88fb085f4e4aa3e40f7993189f0",
+    "124/heap_under/bad":
+        "19cbe274d302fbdc8b4cddd1f4f633fbff9ff69f52aee10f3e960077420678bf",
+    "124/heap_under/good":
+        "2fd2231116871f5a9aaede934329c3d5f1fe99d621db82d94c7edbc9d133bfca",
+    "124/heap_far_under/bad":
+        "6c72d45104ae0208e2d60a3e9eb776fbbe72af3c45997488d64cdc24a4a7917e",
+    "124/heap_far_under/good":
+        "47fc86ccc842c268b553039c5833047035f8d5d9f40c6c6b485978449196804e",
+    "124/intra_under/bad":
+        "f9abcca47cbe3c52aeaa90cd81af7bb916cdd5bc69fb7b519dee1032640b8cf6",
+    "124/intra_under/good":
+        "562c6b6a9b73ef8e1fafa558723800bb54ca8bfb37082ffed8978c3be6b4b6b2",
+    "126/heap_overread/bad":
+        "8dabecb43b1d4ccff177b1b9ec386a59c27c537a2216654306289c49ca524d2b",
+    "126/heap_overread/good":
+        "bf105bd28fb430139706edacb0fbe6ca90593fe662a3256152e497210d099e64",
+    "126/heap_far_read/bad":
+        "338e9e8454782278892dc16ba7b34bc95d2634f2d05529ac9ae421d2c1aee577",
+    "126/heap_far_read/good":
+        "b0edc9989512eeb40d2b99470d395b8c8f8cd93387798a6335da7f3033aa168f",
+    "126/intra_read/bad":
+        "5f51d16792f99b7d7cf04fdcb3d4e15cfab64ff4dc2e417bba1492f12c6f72d2",
+    "126/intra_read/good":
+        "95c9aecb0029cae78ed8de996e0c7e6565ef8553eeaf927018bbf260cf7008be",
+    "127/heap_under_read/bad":
+        "dc4dc7f7d56a27e8cfdce1ca02ec0ba292381202d8f4b87abfbb4475464d69dd",
+    "127/heap_under_read/good":
+        "f5b89c8365017e7f8aed8ca6f0fd3d4aa9f0a41eb208ac6fddc53bd9710af06f",
+    "127/heap_far_under_read/bad":
+        "6315ba0bea84b9f74246f2a9859723abc0d90f3c0443e0df5d839f8689357e7d",
+    "127/heap_far_under_read/good":
+        "f5b89c8365017e7f8aed8ca6f0fd3d4aa9f0a41eb208ac6fddc53bd9710af06f",
+    "127/intra_under_read/bad":
+        "70089f8d506c46ddea500a0e0405ac13f17480f66ad20a6a5b53b3139ec770f8",
+    "127/intra_under_read/good":
+        "06987bdd88694e155047295201c1d8c0b193d8a77050d433735fce13cd61eadf",
+    "415/double_free/bad":
+        "c960af0478fa20483e3bcfd976fd8b3ad4368de69f0cd1687186f963831d3c9a",
+    "415/double_free/good":
+        "e1208404f371f1780daff1263d99e6d534476beaeb3fc7f98a4b3fdd597fd447",
+    "416/uaf_fresh/bad":
+        "54485c2353fd3e980f903a180b77662aec30c68c10c1120712306343a4940fc6",
+    "416/uaf_fresh/good":
+        "3b3c8b4b5aabe81e63c4e0132b51bd18858604a081ed0ece3586e7976d92a4af",
+    "416/uaf_evicted/bad":
+        "63fa263d44abbf6669a748db253aa7c03139eede83e0b9eee8b2511b6a56a2d8",
+    "416/uaf_evicted/good":
+        "d56b11fdfc6dfffcb8475fc00899ac235e97688c4cf2d685e638ddcb5ea4f599",
+    "476/null_deref/bad":
+        "bf47b366eaabc212d5982ee3690bae95da6a377f966a596e4b43e1f7c36f166c",
+    "476/null_deref/good":
+        "567447b3449c7af5fabd9d85981fa054d352820b4c02a1446aae459d937fe07e",
+    "690/null_return_offset/bad":
+        "2b70fb67f9f2077beaf21ee70d919900a9284304b1ec9937c728c587c248f862",
+    "690/null_return_offset/good":
+        "6a6d8bb167972efa9c75f11e26d78f91c882399a3a01e3ed8c39356abcee70c4",
+    "761/free_offset/bad":
+        "b75cc2e7ec9d84b7318b28ef0de8767972ebbdc227a55006eb41910f89b249b1",
+    "761/free_offset/good":
+        "e282b9c0a1917848a01bc2f2d9d2bc8bdd7f52bba0dbf488356cff9d29a5d0cd",
+}
+
+
+def _pinned_sources():
+    sources = {"CLEAN": CLEAN, "TEMPORAL": TEMPORAL,
+               "BAD_SYNTAX": BAD_SYNTAX}
+    for case in generate_corpus(max_per_subtype=1):
+        key = f"{case.cwe}/{case.subtype}"
+        sources[f"{key}/bad"] = case.bad_source
+        sources[f"{key}/good"] = case.good_source
+    return sources
+
+
+class TestEnvelopePins:
+    """The envelope bytes themselves, not just served == offline: a
+    cache may only skip work, never change a byte."""
+
+    @pytest.fixture(scope="class")
+    def cache(self):
+        return CompileCache()
+
+    @pytest.mark.parametrize("key,source", [
+        pytest.param(key, source, id=key)
+        for key, source in _pinned_sources().items()])
+    def test_envelope_bytes_are_pinned(self, cache, key, source):
+        for with_cache in (cache, None):
+            envelope = canonical_json(evaluate(source, cache=with_cache))
+            digest = hashlib.sha256(envelope.encode("utf-8")).hexdigest()
+            assert digest == ENVELOPE_SHA256[key], (key, with_cache)
+
+
 class TestResultCache:
     def test_lru_and_counters(self):
         cache = ResultCache(max_entries=2)
@@ -319,6 +458,48 @@ class TestDiskArtifactStore:
         assert store.evictions >= 1
         assert not store._artifact("old").exists()
 
+    def test_publish_does_not_rescan_the_store(self, tmp_path,
+                                               monkeypatch):
+        trims = []
+        evict = DiskArtifactStore._evict
+        monkeypatch.setattr(DiskArtifactStore, "_evict",
+                            lambda self: trims.append(1) or evict(self))
+        store = DiskArtifactStore(tmp_path)       # default 256 MB cap
+        for index in range(64):
+            store.store(f"k{index}", "x" * 1024)
+            # Only the first publish trims; the rest stay far under
+            # the cap's 1/16 share.
+            assert len(trims) == 1
+
+    @pytest.mark.parametrize("artifact_kib", [8, 1])
+    def test_trims_keep_the_store_bounded(self, tmp_path, monkeypatch,
+                                          artifact_kib):
+        cap = 64 * 1024
+        store = DiskArtifactStore(tmp_path, max_bytes=cap)
+
+        def size():
+            return sum(p.stat().st_size
+                       for p in store.objects.glob("*.art"))
+
+        after_trim = []
+        evict = DiskArtifactStore._evict
+        monkeypatch.setattr(
+            DiskArtifactStore, "_evict",
+            lambda self: evict(self) or after_trim.append(size()))
+        for index in range(96):
+            store.store(f"k{index}", bytes(artifact_kib * 1024))
+            assert size() <= cap + cap // TRIM_EVERY
+        assert store.evictions > 0
+        assert max(after_trim) <= cap
+        # The share is 4 KiB. An 8 KiB artifact exceeds it, so every
+        # publish trims; a 1 KiB one seals to a little over 1 KiB, so
+        # after the first publish every fourth one trims.
+        assert len(after_trim) == (96 if artifact_kib == 8 else 24)
+
+
+#: The package source the child-process scripts below import from.
+SRC_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 _RACE_CHILD = """
 import json, sys, time
@@ -339,16 +520,30 @@ with open(out, "w") as fh:
                 "stats": cache.stats_snapshot()}}, fh)
 """
 
+_PUBLISH_CHILD = """
+import os, sys, time
+sys.path.insert(0, {src!r})
+from repro.harness.compile_cache import DiskArtifactStore
+
+root, go, tag = sys.argv[1:4]
+store = DiskArtifactStore(root, max_bytes={cap})
+deadline = time.monotonic() + 30
+while not os.path.exists(go):
+    if time.monotonic() > deadline:
+        raise SystemExit("never released")
+    time.sleep(0.001)
+for index in range(400):
+    store.store(tag + str(index), bytes(1024))
+"""
+
 
 class TestConcurrentWriters:
     def test_two_processes_race_one_key(self, tmp_path):
         """Two processes compiling the identical program key must end
         with one valid artifact, no leftover locks, and coherent
         counters — never a crash or a torn blob."""
-        src_dir = str((os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__)))) + "/src")
         script = tmp_path / "race_child.py"
-        script.write_text(_RACE_CHILD.format(src=src_dir))
+        script.write_text(_RACE_CHILD.format(src=SRC_DIR))
         source_file = tmp_path / "prog.c"
         source_file.write_text(CLEAN)
         root = tmp_path / "store"
@@ -379,6 +574,27 @@ class TestConcurrentWriters:
             r["stats"][f"compile.cache.{name}"] for r in reports)
         assert total("misses") >= 1
         assert total("disk_corrupt") == 0
+
+    def test_concurrent_publishers_keep_the_bound(self, tmp_path):
+        """More publishers than cores, each trimming on its own
+        schedule: once they stop, the store holds at most the cap plus
+        each publisher's untrimmed share."""
+        cap, publishers = 64 * 1024, 3
+        script = tmp_path / "publish_child.py"
+        script.write_text(_PUBLISH_CHILD.format(src=SRC_DIR, cap=cap))
+        root = tmp_path / "store"
+        go = tmp_path / "go"
+        procs = [subprocess.Popen(
+            [sys.executable, str(script), str(root), str(go), f"p{n}-"])
+            for n in range(publishers)]
+        time.sleep(0.3)             # every child polling for the gate
+        go.write_text("go")
+        for proc in procs:
+            assert proc.wait(timeout=60) == 0
+        total = sum(p.stat().st_size
+                    for p in (root / "objects").glob("*.art"))
+        assert total <= cap + publishers * (cap // TRIM_EVERY)
+        assert list((root / "objects").glob("*.tmp")) == []
 
     def test_crashed_holder_does_not_wedge_the_key(self, tmp_path):
         """A lock left by a holder that died mid-compile is broken and
