@@ -1,7 +1,7 @@
 """Profile a workload end to end with the repro.obs telemetry stack.
 
-One shared MetricsRegistry is threaded through compile + simulation,
-so the compile-phase wall clocks, the instruction-class counters, the
+One Observers value carries a shared MetricsRegistry, a CycleProfiler
+and a Tracer through compile + simulation, so the compile-phase wall clocks, the instruction-class counters, the
 keybuffer/D-cache hit rates and the per-cause cycle breakdown all land
 in a single snapshot. A CycleProfiler attributes every modelled cycle
 to a function, and a Tracer records structured events that export to
@@ -12,7 +12,7 @@ Run:  python examples/profile_workload.py
 
 import json
 
-from repro.obs import CycleProfiler, MetricsRegistry, PhaseTimers, Tracer
+from repro.obs import CycleProfiler, MetricsRegistry, Observers, Tracer
 from repro.obs.metrics import format_tree
 from repro.obs.stats import derived_rates
 from repro.pipeline.timing import InOrderPipeline
@@ -25,19 +25,18 @@ SCHEME = "hwst128_tchk"
 
 
 def main():
-    metrics = MetricsRegistry()
-    tracer = Tracer(capacity=16384)
-    profiler = CycleProfiler()
+    observers = Observers(metrics=MetricsRegistry(),
+                          tracer=Tracer(capacity=16384),
+                          profiler=CycleProfiler())
+    metrics, tracer = observers.metrics, observers.tracer
 
     # Compiling and running explicitly (rather than run_workload) keeps
     # the Program around — the profiler needs its symbol table to fold
     # PCs onto functions.
     source = WORKLOADS[WORKLOAD].source("small")
-    program = compile_source(source, SCHEME,
-                             phases=PhaseTimers(metrics=metrics,
-                                                tracer=tracer))
+    program = compile_source(source, SCHEME, observers=observers)
     machine = Machine(timing=InOrderPipeline(metrics=metrics),
-                      metrics=metrics, tracer=tracer, profiler=profiler)
+                      observers=observers)
     result = machine.run(program)
     if not result.ok:
         raise SystemExit(f"{WORKLOAD}/{SCHEME}: {result.status}")
@@ -46,7 +45,7 @@ def main():
           f"{result.instret} instructions, {result.cycles} cycles ===")
 
     # 1. Hotspots: which functions burn the cycles?
-    report = profiler.report(program)
+    report = observers.profiler.report(program)
     print()
     print("hotspot table (per-PC cycle attribution, "
           f"{100 * report.attributed_fraction:.0f}% mapped):")

@@ -19,12 +19,11 @@ from repro.analyze.domain import AVal, Interval
 from repro.analyze.elide import ElisionStats, elide_module
 from repro.analyze.linter import (AnalysisReport, Finding,
                                   analyze_module, analyze_source)
-from repro.analyze.memsafety import (MemSafety, analyze_function,
-                                     compute_may_free)
+from repro.analyze.memsafety import MemSafety
 
 __all__ = [
     "CFG", "ForwardAnalysis", "ReachingDefinitions", "run_forward",
     "AVal", "Interval", "ElisionStats", "elide_module",
     "AnalysisReport", "Finding", "analyze_module", "analyze_source",
-    "MemSafety", "analyze_function", "compute_may_free",
+    "MemSafety",
 ]

@@ -16,9 +16,9 @@ tagged every op it emitted for a checked access with ``_check_for``
   (e.g. SBCETS ``__sb_mload``); dropped only on full elision.
 
 The analysis facts come from ``ins._ms_facts`` stamped by
-:func:`repro.analyze.memsafety.analyze_function` on the
-pre-instrumentation module — instrumentation re-emits the same
-instruction objects, so the facts ride along.
+:func:`repro.analyze.interproc.analyze_module_interproc` (with
+``stamp=True``) on the pre-instrumentation module — instrumentation
+re-emits the same instruction objects, so the facts ride along.
 
 Soundness is *scheme-relative*: a pass advertises ``elidable = True``
 only when dropping a proven check cannot change what the scheme

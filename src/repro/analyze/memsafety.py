@@ -28,25 +28,22 @@ Soundness posture (documented in docs/analysis.md):
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.analyze.cfg import CFG
-from repro.analyze.dataflow import (EdgeStates, ForwardAnalysis,
-                                    run_forward)
+from repro.analyze.dataflow import EdgeStates, ForwardAnalysis
 from repro.analyze.domain import (FREED, INF, LIVE, MAYBE_FREED, AVal,
                                   HeapRegion, Interval)
-from repro.analyze.summaries import (KNOWN_RUNTIME, PURE_FNS,
-                                     WRITE_THROUGH_ARG0, FnContext,
-                                     FunctionSummary, ParamCtx)
+from repro.analyze.summaries import (PURE_FNS, WRITE_THROUGH_ARG0,
+                                     FnContext, FunctionSummary,
+                                     ParamCtx)
 from repro.core.config import HwstConfig
 from repro.ir.instrument import ALLOC_FNS, WRAPPED_RANGE_FNS
 from repro.ir.ir import (AddrGlobal, AddrLocal, BinOp, Br, Call, Conv,
                          Function, GetParam, IConst, Jmp, Load, Module,
                          Ret, Store, UnOp)
 
-__all__ = ["MemSafety", "analyze_function", "compute_may_free",
-           "AccessFacts", "PURE_FNS", "WRITE_THROUGH_ARG0",
-           "KNOWN_RUNTIME"]
+__all__ = ["MemSafety", "AccessFacts"]
 
 CMP_OPS = frozenset({"eq", "ne", "slt", "sle", "sgt", "sge",
                      "ult", "ule", "ugt", "uge"})
@@ -56,39 +53,6 @@ CMP_NEG = {"eq": "ne", "ne": "eq", "slt": "sge", "sge": "slt",
 CMP_SWAP = {"eq": "eq", "ne": "ne", "slt": "sgt", "sgt": "slt",
             "sle": "sge", "sge": "sle", "ult": "ugt", "ugt": "ult",
             "ule": "uge", "uge": "ule"}
-
-# PURE_FNS / WRITE_THROUGH_ARG0 / KNOWN_RUNTIME now live in
-# repro.analyze.summaries (re-exported above for compatibility).
-
-
-def compute_may_free(module: Module) -> Set[str]:
-    """Function names that may (transitively) release a heap region or
-    call code we cannot see. Calls to these invalidate every heap
-    status and the whole temporal-dominance set."""
-    callees: Dict[str, Set[str]] = {}
-    for name, fn in module.functions.items():
-        calls: Set[str] = set()
-        for blk in fn.blocks:
-            for ins in blk.instrs:
-                if isinstance(ins, Call):
-                    calls.add(ins.name)
-        callees[name] = calls
-    may_free: Set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for name, calls in callees.items():
-            if name in may_free:
-                continue
-            for callee in calls:
-                if callee == "free" or callee in may_free or \
-                        (callee not in callees and
-                         callee not in KNOWN_RUNTIME):
-                    may_free.add(name)
-                    changed = True
-                    break
-    return may_free
-
 
 class AccessFacts:
     """Per-access conclusions, stamped on the Load/Store instruction."""
@@ -184,27 +148,21 @@ Recorder = Callable[[object, str, str, str], None]
 
 
 class MemSafety(ForwardAnalysis):
-    """The memory-safety dataflow client for one function."""
+    """The memory-safety dataflow client for one function, driven by
+    :func:`repro.analyze.interproc.analyze_module_interproc`: calls to
+    in-module functions apply their ``summaries``, and each pointer
+    parameter starts as a caller-provided region shaped by the
+    call-site ``context``."""
 
     def __init__(self, module: Module, fn: Function,
-                 config: Optional[HwstConfig] = None,
-                 may_free: Optional[Set[str]] = None,
-                 summaries: Optional[Dict[str,
-                                          FunctionSummary]] = None,
+                 config: Optional[HwstConfig],
+                 summaries: Dict[str, FunctionSummary],
                  context: Optional[FnContext] = None):
         self.module = module
         self.fn = fn
         self.config = config or HwstConfig()
         self.summaries = summaries
         self.context = context
-        # Parameter regions (and with them the interprocedural
-        # machinery) switch on only when summaries are supplied; the
-        # plain constructor keeps the strictly intraprocedural PR-2
-        # behaviour.
-        self.param_regions = summaries is not None
-        self.may_free = may_free if may_free is not None \
-            else (set() if summaries is not None
-                  else compute_may_free(module))
         # Call-site context contributions, collected during the report
         # pass: (callee name, ((param, ParamCtx), ...)).
         self.callsites: list = []
@@ -235,21 +193,19 @@ class MemSafety(ForwardAnalysis):
         for name, data in self.module.globals.items():
             slots["g:" + name] = self._global_initial(data)
         heap: Dict[tuple, HeapRegion] = {}
-        if self.param_regions:
-            # Each pointer parameter gets an abstract caller-provided
-            # region. Size/liveness come from the call-site context
-            # (the checked-on-entry lattice); without a context the
-            # region has unknown size and maybe-freed status, which
-            # still enables must-facts (UAF after the function's own
-            # free, double-free) inside the callee.
-            for pname in self._ptr_params():
-                ctx = self.context.get(pname) if self.context \
-                    else None
-                avail = ctx.avail if ctx is not None else 0
-                live = ctx.live if ctx is not None else False
-                heap[self._param_site(pname)[1]] = HeapRegion(
-                    Interval(max(avail, 0), INF),
-                    LIVE if live else MAYBE_FREED)
+        # Each pointer parameter gets an abstract caller-provided
+        # region. Size/liveness come from the call-site context (the
+        # checked-on-entry lattice); without a context the region has
+        # unknown size and maybe-freed status, which still enables
+        # must-facts (UAF after the function's own free, double-free)
+        # inside the callee.
+        for pname in self._ptr_params():
+            ctx = self.context.get(pname) if self.context else None
+            avail = ctx.avail if ctx is not None else 0
+            live = ctx.live if ctx is not None else False
+            heap[self._param_site(pname)[1]] = HeapRegion(
+                Interval(max(avail, 0), INF),
+                LIVE if live else MAYBE_FREED)
         return MState(slots, heap, frozenset())
 
     def _global_initial(self, data) -> AVal:
@@ -377,7 +333,7 @@ class MemSafety(ForwardAnalysis):
                 prov = self.fn.prov.get(ins.dst)
                 pname = self.fn.param_names[ins.index] \
                     if ins.index < len(self.fn.param_names) else None
-                if prov and self.param_regions and pname:
+                if prov and pname:
                     ctx = self.context.get(pname) if self.context \
                         else None
                     nullness = ctx.nullness if ctx is not None \
@@ -677,8 +633,7 @@ class MemSafety(ForwardAnalysis):
         if name == "free":
             return self._free(ins, aval(ins.args[0]), state)
 
-        if self.summaries is not None and \
-                name in self.module.functions:
+        if name in self.module.functions:
             summary = self.summaries.get(name)
             if summary is not None:
                 return self._apply_summary(ins, summary, label, idx,
@@ -714,8 +669,7 @@ class MemSafety(ForwardAnalysis):
 
         # User-defined or unknown function.
         new = self._havoc_objects(state)
-        if name in self.may_free or name not in \
-                self.module.functions:
+        if name not in self.module.functions:
             heap = {site: HeapRegion(r.size,
                                      FREED if r.status == FREED
                                      else MAYBE_FREED)
@@ -1307,24 +1261,3 @@ def _refine_rng(rng: Interval, op: str,
         return rng.meet(Interval(other.lo, float("inf")))
     return rng
 
-
-def analyze_function(module: Module, fn: Function,
-                     config: Optional[HwstConfig] = None,
-                     may_free: Optional[Set[str]] = None,
-                     recorder: Optional[Recorder] = None,
-                     stamp: bool = True,
-                     summaries: Optional[Dict[str,
-                                              FunctionSummary]] = None,
-                     context: Optional[FnContext] = None):
-    """Fixpoint + report pass for one function. Returns the
-    DataflowResult; findings go to ``recorder``; AccessFacts are
-    stamped on checked accesses when ``stamp``. Supplying
-    ``summaries`` switches on the interprocedural machinery (use
-    :func:`repro.analyze.interproc.analyze_module_interproc` to drive
-    a whole module)."""
-    analysis = MemSafety(module, fn, config, may_free,
-                         summaries=summaries, context=context)
-    result = run_forward(analysis, fn)
-    analysis.report(result, recorder or (lambda *a: None),
-                    stamp=stamp)
-    return result

@@ -110,33 +110,29 @@ def _print_result(result, stats: bool):
 
 
 def cmd_run(args) -> int:
+    from repro.obs import CycleProfiler, MetricsRegistry, Observers, Tracer
+
     source = _read_source(args.file)
     profiling = bool(args.profile or args.folded_out)
     observing = bool(profiling or args.trace_out or args.metrics_out)
-    metrics = tracer = profiler = phases = None
-    if observing:
-        from repro.obs import (CycleProfiler, MetricsRegistry, PhaseTimers,
-                               Tracer)
-
-        metrics = MetricsRegistry()
-        if args.trace_out:
-            tracer = Tracer(capacity=args.trace_buffer)
-        if profiling:
-            profiler = CycleProfiler()
-        phases = PhaseTimers(metrics=metrics, tracer=tracer)
+    observers = Observers(
+        metrics=MetricsRegistry() if observing else None,
+        tracer=Tracer(capacity=args.trace_buffer) if args.trace_out
+        else None,
+        profiler=CycleProfiler() if profiling else None,
+        trace_depth=args.trace)
     program = compile_source(source, args.scheme, _config(args),
-                             phases=phases)
-    timing = None if args.no_timing else InOrderPipeline(metrics=metrics)
-    machine = make_machine(args.engine, timing=timing,
-                           trace_depth=args.trace, metrics=metrics,
-                           tracer=tracer, profiler=profiler)
+                             observers=observers)
+    timing = None if args.no_timing else \
+        InOrderPipeline(metrics=observers.metrics)
+    machine = make_machine(args.engine, timing=timing, observers=observers)
     result = machine.run(program, max_instructions=args.max_instructions)
     _print_result(result, args.stats)
     if args.trace and result.status != "exit":
         print("\nlast retired instructions:")
         print(machine.trace_text())
     if profiling:
-        report = profiler.report(program)
+        report = observers.profiler.report(program)
         if args.profile:
             print("\nhotspots:")
             print(report.table())
@@ -154,6 +150,7 @@ def cmd_run(args) -> int:
             extra={"scheme": args.scheme, "file": args.file})
         print(f"metrics -> {args.metrics_out}")
     if args.trace_out:
+        tracer = observers.tracer
         if args.trace_format == "jsonl":
             tracer.to_jsonl(args.trace_out)
         else:
@@ -172,7 +169,7 @@ def cmd_run(args) -> int:
 def cmd_stats(args) -> int:
     """Run a program and pretty-print the full metric tree."""
     from repro.harness.runner import run_program
-    from repro.obs import MetricsRegistry
+    from repro.obs import MetricsRegistry, Observers
     from repro.obs.metrics import format_tree
     from repro.obs.stats import derived_rates
 
@@ -180,7 +177,7 @@ def cmd_stats(args) -> int:
     result = run_program(_read_source(args.file), args.scheme,
                          _config(args), timing=not args.no_timing,
                          max_instructions=args.max_instructions,
-                         metrics=metrics)
+                         observers=Observers(metrics=metrics))
     print(f"{args.file} under {args.scheme}: {result.status} "
           f"({result.instret} instructions, {result.cycles} cycles)")
     rates = derived_rates(result.stats, instret=result.instret,

@@ -33,6 +33,7 @@ from repro.isa.registers import A0, A7, RA, T0, ZERO
 from repro.ir.ir import GlobalData, Module
 from repro.ir.verify import Interface, interface
 from repro.codegen.lower import CodegenOptions, compile_function
+from repro.obs.observers import NULL_OBSERVERS
 from repro.sim.memory import DEFAULT_LAYOUT, MemoryLayout
 from repro.sim.semantics import (
     SYS_ABORT,
@@ -206,12 +207,9 @@ class RuntimeImage:
 
 
 def lower_runtime(module: Module, options: CodegenOptions,
-                  phases=None) -> RuntimeImage:
+                  observers=NULL_OBSERVERS) -> RuntimeImage:
     """Lower a verified runtime-library ``module`` into an image."""
-    from repro.obs.phases import NULL_PHASES
-
-    phases = phases if phases is not None else NULL_PHASES
-    with phases.phase("lower"):
+    with observers.phase("lower"):
         bodies = {name: tuple(compile_function(fn, options))
                   for name, fn in module.functions.items()}
     text = tuple(ins for body in bodies.values() for ins in body)
@@ -238,7 +236,7 @@ def build_program(module: Module, runtime: RuntimeImage,
                   layout: MemoryLayout = DEFAULT_LAYOUT,
                   options: Optional[CodegenOptions] = None,
                   meta: Optional[dict] = None,
-                  phases=None):
+                  observers=NULL_OBSERVERS):
     """Link ``module`` against ``runtime`` into a :class:`Program`.
 
     The runtime's functions and globals are placed after the module's.
@@ -251,16 +249,14 @@ def build_program(module: Module, runtime: RuntimeImage,
     ``_start`` and the stubs are built once per ``config`` and
     ``layout`` and carry no other site.
 
-    ``phases`` (a :class:`repro.obs.phases.PhaseTimers`) splits the
+    ``observers`` (a :class:`repro.obs.observers.Observers`) splits the
     backend wall time into the per-function ``lower`` phase and the
     surrounding ``link`` work (layout, placement, relocation).
     """
-    from repro.obs.phases import NULL_PHASES
     from repro.sim.program import Program, Segment
 
     config = config or HwstConfig()
     options = options or CodegenOptions()
-    phases = phases if phases is not None else NULL_PHASES
 
     _check_no_clash(module, runtime)
     if "main" not in module.functions:
@@ -269,7 +265,7 @@ def build_program(module: Module, runtime: RuntimeImage,
         raise LinkError("no __rt_init() in the runtime library")
 
     # 1. Data segment layout.
-    with phases.phase("link"):
+    with observers.phase("link"):
         global_addr: Dict[str, int] = {}
         cursor = layout.data_base
         blob = bytearray()
@@ -288,11 +284,11 @@ def build_program(module: Module, runtime: RuntimeImage,
                 f"({cursor:#x} > {layout.heap_base:#x})")
 
     # 2. Compile the user's functions.
-    with phases.phase("lower"):
+    with observers.phase("lower"):
         user = [(name, compile_function(fn, options))
                 for name, fn in module.functions.items()]
 
-    with phases.phase("link"):
+    with observers.phase("link"):
         # 3. Place sequentially: _start, the stubs no definition
         # overrides, the user's functions, then the runtime's text in
         # one piece. Record the relocation sites in text order.

@@ -101,10 +101,10 @@ class InjectionCell:
     def execute(self) -> CellResult:
         """Compile (cached), inject, run, classify. Runs in the worker.
 
-        A runtime fault hook observes every instruction, so those cells
-        run on the reference loop whatever the engine (see
-        :class:`~repro.sim.fastmachine.FastMachine`); link-time faults
-        run on the default engine like any other build."""
+        Every cell runs on the default engine: a runtime fault up to
+        its trigger, then on the reference loop (``Machine.run``
+        splits the budget); a link-time fault on a mutated copy of the
+        program."""
         from repro.sim import make_machine
 
         config = self.config or HwstConfig()
@@ -116,12 +116,10 @@ class InjectionCell:
             # The cached program is shared by every cell: the fault
             # runs on a copy that differs in one instruction.
             program, note = apply_link_fault(program, self.fault)
-        machine = make_machine(config=config, timing=None)
-        if self.fault.kind not in LINK_KINDS:
+        else:
             injector = RuntimeInjector(self.fault)
-            machine.fault_hook = injector
-        result = machine.run(program,
-                             max_instructions=self.max_instructions)
+        machine = make_machine(config=config, timing=None)
+        result = machine.run(program, self.max_instructions, injector)
         injected = profile_run(machine, result)
         if injector is not None:
             note = injector.note if injector.fired else \

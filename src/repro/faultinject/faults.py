@@ -22,8 +22,10 @@ kind                what breaks
 ``check_dup``       a spurious check appears on a plain access at link time
 ==================  =======================================================
 
-Runtime kinds arm a one-shot hook on :attr:`Machine.fault_hook` that
-fires at the seeded trigger instruction; link kinds run a mutated copy
+Runtime kinds pass a :class:`RuntimeInjector` to ``Machine.run``,
+which splits the run's budget at the seeded trigger instret: it runs
+that many instructions, fires the injector once, and finishes on the
+reference loop. Link kinds run a mutated copy
 of the (immutable, possibly cached and shared) ``Program`` (see
 :func:`repro.codegen.link.mutate_check_ops`). Everything a fault does
 is a pure function of its :class:`FaultSpec`, so a campaign is
@@ -205,10 +207,11 @@ _RUNTIME_PERTURB = {
 
 
 class RuntimeInjector:
-    """One-shot fault hook: perturb the machine once at the trigger.
+    """One-shot runtime fault: perturb the machine once at the trigger.
 
-    Install on :attr:`Machine.fault_hook`; the machine calls it before
-    every dispatch. ``note`` records what the perturbation actually did
+    Pass it as ``Machine.run(program, max_instructions, fault=...)``;
+    the run calls :meth:`fire` once ``spec.trigger`` instructions have
+    retired. ``note`` records what the perturbation actually did
     (which register/word/lock it hit), "" until fired.
     """
 
@@ -219,9 +222,7 @@ class RuntimeInjector:
         self.fired = False
         self.note = ""
 
-    def __call__(self, machine):
-        if self.fired or machine.instret < self.spec.trigger:
-            return
+    def fire(self, machine):
         self.fired = True
         self.note = _RUNTIME_PERTURB[self.spec.kind](machine, self.spec)
 

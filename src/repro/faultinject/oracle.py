@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.config import HwstConfig
+from repro.obs.observers import NULL_OBSERVERS
 from repro.sim.machine import Machine, STATUS_LIMIT, STATUS_SPATIAL, \
     STATUS_TEMPORAL
 
@@ -113,15 +114,17 @@ def profile_source(source: str, scheme: str,
                    max_instructions: int = 50_000_000,
                    cache=None, engines: Tuple[Optional[str], ...] = (None,),
                    timed: bool = False,
-                   profiler=None) -> Tuple[List[RunProfile], object]:
+                   observers=NULL_OBSERVERS
+                   ) -> Tuple[List[RunProfile], object]:
     """Compile ``source`` once through ``cache`` (the process cache by
     default) and profile one run of it on each of ``engines``.
 
     ``engines`` names the execution cores (``None`` is the default
-    engine); ``timed`` attaches the pipeline timing model; ``profiler``
-    (a :class:`~repro.obs.profiler.CycleProfiler`) is attached to every
-    machine and left holding the per-PC cycles. Returns the profiles,
-    one per engine, and the compiled program.
+    engine); ``timed`` attaches the pipeline timing model;
+    ``observers`` (a :class:`~repro.obs.observers.Observers`) watch
+    every run, so an attached profiler is left holding the per-PC
+    cycles. Returns the profiles, one per engine, and the compiled
+    program.
     """
     from repro.harness.compile_cache import process_cache
     from repro.pipeline.timing import InOrderPipeline
@@ -134,7 +137,7 @@ def profile_source(source: str, scheme: str,
     for engine in engines:
         machine = make_machine(engine, config=config,
                                timing=InOrderPipeline() if timed else None,
-                               profiler=profiler)
+                               observers=observers)
         result = machine.run(program, max_instructions=max_instructions)
         profiles.append(profile_run(machine, result))
     return profiles, program

@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import FieldWidths, HwstConfig
 from repro.faultinject.oracle import RunProfile, engine_pair, profile_source
+from repro.obs import CycleProfiler, Observers
 from repro.sim.machine import (
     STATUS_EXIT, STATUS_LIMIT, STATUS_SPATIAL, STATUS_TEMPORAL,
 )
@@ -165,15 +166,13 @@ def probe_program(source: str,
             }
         (profiles["hwst128@alt"],), _ = profile_source(
             source, "hwst128", alt_config(config), max_instructions, cache)
-        profiler = None
-        if collect_coverage:
-            from repro.obs.profiler import CycleProfiler
-            profiler = CycleProfiler()
+        observers = Observers(
+            profiler=CycleProfiler() if collect_coverage else None)
         (profiles["hwst128@timed"],), program = profile_source(
             source, "hwst128", config, max_instructions, cache,
-            timed=True, profiler=profiler)
-        if profiler is not None:
-            report = profiler.report(program)
+            timed=True, observers=observers)
+        if collect_coverage:
+            report = observers.profiler.report(program)
             functions = tuple(sorted(
                 fn.name for fn in report.functions if fn.name != "?"))
     lint = analyze_source(source, "fuzz", config, cache)

@@ -75,6 +75,7 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from repro.core.config import HwstConfig
+from repro.obs.observers import NULL_OBSERVERS
 
 __all__ = ["CompileCache", "DiskArtifactStore", "config_fingerprint",
            "configure_process_cache", "process_cache"]
@@ -436,12 +437,13 @@ class CompileCache:
 
     def compile(self, source: str, scheme: str,
                 config: Optional[HwstConfig] = None,
-                metrics=None, tracer=None):
+                observers=NULL_OBSERVERS):
         """Compile ``source`` under ``scheme``, reusing cached artefacts.
 
         A program-tier hit returns the cached ``Program`` itself and
-        replays its analysis summary (check elision counts) into
-        ``metrics`` so the ``compile.analyze.*`` counters read the same
+        replays its analysis summary (check elision counts) into the
+        ``observers``' registry so the ``compile.analyze.*`` counters
+        read the same
         whether the build was cached or fresh; phase wall-times are
         only recorded for work actually performed.
 
@@ -456,26 +458,26 @@ class CompileCache:
         program = self._programs.get(key)
         if program is not None:
             self.program_hits += 1
-            self._replay_analyze(program, metrics)
+            self._replay_analyze(program, observers)
             return program
         if self.disk is not None:
             program = self.disk.load(key)
             if program is not None:
                 self._keep(self._programs, key, program)
-                self._replay_analyze(program, metrics)
+                self._replay_analyze(program, observers)
                 return program
         self.misses += 1
         program = self._compile_and_publish(
-            source, scheme, config, key, metrics, tracer)
+            source, scheme, config, key, observers)
         self._keep(self._programs, key, program)
         return program
 
     def _compile_and_publish(self, source, scheme, config, key,
-                             metrics, tracer):
+                             observers):
         """Compile (coalescing with concurrent processes via the disk
         store's per-key lock when one is attached) and publish."""
         if self.disk is None:
-            return self._compile(source, scheme, config, metrics, tracer)
+            return self._compile(source, scheme, config, observers)
         if not self.disk.acquire(key):
             # Another live process is compiling this very key: wait for
             # its publish instead of duplicating the work. A crashed
@@ -486,7 +488,7 @@ class CompileCache:
             if program is not None:
                 return program
             return self._publish(key, self._compile(
-                source, scheme, config, metrics, tracer))
+                source, scheme, config, observers))
         try:
             # Double-check under the lock: the artifact may have been
             # published between our miss and the acquire.
@@ -494,7 +496,7 @@ class CompileCache:
             if program is not None:
                 return program
             return self._publish(key, self._compile(
-                source, scheme, config, metrics, tracer))
+                source, scheme, config, observers))
         finally:
             self.disk._unlock(key)
 
@@ -505,25 +507,20 @@ class CompileCache:
             pass                   # store full/unwritable: serve anyway
         return program
 
-    def _compile(self, source, scheme, config, metrics, tracer):
+    def _compile(self, source, scheme, config, observers):
         from repro.schemes import compile_source
 
-        phases = None
-        if metrics is not None:
-            from repro.obs.phases import PhaseTimers
-
-            phases = PhaseTimers(metrics=metrics, tracer=tracer)
-        return compile_source(source, scheme, config, phases=phases,
+        return compile_source(source, scheme, config, observers=observers,
                               cache=self)
 
     @staticmethod
-    def _replay_analyze(program, metrics) -> None:
-        if metrics is None:
+    def _replay_analyze(program, observers) -> None:
+        if observers.metrics is None:
             return
         summary = program.meta.get("analyze")
         if not isinstance(summary, dict):
             return
-        scope = metrics.scope("compile.analyze")
+        scope = observers.metrics.scope("compile.analyze")
         for key, value in summary.items():
             scope.counter(key).inc(int(value))
 

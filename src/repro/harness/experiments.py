@@ -38,7 +38,6 @@ from repro.harness.parallel import (
 )
 from repro.harness.runner import perf_overhead_pct, speedup
 from repro.pipeline.hwcost import HardwareCostModel
-from repro.pipeline.timing import TimingParams
 from repro.workloads import SPEC_FIG5, WORKLOADS
 from repro.workloads.juliet import corpus_counts
 
@@ -146,7 +145,6 @@ FIG4_ELIDE = "hwst128_tchk_elide"
 
 def fig4_overhead(scale: str = "default",
                   workloads: Optional[Sequence[str]] = None,
-                  timing_params: Optional[TimingParams] = None,
                   collect_metrics: bool = False,
                   include_elide: bool = True,
                   executor: Optional[SweepExecutor] = None,
@@ -171,11 +169,10 @@ def fig4_overhead(scale: str = "default",
         for scheme in ("baseline",) + FIG4_SCHEMES:
             cells.append(CellSpec(
                 workload=name, scheme=scheme, scale=scale,
-                timing_params=timing_params, tag=f"{name}/{scheme}"))
+                tag=f"{name}/{scheme}"))
         if include_elide:
             cells.append(CellSpec(
                 workload=name, scheme="hwst128_tchk", scale=scale,
-                timing_params=timing_params,
                 config=HwstConfig(elide_checks=True),
                 collect_registry=True, group=name,
                 tag=f"{name}/{FIG4_ELIDE}"))

@@ -61,7 +61,7 @@ from repro.core.config import HwstConfig
 from repro.harness.compile_cache import process_cache
 from repro.harness.runner import WORKLOADS, run_program
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
-from repro.pipeline.timing import TimingParams
+from repro.obs.observers import NULL_OBSERVERS, Observers
 
 __all__ = ["CellSpec", "CellResult", "SweepExecutor", "run_cells",
            "run_chunks", "report_to_json",
@@ -211,7 +211,6 @@ class CellSpec:
     scale: str = "default"
     config: Optional[HwstConfig] = None
     timing: bool = True
-    timing_params: Optional[TimingParams] = None
     max_instructions: int = 200_000_000
     # Per-cell wallclock watchdog (seconds); None leaves only the
     # deterministic step budget above. See wallclock_guard().
@@ -306,12 +305,13 @@ def _run_cellspec(spec: CellSpec) -> CellResult:
                 f"unknown workload {spec.workload!r}; known: "
                 f"{sorted(WORKLOADS)}")
         source = workload.source(spec.scale)
-    registry = MetricsRegistry() if spec.collect_registry else None
+    observers = NULL_OBSERVERS
+    if spec.collect_registry:
+        observers = Observers(metrics=MetricsRegistry())
     result = run_program(source, spec.scheme, spec.config,
                          timing=spec.timing,
-                         timing_params=spec.timing_params,
                          max_instructions=spec.max_instructions,
-                         metrics=registry, cache=process_cache())
+                         observers=observers, cache=process_cache())
     return CellResult(
         tag=spec.tag, workload=spec.workload, scheme=spec.scheme,
         ok=result.ok, status=result.status,
@@ -319,7 +319,8 @@ def _run_cellspec(spec: CellSpec) -> CellResult:
         cycles=result.cycles, instret=result.instret,
         stats=result.stats, metrics=result.metrics,
         trap_class=result.trap_class, trap_pc=result.trap_pc,
-        obs=registry.snapshot() if registry is not None else {})
+        obs=observers.metrics.snapshot() if spec.collect_registry
+        else {})
 
 
 def _execute_cell(spec) -> CellResult:

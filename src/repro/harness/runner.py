@@ -7,7 +7,8 @@ import time
 from typing import Dict, Optional, Tuple
 
 from repro.core.config import HwstConfig
-from repro.pipeline.timing import InOrderPipeline, TimingParams
+from repro.obs.observers import NULL_OBSERVERS, Observers
+from repro.pipeline.timing import InOrderPipeline
 from repro.schemes import compile_source
 from repro.sim.machine import (
     RunResult, STATUS_ABORT, STATUS_FAULT, STATUS_SPATIAL,
@@ -19,39 +20,34 @@ from repro.workloads import WORKLOADS
 def run_program(source: str, scheme: str,
                 config: Optional[HwstConfig] = None,
                 timing: bool = True,
-                timing_params: Optional[TimingParams] = None,
                 max_instructions: int = 200_000_000,
-                metrics=None, tracer=None, profiler=None,
-                phases=None, cache=None) -> RunResult:
+                observers=NULL_OBSERVERS, cache=None) -> RunResult:
     """Compile + execute one program under one scheme, on the default
     engine (:func:`repro.sim.make_machine`).
 
-    Observability hooks (``metrics``/``tracer``/``profiler``/compile
-    ``phases``) are optional and off by default; when a shared
-    registry is passed, compile-phase, simulator and pipeline metrics
-    all land in the same snapshot (``RunResult.metrics``).
+    ``observers`` (a :class:`repro.obs.observers.Observers`, nothing
+    attached by default) watch the compile and the run: with a
+    registry attached, compile-phase, simulator and pipeline metrics
+    all land in the same snapshot (``RunResult.metrics``), and an
+    attached tracer gets the compile spans and the run's events.
 
     ``cache`` (a :class:`repro.harness.compile_cache.CompileCache`)
     reuses an identical compiled ``Program`` instead of rebuilding it;
-    a custom ``phases`` object is ignored on that path (the cache
-    times only work it actually performs).
+    phase times then cover only the work the cache performs.
     """
     from repro.sim import make_machine
 
     config = config or HwstConfig()
     if cache is not None:
         program = cache.compile(source, scheme, config,
-                                metrics=metrics, tracer=tracer)
+                                observers=observers)
     else:
-        if phases is None and metrics is not None:
-            from repro.obs.phases import PhaseTimers
-            phases = PhaseTimers(metrics=metrics, tracer=tracer)
-        program = compile_source(source, scheme, config, phases=phases)
-    pipeline = InOrderPipeline(timing_params, metrics=metrics) \
+        program = compile_source(source, scheme, config,
+                                 observers=observers)
+    pipeline = InOrderPipeline(metrics=observers.metrics) \
         if timing else None
     machine = make_machine(config=config, timing=pipeline,
-                           metrics=metrics, tracer=tracer,
-                           profiler=profiler)
+                           observers=observers)
     return machine.run(program, max_instructions=max_instructions)
 
 
@@ -83,7 +79,7 @@ def timed_run(source: str, scheme: str,
       while it runs, so neither a previous rep's garbage nor a gen2
       pass over the process heap bills its pauses to this rep);
     * ``compile_s`` / ``phases_ms`` — compile wall time, total and per
-      phase (lex/parse/…/link, from :class:`PhaseTimers`);
+      phase (lex/parse/…/link, from :class:`Observers`);
     * ``peak_rss_kb`` / ``gc_collections`` — host gauges sampled after
       the run (:mod:`repro.obs.host`, the same source of truth the
       machine stamps into ``RunResult.metrics``);
@@ -92,17 +88,15 @@ def timed_run(source: str, scheme: str,
       (:meth:`~repro.obs.profiler.ProfileReport.function_summary`).
     """
     from repro.obs.host import gc_collections, peak_rss_kb
-    from repro.obs.phases import PhaseTimers
     from repro.obs.profiler import CycleProfiler
     from repro.sim import make_machine
 
     config = config or HwstConfig()
-    phases = PhaseTimers()
-    program = compile_source(source, scheme, config, phases=phases)
-    profiler = CycleProfiler() if profile else None
+    observers = Observers(profiler=CycleProfiler() if profile else None)
+    program = compile_source(source, scheme, config, observers=observers)
     pipeline = InOrderPipeline() if timing else None
     machine = make_machine(engine, config=config, timing=pipeline,
-                           profiler=profiler)
+                           observers=observers)
     # Measurement isolation: drain the cyclic collector (the previous
     # rep's dead machine and this rep's compile garbage otherwise pay
     # their collector pauses inside *this* rep's timed region), then
@@ -123,13 +117,14 @@ def timed_run(source: str, scheme: str,
             gc.enable()
     sample: Dict = {
         "wall_s": wall,
-        "compile_s": sum(phases.seconds.values()),
-        "phases_ms": phases.summary(),
+        "compile_s": sum(observers.seconds.values()),
+        "phases_ms": observers.summary(),
         "peak_rss_kb": peak_rss_kb(),
         "gc_collections": gc_collections(),
     }
-    if profiler is not None:
-        sample["profile"] = profiler.report(program).function_summary()
+    if profile:
+        sample["profile"] = \
+            observers.profiler.report(program).function_summary()
     return result, sample
 
 

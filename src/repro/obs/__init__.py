@@ -10,8 +10,9 @@ Cooperating pieces (see docs/observability.md for the catalogue):
 * :mod:`repro.obs.profiler` — :class:`CycleProfiler`, per-PC /
   per-function cycle attribution on the timing model, plus a
   collapsed-stack (folded) exporter for flamegraph/speedscope;
-* :mod:`repro.obs.phases` — :class:`PhaseTimers`, wall-clock spans
-  around the compile pipeline;
+* :mod:`repro.obs.observers` — :class:`Observers`, the one value that
+  carries a registry, tracer, profiler and trace-ring depth through a
+  compile and a run, and times the compile pipeline's phases;
 * :mod:`repro.obs.host` — host-process gauges (peak RSS, GC);
 * :mod:`repro.obs.heartbeat` — :class:`Heartbeat`, rate-limited
   structured progress events for long campaigns;
@@ -20,8 +21,8 @@ Cooperating pieces (see docs/observability.md for the catalogue):
   (``BENCH_SIM.json``) and the regression gate with differential
   profiling (``repro bench --against``).
 
-Everything is off by default: a machine without a tracer/profiler and
-a compile without phase timers take the null-sink fast paths.
+Everything is off by default: :data:`NULL_OBSERVERS` attaches nothing,
+so an unobserved compile and run take the null-sink fast paths.
 """
 
 from repro.obs.heartbeat import Heartbeat
@@ -30,22 +31,17 @@ from repro.obs.metrics import (
     Counter, Gauge, Histogram, MetricsRegistry, Scope, format_tree,
     merge_snapshots,
 )
-from repro.obs.phases import (
-    COMPILE_PHASES, NULL_PHASES, NullPhaseTimers, PhaseTimers,
-)
+from repro.obs.observers import COMPILE_PHASES, NULL_OBSERVERS, Observers
 from repro.obs.profiler import CycleProfiler, FunctionProfile, ProfileReport
 from repro.obs.stats import HitMissStats, derived_rates
-from repro.obs.tracing import (
-    NULL_TRACER, NullTracer, TRACE_CATEGORIES, TraceEvent, Tracer,
-)
+from repro.obs.tracing import TRACE_CATEGORIES, TraceEvent, Tracer
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "Scope",
     "format_tree", "merge_snapshots",
-    "COMPILE_PHASES", "NULL_PHASES", "NullPhaseTimers", "PhaseTimers",
+    "COMPILE_PHASES", "NULL_OBSERVERS", "Observers",
     "CycleProfiler", "FunctionProfile", "ProfileReport",
     "HitMissStats", "derived_rates",
-    "NULL_TRACER", "NullTracer", "TRACE_CATEGORIES", "TraceEvent",
-    "Tracer",
+    "TRACE_CATEGORIES", "TraceEvent", "Tracer",
     "Heartbeat", "gc_collections", "observe_host", "peak_rss_kb",
 ]

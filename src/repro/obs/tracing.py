@@ -36,8 +36,7 @@ import json
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["TraceEvent", "Tracer", "NullTracer", "NULL_TRACER",
-           "TRACE_CATEGORIES"]
+__all__ = ["TraceEvent", "Tracer", "TRACE_CATEGORIES"]
 
 TRACE_CATEGORIES = ("compile", "retire", "trap", "kb", "shadow", "sim",
                     "campaign")
@@ -89,10 +88,6 @@ class Tracer:
             raise ValueError(f"unknown trace categories: {sorted(unknown)}")
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
         self.emitted = 0
-
-    @property
-    def enabled(self) -> bool:
-        return True
 
     @property
     def categories(self) -> frozenset:
@@ -179,24 +174,3 @@ class Tracer:
                 fh.write(lines + ("\n" if lines else ""))
         return lines
 
-
-class NullTracer(Tracer):
-    """Sink that records nothing — for call sites that want an always-
-    valid tracer object rather than an ``is not None`` guard."""
-
-    def __init__(self):
-        super().__init__(capacity=1, categories=())
-
-    @property
-    def enabled(self) -> bool:
-        return False
-
-    def wants(self, cat: str) -> bool:
-        return False
-
-    def emit(self, cat: str, name: str, ts: float,
-             dur: Optional[float] = None, args: Optional[dict] = None):
-        return None
-
-
-NULL_TRACER = NullTracer()

@@ -14,7 +14,7 @@ from repro.ir.verify import verify_module
 from repro.minic import analyze, tokenize
 from repro.minic.parser import Parser
 from repro.minic.sema import LITERAL_PREFIX
-from repro.obs.phases import NULL_PHASES
+from repro.obs.observers import NULL_OBSERVERS
 from repro.sim.memory import DEFAULT_LAYOUT
 
 
@@ -76,7 +76,7 @@ def scheme_names():
 RUNTIME_LITERAL_PREFIX = "__rt.str."
 
 
-def compile_unit(source: str, name: str, phases=NULL_PHASES,
+def compile_unit(source: str, name: str, observers=NULL_OBSERVERS,
                  cache=None, literal_prefix: str = LITERAL_PREFIX):
     """Front end for one translation unit, phase-timed stage by stage.
 
@@ -91,13 +91,13 @@ def compile_unit(source: str, name: str, phases=NULL_PHASES,
         module = cache.load_unit(source, name)
         if module is not None:
             return module
-    with phases.phase("lex"):
+    with observers.phase("lex"):
         tokens = tokenize(source)
-    with phases.phase("parse"):
+    with observers.phase("parse"):
         unit = Parser(tokens).parse_translation_unit()
-    with phases.phase("sema"):
+    with observers.phase("sema"):
         sema = analyze(unit, literal_prefix)
-    with phases.phase("irgen"):
+    with observers.phase("irgen"):
         module = lower_unit(sema, name)
     if cache is not None:
         cache.store_unit(source, name, module)
@@ -105,7 +105,7 @@ def compile_unit(source: str, name: str, phases=NULL_PHASES,
 
 
 def runtime_image(spec: SchemeSpec, options: CodegenOptions,
-                  phases=NULL_PHASES, cache=None) -> RuntimeImage:
+                  observers=NULL_OBSERVERS, cache=None) -> RuntimeImage:
     """``spec``'s runtime library, compiled, verified and lowered.
 
     With a ``cache`` the image is built once per cache and shared by
@@ -117,10 +117,10 @@ def runtime_image(spec: SchemeSpec, options: CodegenOptions,
         image = cache.load_runtime(source, options)
         if image is not None:
             return image
-    module = compile_unit(source, "runtime", phases,
+    module = compile_unit(source, "runtime", observers,
                           literal_prefix=RUNTIME_LITERAL_PREFIX)
     verify_module(module)
-    image = lower_runtime(module, options, phases)
+    image = lower_runtime(module, options, observers)
     if cache is not None:
         cache.store_runtime(source, options, image)
     return image
@@ -128,13 +128,14 @@ def runtime_image(spec: SchemeSpec, options: CodegenOptions,
 
 def compile_source(source: str, scheme: str = "baseline",
                    config: Optional[HwstConfig] = None,
-                   phases=None, cache=None):
+                   observers=NULL_OBSERVERS, cache=None):
     """Compile mini-C ``source`` under ``scheme`` into a Program.
 
-    ``phases`` is an optional :class:`repro.obs.phases.PhaseTimers`;
-    when attached, lex/parse/sema/irgen/instrument/lower/link wall
-    times accumulate into its ``compile.*`` metrics (the user unit and
-    an uncached runtime unit both pass through the front-end phases).
+    ``observers`` (a :class:`repro.obs.observers.Observers`) times
+    lex/parse/sema/irgen/instrument/lower/link into its phase totals,
+    its registry's ``compile.*`` histograms and its tracer (the user
+    unit and an uncached runtime unit both pass through the front-end
+    phases).
 
     ``cache`` (a :class:`repro.harness.compile_cache.CompileCache`)
     supplies the user unit's front end and the scheme's runtime image
@@ -144,7 +145,7 @@ def compile_source(source: str, scheme: str = "baseline",
     elidable, the static memory-safety analysis runs before
     instrumentation (stamping per-access facts) and the redundant-check
     eliminator runs after it; elision counts land in
-    ``module.meta["analyze"]`` and, with ``phases`` attached, in the
+    ``module.meta["analyze"]`` and, with a registry attached, in the
     ``compile.analyze.*`` counters.
     """
     spec = SCHEMES.get(scheme)
@@ -152,9 +153,8 @@ def compile_source(source: str, scheme: str = "baseline",
         raise ValueError(
             f"unknown scheme {scheme!r}; pick one of {sorted(SCHEMES)}")
     config = config or HwstConfig()
-    phases = phases if phases is not None else NULL_PHASES
 
-    module = compile_unit(source, "program", phases, cache)
+    module = compile_unit(source, "program", observers, cache)
     if spec.instrument is not None:
         from repro.ir.instrument import PASSES, instrument_module
 
@@ -165,7 +165,7 @@ def compile_source(source: str, scheme: str = "baseline",
             from repro.analyze.interproc import \
                 analyze_module_interproc
 
-            with phases.phase("analyze"):
+            with observers.phase("analyze"):
                 # Interprocedural: call-graph summaries refine call
                 # sites, call-site contexts refine callees, and proven
                 # loop-invariant temporal checks move to preheaders
@@ -174,12 +174,12 @@ def compile_source(source: str, scheme: str = "baseline",
                     module, config, stamp=True)
                 istats.checks_hoisted = hoist_loop_checks(
                     module, per_function)
-        with phases.phase("instrument"):
+        with observers.phase("instrument"):
             instrument_module(module, spec.instrument, config=config)
         if elide:
             from repro.analyze.elide import elide_module
 
-            with phases.phase("analyze"):
+            with observers.phase("analyze"):
                 stats = elide_module(module, config)
             istats.cross_call_elided = stats.cross_call_elided
             module.meta["analyze"] = {
@@ -191,12 +191,12 @@ def compile_source(source: str, scheme: str = "baseline",
                 "ops_removed": stats.ops_removed,
                 **istats.to_meta(),
             }
-            scope = phases.metrics
-            if scope is not None:
+            if observers.metrics is not None:
+                scope = observers.metrics.scope("compile.analyze")
                 for key, value in module.meta["analyze"].items():
-                    scope.counter(f"analyze.{key}").inc(value)
+                    scope.counter(key).inc(value)
     options = CodegenOptions(spill_meta=spec.spill_meta)
-    image = runtime_image(spec, options, phases, cache)
+    image = runtime_image(spec, options, observers, cache)
     verify_module(module, linked=image.interface)
 
     meta: Dict[str, object] = {"scheme": scheme, "name": "program"}
@@ -206,6 +206,6 @@ def compile_source(source: str, scheme: str = "baseline",
         meta["analyze"] = dict(module.meta["analyze"])
     program = build_program(module, image, config=config,
                             layout=DEFAULT_LAYOUT, options=options,
-                            meta=meta, phases=phases)
+                            meta=meta, observers=observers)
     return program
 

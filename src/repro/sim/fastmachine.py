@@ -77,14 +77,16 @@ points (docs/fast-iss.md covers the full contract):
   engines fetch from the decoded ``Program.instrs`` tuple, not from
   memory bytes — so this is cache hygiene plus honest statistics, and
   the contract a future fetch-from-memory engine will need.)
-* **Fallbacks.** Per-instruction observers — a fault-injection hook,
-  a trace ring buffer, an event tracer, a cycle profiler (whose
-  ``record`` must fire exactly once per retired pc) — cold entries and
-  the budget tail (fewer remaining instructions than the next block
-  retires) all run on the reference ``_dispatch_loop``, which is also what
-  ``step()`` uses: semantics cannot drift because there is only one
-  single-instruction path, and observed runs pay zero translation
-  overhead on top of what the reference engine costs.
+* **Fallbacks.** Per-instruction observers — a trace ring buffer, an
+  event tracer, a cycle profiler (whose ``record`` must fire exactly
+  once per retired pc) — cold entries and the budget tail (fewer
+  remaining instructions than the next block retires) all run on the
+  reference ``_dispatch_loop``, which is also what ``step()`` uses:
+  semantics cannot drift because there is only one single-instruction
+  path, and observed runs pay zero translation overhead on top of what
+  the reference engine costs. A runtime fault runs blocks up to its
+  trigger and the reference loop after it (``Machine.run`` splits the
+  budget there).
 """
 
 from __future__ import annotations
@@ -201,17 +203,16 @@ class FastMachine(Machine):
     # Execution engine
     # ------------------------------------------------------------------
 
-    def _exec_loop(self, max_instructions: int) -> None:
-        if self.fault_hook is not None or self.trace_depth \
-                or self.tracer is not None or self.profiler is not None \
-                or self._tracer_retire is not None:
-            # Per-instruction observation (fault hooks, trace ring,
-            # event tracers stamping ``_now()`` timestamps, cycle
-            # profilers recording every retired pc): the reference
-            # loop is the only honest way to run these — and it is
-            # also *faster* than wrapping reference handlers in block
-            # functions, so observed runs skip translation entirely.
-            self._dispatch_loop(max_instructions, max_instructions)
+    def _exec_loop(self, budget: int, limit: Optional[int]) -> None:
+        if self.trace_depth or self.tracer is not None \
+                or self.profiler is not None:
+            # Per-instruction observation (trace ring, event tracers
+            # stamping ``_now()`` timestamps, cycle profilers recording
+            # every retired pc): the reference loop is the only honest
+            # way to run these — and it is also *faster* than wrapping
+            # reference handlers in block functions, so observed runs
+            # skip translation entirely.
+            self._dispatch_loop(budget, limit)
             return
         program = self.program
         self.memory.watch_stores(program.text_base, program.text_end,
@@ -220,7 +221,7 @@ class FastMachine(Machine):
         visits = self._visits
         translate = self._translate
         hot = self.TRANSLATE_ON_VISIT
-        remaining = max_instructions
+        remaining = budget
         pc = self.pc
         runs = 0
         try:
@@ -287,9 +288,10 @@ class FastMachine(Machine):
                 remaining -= n
                 pc = block.end_pc if tpc is None else tpc
             # Budget tail: fewer instructions left than the next block
-            # retires — finish (and overrun-trap) on the reference
-            # loop, reporting the run-level limit.
-            self._dispatch_loop(remaining, max_instructions)
+            # retires — finish (and overrun-trap, reporting the
+            # run-level limit, unless ``limit`` is None) on the
+            # reference loop.
+            self._dispatch_loop(remaining, limit)
         finally:
             # Drop the cache with the run: its functions reference the
             # machine, so a cache that outlived run() would keep a

@@ -14,8 +14,8 @@ binds a row's reference handler on the first dispatch of its mnemonic,
 and keeps only what the rows call back into (the trap helpers, the CSR
 file, the lock-window snoop and ``_retire``). Its single-instruction
 loop, ``_dispatch_loop``, is the *reference engine*: it runs
-``step()``, observed runs and the fast engine's cold entries and budget
-tails.
+``step()``, observed runs, the rest of a run after a runtime fault
+fires, and the fast engine's cold entries and budget tails.
 
 SRF propagation rules (Section 3.2 "in-pipeline propagation"):
 
@@ -35,7 +35,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro import bits
 from repro.core.compression import MetadataCompressor
 from repro.core.config import HwstConfig
-from repro.core.shadow import ShadowMap
 from repro.errors import (
     EcallAbort,
     EcallExit,
@@ -51,6 +50,7 @@ from repro.isa import csr as csrdef
 from repro.isa.instructions import Instr
 from repro.obs.host import observe_host
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.observers import NULL_OBSERVERS
 from repro.pipeline.timing import BREAKDOWN_KEYS
 from repro.sim import semantics
 from repro.sim.keybuffer import KeyBuffer
@@ -129,31 +129,31 @@ class Machine:
     """Functional RV64 + HWST128 simulator."""
 
     def __init__(self, config: Optional[HwstConfig] = None, timing=None,
-                 trace_depth: int = 0,
-                 metrics: Optional[MetricsRegistry] = None,
-                 tracer=None, profiler=None):
+                 observers=NULL_OBSERVERS):
         self.config = config or HwstConfig()
         self.timing = timing
         # Optional ring buffer of the last N retired (pc, Instr) pairs
         # for post-mortem debugging (see trace_text()).
-        self.trace_depth = trace_depth
+        self.trace_depth = observers.trace_depth
         self._trace: List[Tuple[int, Instr]] = []
-        # Telemetry (repro.obs). Machine counters live under ``sim.*``;
+        # Telemetry (a repro.obs.Observers, unpacked into the attributes
+        # the hot paths read). Machine counters live under ``sim.*``;
         # handlers capture the Counter objects at dispatch-build time so
         # the hot loop pays one attribute store per event. ``tracer``
         # and ``profiler`` stay None by default — the null-sink fast
         # path is a single ``is not None`` test per retire.
+        metrics = observers.metrics
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._sim = self.metrics.scope("sim")
         self._ct = {name: self._sim.counter(name) for name in SIM_COUNTERS}
-        self.tracer = tracer
+        self.tracer = tracer = observers.tracer
         self._tracer_retire = tracer if (
             tracer is not None and tracer.wants("retire")) else None
         self._tracer_kb = tracer if (
             tracer is not None and tracer.wants("kb")) else None
         self._tracer_shadow = tracer if (
             tracer is not None and tracer.wants("shadow")) else None
-        self.profiler = profiler
+        self.profiler = observers.profiler
         self.memory = Memory()
         self.keybuffer = KeyBuffer(self.config.keybuffer_entries,
                                    self.config.keybuffer_policy,
@@ -162,7 +162,6 @@ class Machine:
         # fault may interpose on it mid-run, reset() restores this one.
         self._compressor = MetadataCompressor(self.config)
         self.compressor = self._compressor
-        self.shadow = ShadowMap.from_config(self.config)
         self.regs: List[int] = list(_ZERO_REGS)
         self.srf: List[Tuple[int, int, bool, bool]] = list(_INVALID_SRF)
         self.srf_wide: List[Optional[Tuple[int, int, int, int]]] = \
@@ -182,10 +181,6 @@ class Machine:
         self.instret = 0
         self.output = bytearray()
         self.program: Optional[Program] = None
-        # Fault-injection hook (repro.faultinject): when set, called as
-        # ``hook(self)`` once per instruction, before dispatch. The
-        # normal path pays one ``is not None`` test per retire.
-        self.fault_hook: Optional[Callable[["Machine"], None]] = None
         self._lock_lo = self.config.lock_base
         self._lock_hi = self.config.lock_limit
         # mnemonic -> handler: each row's reference handler is bound
@@ -207,8 +202,9 @@ class Machine:
 
         Restores memory, registers, SRF, pc, instret, output, the CSRs
         together with the keybuffer snoop window they program, the
-        keybuffer's contents, the compressor (and its Fig. 2 census)
-        and the ``sim.*`` metrics. What depends
+        keybuffer's contents, the compressor (and its Fig. 2 census),
+        the ``sim.*`` metrics and the retired-instruction ring, so
+        ``trace_text()`` shows only the program loaded last. What depends
         only on the config (the CSR image, the keybuffer itself, the
         dispatch table) is built once, in ``__init__``.
         """
@@ -227,6 +223,7 @@ class Machine:
         self.pc = 0
         self.instret = 0
         self.output = bytearray()
+        self._trace = []
         self.csrs = dict(self._reset_csrs)
         self._lock_lo = self.config.lock_base
         self._lock_hi = self.config.lock_limit
@@ -251,14 +248,33 @@ class Machine:
     # ------------------------------------------------------------------
 
     def run(self, program: Program,
-            max_instructions: int = 200_000_000) -> RunResult:
-        """Execute ``program`` to completion and summarise the outcome."""
+            max_instructions: int = 200_000_000,
+            fault=None) -> RunResult:
+        """Execute ``program`` to completion and summarise the outcome.
+
+        A runtime ``fault`` (a
+        :class:`repro.faultinject.RuntimeInjector`) acts once: the run
+        executes exactly ``fault.spec.trigger`` instructions on this
+        engine's loop, calls ``fault.fire(self)`` and finishes on the
+        reference loop, whose handlers read ``compressor`` on every
+        call (translated code binds the codec's masks). A run that ends
+        first, or a trigger at or past ``max_instructions``, never
+        fires.
+        """
         self.load(program)
         status, code, detail = STATUS_EXIT, 0, ""
         trap_class: str = ""
         trap_pc: Optional[int] = None
         try:
-            self._exec_loop(max_instructions)
+            if fault is not None and \
+                    fault.spec.trigger < max_instructions:
+                trigger = fault.spec.trigger
+                self._exec_loop(trigger, None)
+                fault.fire(self)
+                self._dispatch_loop(max_instructions - trigger,
+                                    max_instructions)
+            else:
+                self._exec_loop(max_instructions, max_instructions)
         except EcallExit as trap:
             code = trap.code
         except SimTrap as trap:
@@ -322,13 +338,15 @@ class Machine:
             trap_class=trap_class, trap_pc=trap_pc,
         )
 
-    def _exec_loop(self, max_instructions: int) -> None:
-        """Engine hook: execute the loaded program until a
-        :class:`SimTrap` ends the run (``run()``'s epilogue catches it).
+    def _exec_loop(self, budget: int, limit: Optional[int]) -> None:
+        """Engine hook: execute the loaded program, with
+        :meth:`_dispatch_loop`'s budget contract, until a
+        :class:`SimTrap` ends the run (``run()``'s epilogue catches it)
+        or, with ``limit`` None, ``budget`` instructions have retired.
         Subclasses (the fast engine) override this — everything outside
-        it (load, trap classification, stats, result assembly) is
-        engine-independent by construction."""
-        self._dispatch_loop(max_instructions, max_instructions)
+        it (load, the fault split, trap classification, stats, result
+        assembly) is engine-independent by construction."""
+        self._dispatch_loop(budget, limit)
 
     def _dispatch_loop(self, budget: int, limit: Optional[int]) -> None:
         """The classic fetch/decode/execute loop — the *reference
@@ -344,7 +362,6 @@ class Machine:
         instrs = program.instrs
         text_base = program.text_base
         dispatch = self._dispatch
-        fault_hook = self.fault_hook
         trace_depth = self.trace_depth
         remaining = budget
         while True:
@@ -363,8 +380,6 @@ class Machine:
                 self._trace.append((self.pc, ins))
                 if len(self._trace) > trace_depth:
                     del self._trace[0]
-            if fault_hook is not None:
-                fault_hook(self)
             next_pc = handler(ins)
             self.pc = self.pc + 4 if next_pc is None else next_pc
             self.instret += 1

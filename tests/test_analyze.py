@@ -452,14 +452,11 @@ int main(void) {
 
 class TestElision:
     def _elide(self, source, pass_name):
-        from repro.analyze.memsafety import (analyze_function,
-                                             compute_may_free)
+        from repro.analyze.interproc import analyze_module_interproc
 
         config = HwstConfig(elide_checks=True)
         module = lower(source)
-        may_free = compute_may_free(module)
-        for fn in module.functions.values():
-            analyze_function(module, fn, config, may_free, stamp=True)
+        analyze_module_interproc(module, config, stamp=True)
         instrument_module(module, pass_name, config=config)
         return module, elide_module(module, config)
 
@@ -498,7 +495,7 @@ int main(void) {
         assert stats.ops_removed == 0
 
     def test_elision_preserves_output_and_saves_instructions(self):
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs import MetricsRegistry, Observers
         from repro.harness.runner import run_program
 
         config = HwstConfig(elide_checks=True)
@@ -507,7 +504,7 @@ int main(void) {
             base = run_program(CLEAN_LOOP, scheme)
             registry = MetricsRegistry()
             elided = run_program(CLEAN_LOOP, scheme, config=config,
-                                 metrics=registry)
+                                 observers=Observers(metrics=registry))
             assert elided.status == base.status
             assert elided.exit_code == base.exit_code
             assert elided.output == base.output
@@ -547,30 +544,30 @@ int main(void) {
                 assert good.ok, (case.case_id, scheme, good.status)
 
     def test_compile_pipeline_emits_analyze_counters(self):
-        from repro.obs import MetricsRegistry, PhaseTimers
+        from repro.obs import MetricsRegistry, Observers
         from repro.schemes import compile_source
 
         registry = MetricsRegistry()
-        phases = PhaseTimers(metrics=registry)
+        observers = Observers(metrics=registry)
         compile_source(CLEAN_LOOP, "hwst128_tchk",
-                       HwstConfig(elide_checks=True), phases=phases)
+                       HwstConfig(elide_checks=True), observers=observers)
         snapshot = registry.snapshot()
         assert snapshot["compile.analyze.checks_total"] == 2
         assert snapshot["compile.analyze.checks_elided"] == 2
         assert snapshot["compile.analyze.ops_removed"] > 0
-        assert "analyze" in phases.seconds
+        assert "analyze" in observers.seconds
 
     def test_non_elidable_scheme_skips_analysis(self):
-        from repro.obs import MetricsRegistry, PhaseTimers
+        from repro.obs import MetricsRegistry, Observers
         from repro.schemes import compile_source
 
         registry = MetricsRegistry()
-        phases = PhaseTimers(metrics=registry)
+        observers = Observers(metrics=registry)
         compile_source(CLEAN_LOOP, "asan",
-                       HwstConfig(elide_checks=True), phases=phases)
+                       HwstConfig(elide_checks=True), observers=observers)
         snapshot = registry.snapshot()
         assert "compile.analyze.checks_total" not in snapshot
-        assert "analyze" not in phases.seconds
+        assert "analyze" not in observers.seconds
 
 
 # ---------------------------------------------------------------------------
@@ -782,13 +779,12 @@ int main(void) {
 
 class TestHoist:
     def _compile_counters(self, source, scheme):
-        from repro.obs import MetricsRegistry, PhaseTimers
+        from repro.obs import MetricsRegistry, Observers
         from repro.schemes import compile_source
 
         registry = MetricsRegistry()
-        phases = PhaseTimers(metrics=registry)
         compile_source(source, scheme, HwstConfig(elide_checks=True),
-                       phases=phases)
+                       observers=Observers(metrics=registry))
         return registry.snapshot()
 
     def test_hoist_fires_on_loop_invariant_global_pointer(self):

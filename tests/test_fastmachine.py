@@ -582,7 +582,7 @@ class TestObservedModes:
     """
 
     def test_profiler_lockstep(self):
-        from repro.obs.profiler import CycleProfiler
+        from repro.obs import CycleProfiler, Observers
 
         reports = {}
         for engine in ("ref", "fast"):
@@ -593,7 +593,7 @@ class TestObservedModes:
             program = compile_source(self.SOURCE, "hwst128_tchk", config)
             machine = make_machine(engine, config=config,
                                    timing=InOrderPipeline(),
-                                   profiler=profiler)
+                                   observers=Observers(profiler=profiler))
             result = machine.run(program)
             assert result.status == STATUS_EXIT
             reports[engine] = (result, profiler.report(program))
@@ -603,17 +603,6 @@ class TestObservedModes:
         # The per-pc cycle attribution itself must agree: a profiled
         # run executes on the reference loop, every retire observed.
         assert ra.to_collapsed() == rb.to_collapsed()
-
-    def test_fault_hook_falls_back_to_reference_loop(self):
-        fired = []
-        machine = FastMachine()
-        machine.fault_hook = lambda m: fired.append(m.pc)
-        seq = [Instr("addi", rd=5, rs1=0, imm=1)] + exit_seq()
-        result = machine.run(make_program(seq))
-        assert result.status == STATUS_EXIT
-        # Hook saw every instruction; nothing was block-executed.
-        assert len(fired) == result.instret + 1  # +1: trapping ecall
-        assert machine.fast_stats()["block_runs"] == 0
 
 
 @pytest.fixture

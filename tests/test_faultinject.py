@@ -6,17 +6,34 @@ import pytest
 
 from repro.core.config import HwstConfig
 from repro.faultinject import (
-    CLASSES, CRASH, DETECTED, FAMILIES, FaultSpec, HANG, MASKED,
-    RunProfile, RuntimeInjector, SILENT_CORRUPTION, TARGETS,
-    apply_link_fault, classify, golden_run, kinds_for, plan_campaign,
-    run_campaign,
+    CLASSES, CRASH, DEFAULT_TARGETS, DETECTED, FAMILIES, FaultSpec, HANG,
+    MASKED, RUNTIME_KINDS, RunProfile, RuntimeInjector, SILENT_CORRUPTION,
+    TARGETS, apply_link_fault, classify, golden_run, kinds_for,
+    plan_campaign, profile_run, run_campaign,
 )
+from repro.faultinject.campaign import _STEP_SLACK
 from repro.harness.compile_cache import CompileCache
 from repro.errors import EcallExit
 from repro.harness.parallel import CellSpec, STATUS_HANG, SweepExecutor
 from repro.schemes import compile_source
 from repro.sim import make_machine
-from repro.sim.machine import Machine
+from repro.sim.machine import Machine, STATUS_LIMIT
+
+
+class _Spy:
+    """A runtime fault that perturbs nothing and records the state it
+    fires on: ``(instret, pc, regs)`` per call."""
+
+    def __init__(self, trigger: int):
+        self.spec = FaultSpec(kind="srf_bitflip", trigger=trigger)
+        self.calls = []
+
+    def fire(self, machine):
+        self.calls.append((machine.instret, machine.pc, list(machine.regs)))
+
+    @property
+    def fired_at(self):
+        return [instret for instret, _, _ in self.calls]
 
 
 def _profile(**overrides) -> RunProfile:
@@ -97,7 +114,7 @@ class TestRuntimeInjectors:
         machine.srf[5] = (0x10, 0, True, False)
         injector = RuntimeInjector(
             FaultSpec(kind="srf_bitflip", trigger=0, bit=0, select=0))
-        injector(machine)
+        injector.fire(machine)
         assert injector.fired
         assert machine.srf[5] == (0x11, 0, True, False)
         assert "SRF[5]" in injector.note
@@ -107,35 +124,37 @@ class TestRuntimeInjectors:
         machine.srf[3] = (0, 0, False, True)
         injector = RuntimeInjector(
             FaultSpec(kind="srf_bitflip", trigger=0, bit=64, select=0))
-        injector(machine)
+        injector.fire(machine)
         assert machine.srf[3] == (0, 1, False, True)
 
     def test_one_shot(self):
-        machine = Machine()
-        machine.srf[5] = (0x10, 0, True, False)
-        injector = RuntimeInjector(
-            FaultSpec(kind="srf_bitflip", trigger=0, bit=0, select=0))
-        injector(machine)
-        injector(machine)
-        assert machine.srf[5] == (0x11, 0, True, False)  # flipped once
+        """A run fires its fault once, however long it runs after."""
+        program = compile_source(TARGETS["vecsum"], "hwst128")
+        for engine in ("ref", "fast"):
+            spy = _Spy(trigger=3)
+            assert make_machine(engine).run(program, fault=spy).ok
+            assert spy.fired_at == [3], engine
 
     def test_waits_for_trigger(self):
-        machine = Machine()
-        machine.srf[5] = (0x10, 0, True, False)
-        injector = RuntimeInjector(
-            FaultSpec(kind="srf_bitflip", trigger=100, bit=0, select=0))
-        injector(machine)
-        assert not injector.fired
-        machine.instret = 100
-        injector(machine)
-        assert injector.fired
+        """The fault acts on the state after exactly ``trigger``
+        retired instructions."""
+        program = compile_source(TARGETS["vecsum"], "hwst128")
+        machine = make_machine("ref")
+        machine.load(program)
+        for _ in range(100):
+            machine.step()
+        for engine in ("ref", "fast"):
+            spy = _Spy(trigger=100)
+            make_machine(engine).run(program, fault=spy)
+            assert spy.calls == [(100, machine.pc, list(machine.regs))], \
+                engine
 
     def test_kb_alias_corrupts_cached_key(self):
         machine = Machine()
         machine.keybuffer.fill(0x2000, 7)
         injector = RuntimeInjector(
             FaultSpec(kind="kb_alias", trigger=0, bit=0, select=0))
-        injector(machine)
+        injector.fire(machine)
         assert machine.keybuffer.peek(0x2000) == 6  # 7 ^ 1
 
     def test_kb_stale_clears_lock_behind_buffer(self):
@@ -145,7 +164,7 @@ class TestRuntimeInjectors:
         machine.keybuffer.fill(0x2000, 7)
         injector = RuntimeInjector(
             FaultSpec(kind="kb_stale", trigger=0, select=0))
-        injector(machine)
+        injector.fire(machine)
         assert machine.memory.load_u64(0x2000) == 0
         assert machine.keybuffer.peek(0x2000) == 7  # still trusted
 
@@ -153,7 +172,7 @@ class TestRuntimeInjectors:
         machine = Machine()
         injector = RuntimeInjector(
             FaultSpec(kind="kb_alias", trigger=0, select=3))
-        injector(machine)
+        injector.fire(machine)
         assert injector.fired
         assert "landed nowhere" in injector.note
 
@@ -163,7 +182,7 @@ class TestRuntimeInjectors:
         word = inner.compress_spatial(0x40_0000, 0x40_0040)
         injector = RuntimeInjector(
             FaultSpec(kind="codec_corrupt", trigger=0, bit=3, select=0))
-        injector(machine)
+        injector.fire(machine)
         assert machine.compressor is not inner
         first = machine.compressor.decompress_spatial(word)
         second = machine.compressor.decompress_spatial(word)
@@ -177,11 +196,73 @@ class TestRuntimeInjectors:
             RuntimeInjector(FaultSpec(kind="check_drop"))
 
 
+class TestBudgetSplit:
+    """``Machine.run(program, budget, fault)`` runs exactly ``trigger``
+    instructions on the engine's own loop, fires once and finishes on
+    the reference loop, so a faulted run is the same on either
+    engine."""
+
+    SCHEME = "hwst128"
+
+    @pytest.fixture(scope="class")
+    def programs(self):
+        """target -> (program, golden instret)."""
+        cache = CompileCache()
+        return {name: (cache.compile(TARGETS[name], self.SCHEME,
+                                     HwstConfig()),
+                       golden_run(TARGETS[name], self.SCHEME,
+                                  cache=cache).instret)
+                for name in DEFAULT_TARGETS}
+
+    @pytest.mark.parametrize("kind", RUNTIME_KINDS)
+    @pytest.mark.parametrize("target", DEFAULT_TARGETS)
+    def test_engines_agree(self, programs, target, kind):
+        program, golden = programs[target]
+        budget = golden * 4 + _STEP_SLACK      # the campaign's budget
+        for trigger in (0, 1, golden // 2, golden - 1, golden, budget):
+            outcomes = []
+            for engine in ("ref", "fast"):
+                injector = RuntimeInjector(FaultSpec(
+                    kind=kind, trigger=trigger, bit=37, select=5))
+                machine = make_machine(engine)
+                result = machine.run(program, budget, injector)
+                outcomes.append((profile_run(machine, result),
+                                 injector.note, injector.fired))
+            assert outcomes[0] == outcomes[1], (trigger, outcomes)
+            assert outcomes[0][2] == (trigger <= golden), trigger
+
+    def test_late_trigger_runs_blocks_then_fires_once(self, programs):
+        program, golden = programs["vecsum"]
+        spy = _Spy(trigger=golden - 10)
+        machine = make_machine("fast")
+        assert machine.run(program, golden * 4, spy).ok
+        assert spy.fired_at == [golden - 10]
+        assert machine.fast_stats()["block_runs"] > 0
+
+    @pytest.mark.parametrize("engine", ("ref", "fast"))
+    def test_never_fires_when_the_run_ends_first(self, programs, engine):
+        program, golden = programs["vecsum"]
+        spy = _Spy(trigger=golden + 1)
+        assert make_machine(engine).run(program, golden * 4, spy).ok
+        assert spy.calls == []
+
+    @pytest.mark.parametrize("engine", ("ref", "fast"))
+    def test_never_fires_at_or_past_the_budget(self, programs, engine):
+        program, _ = programs["vecsum"]
+        for trigger, fired_at in ((99, [99]), (100, []), (101, [])):
+            spy = _Spy(trigger)
+            result = make_machine(engine).run(program, 100, spy)
+            assert result.status == STATUS_LIMIT
+            assert result.instret == 100
+            assert spy.fired_at == fired_at, trigger
+
+
 class TestCodecFaultSites:
     """``codec_corrupt`` reaches every decode site of the reference loop
-    (which runs every fault-hooked run, on either engine): armed just
-    before a ``sd.chk``, ``ld.chk``, ``tchk``, an MPX bounds check or a
-    metadata load, the flipped bit turns a clean exit into a violation.
+    (which runs the rest of every run after its fault fires, on either
+    engine): armed just before a ``sd.chk``, ``ld.chk``, ``tchk``, an
+    MPX bounds check or a metadata load, the flipped bit turns a clean
+    exit into a violation.
     A check traps at that instruction; a metadata load feeds
     ``hwst128``'s software check, whose runtime raises the trap later.
     The first execution of each is armed before its handler is bound;
@@ -239,10 +320,9 @@ int main() {
         assert len(seen[op]) > 1
         instret, pc = seen[op][nth]
         assert make_machine(engine).run(program).ok
-        machine = make_machine(engine)
-        machine.fault_hook = RuntimeInjector(FaultSpec(
-            kind="codec_corrupt", trigger=instret, bit=bit, select=select))
-        result = machine.run(program)
+        result = make_machine(engine).run(program, fault=RuntimeInjector(
+            FaultSpec(kind="codec_corrupt", trigger=instret, bit=bit,
+                      select=select)))
         if op in ("lkey", "lloc"):
             assert result.trap_class == "TemporalViolation", result.status
         else:

@@ -8,6 +8,7 @@ from repro.core.compression import MetadataCompressor, MetadataRangeError
 from repro.faultinject import FaultSpec, RuntimeInjector
 from repro.isa.instructions import Instr, li_sequence
 from repro.isa import csr as csrdef
+from repro.obs import Observers
 from repro.sim import make_machine
 from repro.sim.machine import Machine, SRF_INVALID
 from repro.sim.memory import DEFAULT_LAYOUT
@@ -132,17 +133,16 @@ class TestCsrSemantics:
         zero."""
         machine = make_machine(engine)
         own = machine.compressor
-        machine.fault_hook = RuntimeInjector(
-            FaultSpec(kind="codec_corrupt", trigger=0, bit=2, select=0))
         machine.run(make_program(exit_with(
             li_sequence(6, HEAP) + li_sequence(7, HEAP + 4000) + [
                 Instr("bndrs", rd=5, rs1=6, rs2=7),
                 Instr("addi", rd=5, rs1=0, imm=0xF0),
                 Instr("csrrw", rd=0, rs1=5, imm=csrdef.HWST_LOCK_BASE),
-            ])))
+            ])), fault=RuntimeInjector(
+                FaultSpec(kind="codec_corrupt", trigger=0, bit=2,
+                          select=0)))
         assert machine.compressor is not own
         assert own.max_range_seen == 4000
-        machine.fault_hook = None
         store = make_program(exit_with(
             li_sequence(5, DEFAULT_LAYOUT.data_base)
             + [Instr("sd", rs1=5, rs2=0)]))
@@ -175,7 +175,7 @@ class TestSegments:
 
 class TestTracing:
     def test_trace_ring_buffer(self):
-        machine = Machine(trace_depth=3)
+        machine = Machine(observers=Observers(trace_depth=3))
         seq = exit_with([Instr("addi", rd=5, rs1=0, imm=i)
                          for i in range(6)])
         machine.run(make_program(seq))
@@ -187,6 +187,23 @@ class TestTracing:
         machine = Machine()
         machine.run(make_program(exit_with([])))
         assert machine.trace_text() == ""
+
+    @pytest.mark.parametrize("engine", ("ref", "fast"))
+    def test_reload_restarts_the_ring(self, engine):
+        """A reused machine's ring shows only the program loaded last,
+        even when the ring could hold both."""
+        first = make_program(exit_with(
+            [Instr("addi", rd=5, rs1=0, imm=i) for i in range(6)]))
+        second = make_program(exit_with([Instr("addi", rd=6, rs1=0,
+                                               imm=1)]))
+        observers = Observers(trace_depth=4000)
+        reused = make_machine(engine, observers=observers)
+        reused.run(first)
+        reused.run(second)
+        fresh = make_machine(engine, observers=observers)
+        fresh.run(second)
+        assert reused.trace_text() == fresh.trace_text()
+        assert len(fresh.trace_text().splitlines()) == 3
 
 
 class TestCompressionConfigs:

@@ -13,8 +13,8 @@ import time
 import pytest
 
 from repro.obs import (
-    COMPILE_PHASES, CycleProfiler, MetricsRegistry, NULL_PHASES,
-    NULL_TRACER, PhaseTimers, TRACE_CATEGORIES, Tracer,
+    COMPILE_PHASES, CycleProfiler, MetricsRegistry, NULL_OBSERVERS,
+    Observers, TRACE_CATEGORIES, Tracer,
 )
 from repro.obs.metrics import (
     Counter, Gauge, Histogram, format_tree, merge_snapshots,
@@ -356,12 +356,6 @@ class TestTracer:
         assert lines == [{"ts": 0, "cat": "sim", "name": "run",
                           "dur": 10}]
 
-    def test_null_tracer(self):
-        NULL_TRACER.emit("sim", "x", ts=0)
-        assert len(NULL_TRACER) == 0
-        assert not NULL_TRACER.enabled
-        assert not NULL_TRACER.wants("sim")
-
 
 # ---------------------------------------------------------------------------
 # Phase timers
@@ -369,7 +363,7 @@ class TestTracer:
 
 class TestPhaseTimers:
     def test_accumulates_across_spans(self):
-        timers = PhaseTimers()
+        timers = Observers()
         with timers.phase("lex"):
             pass
         with timers.phase("lex"):
@@ -381,7 +375,7 @@ class TestPhaseTimers:
     def test_metrics_and_tracer_attached(self):
         reg = MetricsRegistry()
         tracer = Tracer()
-        timers = PhaseTimers(metrics=reg, tracer=tracer)
+        timers = Observers(metrics=reg, tracer=tracer)
         with timers.phase("parse"):
             time.sleep(0.001)
         snap = reg.snapshot()
@@ -392,10 +386,12 @@ class TestPhaseTimers:
         assert spans[0].dur > 0
 
     def test_null_phases_is_noop(self):
-        with NULL_PHASES.phase("anything"):
+        with NULL_OBSERVERS.phase("anything"):
             pass
-        assert NULL_PHASES.seconds == {}
-        assert not NULL_PHASES.enabled
+        assert NULL_OBSERVERS.seconds == {}
+        assert (NULL_OBSERVERS.metrics, NULL_OBSERVERS.tracer,
+                NULL_OBSERVERS.profiler, NULL_OBSERVERS.trace_depth) == \
+            (None, None, None, 0)
 
     def test_known_phase_names(self):
         assert set(COMPILE_PHASES) == {"lex", "parse", "sema", "irgen",
@@ -438,7 +434,7 @@ class TestProfiler:
         prof = CycleProfiler()
         from repro.sim.machine import Machine
 
-        result = Machine(profiler=prof).run(program)
+        result = Machine(observers=Observers(profiler=prof)).run(program)
         assert result.ok
         report = prof.report(program)
         folded = report.to_collapsed()
@@ -611,7 +607,8 @@ class TestIntegration:
         from repro.harness.runner import run_program
 
         reg = MetricsRegistry()
-        result = run_program(SRC, "hwst128_tchk", metrics=reg)
+        result = run_program(SRC, "hwst128_tchk",
+                             observers=Observers(metrics=reg))
         assert result.ok
         snap = reg.snapshot()
         stats = result.stats
@@ -649,10 +646,12 @@ class TestIntegration:
         from repro.harness.runner import run_program
 
         tracer = Tracer()
-        result = run_program(SRC, "hwst128_tchk", tracer=tracer)
+        result = run_program(SRC, "hwst128_tchk",
+                             observers=Observers(tracer=tracer))
         assert result.ok
         cats = {e.cat for e in tracer.events()}
-        assert {"retire", "kb", "shadow", "sim"} <= cats
+        # The compile spans reach a tracer without a registry too.
+        assert {"compile", "retire", "kb", "shadow", "sim"} <= cats
         json.loads(tracer.to_chrome_json())   # exports stay valid JSON
 
     def test_host_gauges_in_run_result_metrics(self):
@@ -660,7 +659,8 @@ class TestIntegration:
         from repro.harness.runner import run_program
 
         reg = MetricsRegistry()
-        result = run_program(SRC, "baseline", metrics=reg)
+        result = run_program(SRC, "baseline",
+                             observers=Observers(metrics=reg))
         assert result.ok
         assert result.metrics["host.peak_rss_kb"] > 0
         assert result.metrics["host.gc_collections"] >= 0
@@ -671,8 +671,9 @@ class TestIntegration:
 
         reg = MetricsRegistry()
         tracer = Tracer(capacity=16)           # far too small
-        result = run_program(SRC, "hwst128_tchk", metrics=reg,
-                             tracer=tracer)
+        result = run_program(SRC, "hwst128_tchk",
+                             observers=Observers(metrics=reg,
+                                                 tracer=tracer))
         assert result.ok
         assert tracer.dropped > 0
         assert result.metrics["obs.trace.dropped"] == tracer.dropped
@@ -683,8 +684,9 @@ class TestIntegration:
 
         reg = MetricsRegistry()
         tracer = Tracer(capacity=1 << 20)
-        result = run_program(SRC, "baseline", metrics=reg,
-                             tracer=tracer)
+        result = run_program(SRC, "baseline",
+                             observers=Observers(metrics=reg,
+                                                 tracer=tracer))
         assert result.ok
         assert result.metrics["obs.trace.dropped"] == 0
 
@@ -695,7 +697,8 @@ class TestIntegration:
 
         program = compile_source(SRC, "hwst128_tchk")
         prof = CycleProfiler()
-        machine = Machine(timing=InOrderPipeline(), profiler=prof)
+        machine = Machine(timing=InOrderPipeline(),
+                          observers=Observers(profiler=prof))
         result = machine.run(program)
         assert result.ok
         report = prof.report(program)
@@ -721,7 +724,9 @@ class TestIntegration:
 
         def run_traced():
             machine = Machine(timing=InOrderPipeline(),
-                              tracer=Tracer(), profiler=CycleProfiler())
+                              observers=Observers(
+                                  tracer=Tracer(),
+                                  profiler=CycleProfiler()))
             return machine.run(program)
 
         run_plain(), run_traced()      # warm caches

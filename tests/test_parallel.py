@@ -15,6 +15,7 @@ from repro.harness.parallel import (
     CellResult, CellSpec, STATUS_WORKER_DIED, SweepExecutor, run_cells,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.observers import Observers
 from repro.workloads import WORKLOADS
 from repro.workloads.base import Workload, register
 
@@ -210,7 +211,8 @@ class TestCompileCache:
         config = HwstConfig(elide_checks=True)
         cache.compile(GOOD, "hwst128_tchk", config)
         registry = MetricsRegistry()
-        cache.compile(GOOD, "hwst128_tchk", config, metrics=registry)
+        cache.compile(GOOD, "hwst128_tchk", config,
+                      observers=Observers(metrics=registry))
         assert cache.program_hits == 1
         snap = registry.snapshot()
         assert "compile.analyze.checks_total" in snap

@@ -90,7 +90,7 @@ def step_census(machine, op):
                       0, True, False)
     machine.srf_wide[5] = (HEAP, HEAP + 64, 0, 0)
     with pytest.raises(EcallAbort if op == "ebreak" else SimLimitExceeded):
-        machine._exec_loop(1)
+        machine._exec_loop(1, 1)
     return {name: value for name, value in machine.stats.items() if value}
 
 
@@ -151,7 +151,7 @@ class TestTracebacks:
         machine = eager_fast()
         machine.load(make_program(self.LOAD))
         with pytest.raises(MemoryFault) as info:
-            machine._exec_loop(10)
+            machine._exec_loop(10, 10)
         text = "".join(traceback.format_exception(info.value))
         assert 'File "<semantics:ld:plain>"' in text
         assert "value = memory.load_uint(addr, 8)" in text
