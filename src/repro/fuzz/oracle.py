@@ -125,9 +125,8 @@ def probe_program(source: str,
 
     ``spec_lockstep`` (opt-in, same byte-compatibility contract) adds
     the executable golden spec (``repro.spec``) as an oracle: the
-    hwst128 build co-simulated instruction-by-instruction against the
-    reference engine, with full architectural state diffed at every
-    retire.
+    hwst128 build in lockstep with the spec through the conformance
+    harness's entry (:func:`repro.harness.conform.run_lockstep`).
     """
     from repro.analyze.linter import analyze_source
     from repro.harness.compile_cache import process_cache
@@ -146,19 +145,11 @@ def probe_program(source: str,
                 engine_pair(source, "hwst128", config, max_instructions,
                             cache)
         if spec_lockstep:
-            from repro.sim import make_machine
-            from repro.spec.lockstep import run_lockstep
+            from repro.harness.conform import run_lockstep
 
-            program = cache.compile(source, "hwst128", config)
-            machine = make_machine("ref", config=config, timing=None)
-            widths = config.widths
             lockstep = run_lockstep(
-                machine, program,
-                widths=(widths.base, widths.range, widths.lock,
-                        widths.key),
-                lock_base=config.lock_base,
-                shadow_budget=config.shadow_budget,
-                max_instructions=max_instructions)
+                cache.compile(source, "hwst128", config), config,
+                max_instructions)
             spec_record = {
                 "divergence": lockstep.divergence,
                 "status": lockstep.outcome.status,

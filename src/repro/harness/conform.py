@@ -7,10 +7,10 @@ both worlds. It builds picklable cells for the sweep executor:
   equivalence battery (``repro.spec.equiv``) against a real machine,
   across all four compression geometries;
 * :class:`ConformLockstepCell` — one program (workload kernel or fuzz
-  program) co-simulated instruction-by-instruction against the
-  reference engine, then replayed end-to-end on the fast engine with
-  the run-level observables (status / exit code / instret / output /
-  trap class / trap pc) compared against the agreed outcome.
+  program) in lockstep with the spec through :func:`run_lockstep`: the
+  fast engine's block loop a chunk at a time, whole states compared at
+  chunk ends, and on a mismatch the per-instruction rerun on the
+  reference engine that names the retire.
 
 :func:`run_conform` runs the cells as one chunk of
 :func:`~repro.harness.parallel.run_chunks`, which runs the fuzz and
@@ -26,7 +26,7 @@ an exit code only at the CLI (``repro conform`` exits
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import FieldWidths, HwstConfig
@@ -42,9 +42,8 @@ from repro.sim import make_machine
 from repro.sim.memory import DEFAULT_LAYOUT
 from repro.sim.program import Program
 from repro.spec import geometry
+from repro.spec import lockstep as spec_lockstep
 from repro.spec.equiv import all_mnemonics, run_mnemonic
-from repro.spec.lockstep import classify_trap, run_lockstep
-from repro.spec.state import STATUS_BY_KIND
 
 REPORT_SCHEMA = "repro.spec/v1"
 DEFAULT_SEED = 20260807
@@ -60,7 +59,7 @@ FUZZ_SCHEME = "hwst128"
 __all__ = [
     "REPORT_SCHEMA", "DEFAULT_SEED", "CONFORM_SCHEMES", "EquivBench",
     "ConformEquivCell", "ConformLockstepCell", "build_cells",
-    "run_conform", "report_to_json", "divergences_of",
+    "run_lockstep", "run_conform", "report_to_json", "divergences_of",
 ]
 
 
@@ -143,16 +142,41 @@ class ConformEquivCell:
 # Lockstep cells
 # ---------------------------------------------------------------------------
 
+def run_lockstep(program: Program, config: HwstConfig,
+                 max_instructions: int = DEFAULT_MAX_INSTRUCTIONS
+                 ) -> spec_lockstep.LockstepResult:
+    """``program`` in lockstep with the spec: chunked on the fast engine
+    (the one every figure runs on), rerun per instruction on a fresh
+    reference engine only when a chunk mismatches.
+
+    A rerun divergence is reported as it stands. A clean rerun means
+    the fast engine disagrees with the spec where the reference agrees:
+    the rerun's outcome with the chunk's record, its reason ``"engine
+    mismatch"``.
+    """
+    kwargs = dict(widths=widths_of(config), lock_base=config.lock_base,
+                  shadow_budget=config.shadow_budget,
+                  max_instructions=max_instructions)
+    chunked = spec_lockstep.run_chunked(
+        make_machine("fast", config=config, timing=None), program, **kwargs)
+    if chunked.divergence is None:
+        return chunked
+    rerun = spec_lockstep.run_lockstep(
+        make_machine("ref", config=config, timing=None), program, **kwargs)
+    if rerun.divergence is not None:
+        return rerun
+    return replace(rerun, divergence=dict(chunked.divergence,
+                                          reason="engine mismatch"))
+
+
 @dataclass(frozen=True)
 class ConformLockstepCell:
-    """Sweep cell: one program in lockstep against the reference
-    engine, then the fast engine compared at run level."""
+    """Sweep cell: one program through :func:`run_lockstep`."""
 
     tag: str
     source: str
     scheme: str
     workload: Optional[str] = None
-    engines: Tuple[str, ...] = ("ref", "fast")
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS
 
     @property
@@ -162,22 +186,9 @@ class ConformLockstepCell:
     def execute(self) -> CellResult:
         config = HwstConfig()
         program = process_cache().compile(self.source, self.scheme, config)
-        machine = make_machine("ref", config=config, timing=None)
-        result = run_lockstep(
-            machine, program, widths=widths_of(config),
-            lock_base=config.lock_base,
-            shadow_budget=config.shadow_budget,
-            max_instructions=self.max_instructions)
+        result = run_lockstep(program, config, self.max_instructions)
         divergence = result.divergence
         outcome = result.outcome
-        if divergence is None and "fast" in self.engines:
-            fast_deltas = self._compare_fast(config, program, outcome)
-            if fast_deltas:
-                divergence = {"reason": "fast-engine mismatch",
-                              "retire": result.retires,
-                              "pc": hex(outcome.trap_pc or 0),
-                              "mnemonic": "<run>",
-                              "deltas": fast_deltas}
         return CellResult(
             tag=self.tag, workload=self.workload, scheme=self.scheme,
             ok=divergence is None,
@@ -191,37 +202,6 @@ class ConformLockstepCell:
             trap_pc=outcome.trap_pc,
             extra={"divergence": divergence,
                    "mnemonics": list(result.mnemonics)})
-
-    def _compare_fast(self, config, program, outcome) -> List[dict]:
-        """Run the fast engine end-to-end and diff the run-level
-        observables against the spec/reference agreed outcome."""
-        fast = make_machine("fast", config=config, timing=None)
-        try:
-            rr = fast.run(program, max_instructions=self.max_instructions)
-        except Exception as exc:  # noqa: BLE001 — classified below
-            kind = classify_trap(exc)
-            if kind is None:
-                raise
-            status = STATUS_BY_KIND[kind]
-            if status != outcome.status:
-                return [{"field": "fast.status", "spec": outcome.status,
-                         "iss": status}]
-            return []
-        deltas: List[dict] = []
-        pairs = (
-            ("status", outcome.status, rr.status),
-            ("exit_code", outcome.exit_code, rr.exit_code),
-            ("instret", outcome.instret, rr.instret),
-            ("output", outcome.output, rr.output),
-            ("trap_class", outcome.trap_class, rr.trap_class),
-            ("trap_pc", outcome.trap_pc, rr.trap_pc),
-        )
-        for name, spec_value, fast_value in pairs:
-            if spec_value != fast_value:
-                deltas.append({"field": f"fast.{name}",
-                               "spec": repr(spec_value),
-                               "iss": repr(fast_value)})
-        return deltas
 
 
 # ---------------------------------------------------------------------------

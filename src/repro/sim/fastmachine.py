@@ -68,9 +68,12 @@ points (docs/fast-iss.md covers the full contract):
 * **Compact, GC-quiet cache.** Operands are default arguments, not
   closure cells, so a translated instruction costs about two
   GC-tracked objects (the function and its defaults tuple); no
-  per-position cost records outlive translation; and the cache is
-  dropped when ``run()`` returns, so the function → machine references
-  never form a cycle that only a full collection could reclaim.
+  per-position cost records outlive translation; and the cache lives
+  for one run: it survives the budgeted ``_exec_loop`` calls of a run
+  (a chunked lockstep drives one run in many) and is dropped when the
+  run ends (``_end_run``) or the machine is reloaded, so the function
+  → machine references never form a cycle that only a full collection
+  could reclaim.
 * **Invalidation.** While blocks execute, a store watch covers the text
   window; any store overlapping a translated block drops that block
   from the cache. (Instruction *semantics* cannot change — both
@@ -181,9 +184,20 @@ class FastMachine(Machine):
     # ------------------------------------------------------------------
 
     def load(self, program: Program):
+        self._end_run()
         super().load(program)
         self._stats = dict.fromkeys(FAST_STATS, 0)
         self._mode = _TIMED if self.timing is not None else _PLAIN
+
+    def _end_run(self) -> None:
+        """Drop the cache with the run: its functions reference the
+        machine, so a cache that outlived the run would keep a machine
+        -> block -> function -> machine cycle (and every translated
+        function) alive until a full collection."""
+        self._blocks = {}
+        self._visits = {}
+        self._inlined = set()
+        self.memory.watch_stores(0, 0, None)
 
     def _on_text_store(self, addr: int, size: int):
         """Store into the text window: drop every overlapping block."""
@@ -293,17 +307,11 @@ class FastMachine(Machine):
             # reference loop.
             self._dispatch_loop(remaining, limit)
         finally:
-            # Drop the cache with the run: its functions reference the
-            # machine, so a cache that outlived run() would keep a
-            # machine -> block -> function -> machine cycle (and every
-            # translated function) alive until a full collection.
+            # The cache (and the store watch guarding it) stays for the
+            # next budgeted call of this run; _end_run drops it.
             stats = self._stats
             stats["block_runs"] += runs
             stats["blocks"] = len(self._blocks)
-            self._blocks = {}
-            self._visits = {}
-            self._inlined = set()
-            self.memory.watch_stores(0, 0, None)
             for gauge, name in zip(self._gauges, FAST_STATS):
                 gauge.set(stats[name])
 

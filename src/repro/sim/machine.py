@@ -270,6 +270,7 @@ class Machine:
                     fault.spec.trigger < max_instructions:
                 trigger = fault.spec.trigger
                 self._exec_loop(trigger, None)
+                self._end_run()     # the rest runs on the reference loop
                 fault.fire(self)
                 self._dispatch_loop(max_instructions - trigger,
                                     max_instructions)
@@ -289,6 +290,8 @@ class Machine:
             trap_class = type(trap).__name__
             pc = getattr(trap, "pc", None)
             trap_pc = pc if pc is not None else self.pc
+        finally:
+            self._end_run()
         stats = self.stats
         stats["kb_hits"] = self.keybuffer.hits
         stats["kb_misses"] = self.keybuffer.misses
@@ -342,11 +345,18 @@ class Machine:
         """Engine hook: execute the loaded program, with
         :meth:`_dispatch_loop`'s budget contract, until a
         :class:`SimTrap` ends the run (``run()``'s epilogue catches it)
-        or, with ``limit`` None, ``budget`` instructions have retired.
+        or, with ``limit`` None, ``budget`` instructions have retired;
+        a run may take several such calls before :meth:`_end_run`.
         Subclasses (the fast engine) override this — everything outside
         it (load, the fault split, trap classification, stats, result
         assembly) is engine-independent by construction."""
         self._dispatch_loop(budget, limit)
+
+    def _end_run(self) -> None:
+        """Engine hook: the run is over — ``run()`` returned or raised,
+        or a driver that ran it in budgeted ``_exec_loop`` slices (the
+        chunked lockstep) stopped. The reference engine keeps nothing
+        per run; the fast engine drops its translation cache here."""
 
     def _dispatch_loop(self, budget: int, limit: Optional[int]) -> None:
         """The classic fetch/decode/execute loop — the *reference

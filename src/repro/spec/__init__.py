@@ -9,7 +9,8 @@ A second, independent, deliberately-naive implementation of the ISA:
 * :mod:`repro.spec.table` — one pure function per mnemonic
   (``SPEC_EXEC``), plus the :func:`spec_step` dispatcher;
 * :mod:`repro.spec.lockstep` — lockstep co-simulation against an ISS
-  engine, diffing full architectural state at every retire;
+  engine, diffing full architectural state at every retire or at
+  chunk ends;
 * :mod:`repro.spec.equiv` — per-instruction operand-edge-case
   equivalence sweeps over all compression geometries.
 

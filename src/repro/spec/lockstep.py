@@ -1,9 +1,11 @@
-"""Lockstep co-simulation: the spec against an ISS engine, per retire.
+"""Lockstep co-simulation: the spec against an ISS engine.
 
 The harness drives an *injected* machine object (any engine exposing
 the reference stepping surface: ``load``/``step``/``pc``/``regs``/
-``srf``/``srf_wide``/``csrs``/``instret``/``output``/``memory``) and
-the specification side by side, one instruction at a time:
+``srf``/``srf_wide``/``csrs``/``instret``/``output``/``memory``, plus
+the engine hooks ``_exec_loop``/``_end_run`` for :func:`run_chunked`)
+and the specification side by side. :func:`run_lockstep` goes one
+instruction at a time:
 
 1. the spec executes first, against the *pre-state* of the machine's
    memory (observed through a side-effect-free peek that bypasses the
@@ -14,9 +16,17 @@ the specification side by side, one instruction at a time:
    spec emitted is checked against the machine's post-state memory.
 
 The first divergence stops the run and is reported with pc, mnemonic
-and field-level delta. This module imports nothing from ``repro.sim``:
-machines are opaque duck-typed objects, and ISS traps are classified by
-exception *class name* so no simulator types are needed.
+and field-level delta. :func:`run_chunked` checks the same run a chunk
+at a time: the spec steps up to :data:`CHUNK` instructions against the
+machine's pre-chunk memory plus an overlay of its own stores, the
+machine runs them in one budgeted ``_exec_loop`` call (its block loop,
+on the fast engine), and the whole state — every byte the spec stored
+included — is compared at the chunk end. It names only the chunk; a
+caller reruns :func:`run_lockstep` to name the retire.
+
+This module imports nothing from ``repro.sim``: machines are opaque
+duck-typed objects, and ISS traps are classified by exception *class
+name* so no simulator types are needed.
 
 For spec-only execution (no ISS at all) the module provides
 :class:`SpecMemory` and :func:`run_spec` — a complete, standalone
@@ -44,6 +54,12 @@ from repro.spec.table import spec_step
 
 _PAGE_SHIFT = 12
 _PAGE_SIZE = 1 << _PAGE_SHIFT
+_ZERO_PAGE = bytes(_PAGE_SIZE)
+
+#: Retires per :func:`run_chunked` chunk. On treeadd's three lockstep
+#: cells, comparing every 8 retires took 1.7x as long as every 1024,
+#: and every 64 retires 1.1x (docs/conformance.md, "Cost").
+CHUNK = 1024
 
 #: ISS trap class name -> spec trap kind (looked up along the MRO so
 #: subclasses inherit their parent's classification).
@@ -73,14 +89,19 @@ def classify_trap(exc: BaseException) -> Optional[str]:
 # Side-effect-free memory observation
 # ---------------------------------------------------------------------------
 
-def peek_bytes(memory, addr: int, size: int) -> bytes:
+def peek_bytes(memory, addr: int, size: int,
+               overlay: Optional[Dict[int, bytearray]] = None) -> bytes:
     """Read ``size`` bytes at ``addr`` from a paged memory without
-    touching access counters or MRU state (missing pages read as 0)."""
+    touching access counters or MRU state (missing pages read as 0).
+    A page of ``overlay`` (page index -> page) hides the memory's."""
     pages = memory._pages
     out = bytearray()
     remaining = size
     while remaining:
-        page = pages.get(addr >> _PAGE_SHIFT)
+        index = addr >> _PAGE_SHIFT
+        page = overlay.get(index) if overlay else None
+        if page is None:
+            page = pages.get(index)
         offset = addr & (_PAGE_SIZE - 1)
         take = min(remaining, _PAGE_SIZE - offset)
         if page is None:
@@ -98,25 +119,46 @@ def peek_uint(memory, addr: int, size: int) -> int:
 
 def make_env(memory, widths: Tuple[int, int, int, int], lock_base: int,
              shadow_lo: int, shadow_hi: int,
-             shadow_budget: int = 0) -> SpecEnv:
+             shadow_budget: int = 0,
+             overlay: Optional[Dict[int, bytearray]] = None) -> SpecEnv:
     """A :class:`SpecEnv` observing ``memory`` (ISS ``Memory`` or
-    :class:`SpecMemory`) without side effects."""
+    :class:`SpecMemory`) without side effects, through ``overlay``'s
+    pages where it has one (see :func:`overlay_store`)."""
     is_mapped = memory.is_mapped
 
     def load(addr: int, size: int) -> Optional[int]:
         if not is_mapped(addr, size):
             return None
-        return peek_uint(memory, addr, size)
+        return int.from_bytes(peek_bytes(memory, addr, size, overlay),
+                              "little")
 
     def load_bytes(addr: int, size: int) -> Optional[bytes]:
         if not is_mapped(addr, size):
             return None
-        return peek_bytes(memory, addr, size)
+        return peek_bytes(memory, addr, size, overlay)
 
     return SpecEnv(load=load, load_bytes=load_bytes, is_mapped=is_mapped,
                    widths=widths, lock_base=lock_base,
                    shadow_lo=shadow_lo, shadow_hi=shadow_hi,
                    shadow_budget=shadow_budget)
+
+
+def overlay_store(overlay: Dict[int, bytearray], memory, event) -> None:
+    """Perform one spec :class:`MemEvent` store on ``overlay``, leaving
+    ``memory`` untouched: the first store to a page copies the page in."""
+    pages = memory._pages
+    addr = event.addr
+    data = event.value.to_bytes(event.size, "little")
+    while data:
+        index = addr >> _PAGE_SHIFT
+        offset = addr & (_PAGE_SIZE - 1)
+        take = min(len(data), _PAGE_SIZE - offset)
+        page = overlay.get(index)
+        if page is None:
+            page = overlay[index] = bytearray(pages.get(index, _ZERO_PAGE))
+        page[offset:offset + take] = data[:take]
+        addr += take
+        data = data[take:]
 
 
 class SpecMemory:
@@ -235,12 +277,7 @@ def diff_retire(state: SpecState, machine) -> List[dict]:
     comparison per state component. The field-by-field walk that names
     each delta runs only when something differs.
     """
-    if state.pc != machine.pc or state.instret != machine.instret \
-            or state.regs != tuple(machine.regs) \
-            or state.srf != tuple(machine.srf) \
-            or state.srf_wide != tuple(machine.srf_wide) \
-            or state.csrs != machine.csrs \
-            or state.output != machine.output:
+    if not _same_registers(state, machine):
         return _field_deltas(state, machine)
     for event in state.events:
         if peek_uint(machine.memory, event.addr, event.size) != event.value:
@@ -248,7 +285,27 @@ def diff_retire(state: SpecState, machine) -> List[dict]:
     return []
 
 
+def _same_registers(state: SpecState, machine) -> bool:
+    """Everything but memory, compared as whole values."""
+    return state.pc == machine.pc and state.instret == machine.instret \
+        and state.regs == tuple(machine.regs) \
+        and state.srf == tuple(machine.srf) \
+        and state.srf_wide == tuple(machine.srf_wide) \
+        and state.csrs == machine.csrs \
+        and state.output == machine.output
+
+
 def _field_deltas(state: SpecState, machine) -> List[dict]:
+    deltas = _register_deltas(state, machine)
+    for event in state.events:
+        stored = peek_uint(machine.memory, event.addr, event.size)
+        if stored != event.value:
+            deltas.append(_delta(f"mem[{event.addr:#x}:{event.size}]",
+                                 event.value, stored))
+    return deltas
+
+
+def _register_deltas(state: SpecState, machine) -> List[dict]:
     deltas: List[dict] = []
     if state.pc != machine.pc:
         deltas.append(_delta("pc", state.pc, machine.pc))
@@ -273,11 +330,33 @@ def _field_deltas(state: SpecState, machine) -> List[dict]:
     if state.output != bytes(machine.output):
         deltas.append(_delta("output", state.output,
                              bytes(machine.output)))
-    for event in state.events:
-        stored = peek_uint(machine.memory, event.addr, event.size)
-        if stored != event.value:
-            deltas.append(_delta(f"mem[{event.addr:#x}:{event.size}]",
-                                 event.value, stored))
+    return deltas
+
+
+def _page_deltas(overlay: Dict[int, bytearray], memory) -> List[dict]:
+    """``mem[addr:len]`` deltas, one per run of differing bytes, where
+    the machine's pages differ from the spec's ``overlay`` pages."""
+    pages = memory._pages
+    deltas: List[dict] = []
+    for index in sorted(overlay):
+        spec_page = overlay[index]
+        iss_page = pages.get(index, _ZERO_PAGE)
+        if spec_page == iss_page:
+            continue
+        offset = 0
+        while offset < _PAGE_SIZE:
+            if spec_page[offset] == iss_page[offset]:
+                offset += 1
+                continue
+            end = offset
+            while end < _PAGE_SIZE and spec_page[end] != iss_page[end]:
+                end += 1
+            addr = (index << _PAGE_SHIFT) + offset
+            deltas.append(_delta(
+                f"mem[{addr:#x}:{end - offset}]",
+                int.from_bytes(spec_page[offset:end], "little"),
+                int.from_bytes(iss_page[offset:end], "little")))
+            offset = end
     return deltas
 
 
@@ -384,13 +463,120 @@ def run_lockstep(machine, program, widths: Tuple[int, int, int, int],
         retires += 1
         state = spec_out
     return LockstepResult(
-        outcome=SpecOutcome(status=STATUS_BY_KIND[KIND_LIMIT],
-                            detail=f"budget {max_instructions}",
-                            instret=state.instret, output=state.output,
-                            trap_class=CLASS_BY_KIND[KIND_LIMIT],
-                            trap_pc=state.pc),
+        outcome=_limit_outcome(state, max_instructions),
         divergence=None, retires=retires,
         mnemonics=tuple(sorted(mnemonics)), state=state)
+
+
+def run_chunked(machine, program, widths: Tuple[int, int, int, int],
+                lock_base: int, shadow_budget: int = 0,
+                max_instructions: int = 2_000_000) -> LockstepResult:
+    """:func:`run_lockstep`'s run, compared at chunk ends.
+
+    Per chunk of up to :data:`CHUNK` retires, the spec steps first —
+    reading the machine's pre-chunk memory through an overlay of its
+    own stores — and stops early at a trap; the machine then runs the
+    chunk in one ``_exec_loop(budget, None)`` call, raising at the
+    spec's trap if it agrees, and the whole state is compared: pc,
+    instret, x-regs, SRF, wide SRF, CSRs, output, every page the spec
+    stored to, and the trap. A clean run returns what
+    :func:`run_lockstep` returns. A mismatch returns a ``"chunk
+    mismatch"`` record naming the chunk — its first retire and pc,
+    ``"chunk"``: its retire budget, and the chunk-end deltas — which a
+    caller turns into a retire by rerunning :func:`run_lockstep`.
+    ``machine._end_run()`` ends the run either way.
+    """
+    machine.load(program)
+    layout = program.layout
+    memory = machine.memory
+    overlay: Dict[int, bytearray] = {}
+    env = make_env(memory, widths, lock_base, layout.shadow_offset,
+                   layout.shadow_top, shadow_budget, overlay)
+    instr_at = program.instr_at
+    state = snapshot_state(machine)
+    mnemonics = set()
+    retires = 0
+    try:
+        while retires < max_instructions:
+            budget = min(CHUNK, max_instructions - retires)
+            first, entry = retires, state.pc
+            overlay.clear()
+            trap: Optional[SpecTrap] = None
+            for _ in range(budget):
+                ins = instr_at(state.pc)
+                spec_out = spec_step(state, ins, env)
+                if isinstance(spec_out, SpecTrap):
+                    trap = spec_out
+                    break
+                for event in spec_out.events:
+                    overlay_store(overlay, memory, event)
+                mnemonics.add(ins.op)
+                retires += 1
+                state = spec_out
+            exc: Optional[BaseException] = None
+            try:
+                machine._exec_loop(budget, None)
+            except Exception as caught:  # noqa: BLE001 — classified below
+                if classify_trap(caught) is None:
+                    raise
+                # Without its traceback: the frames it holds (this one,
+                # and the block loop's with its cache) would otherwise
+                # form a cycle with it and outlive the run.
+                exc = caught.with_traceback(None)
+            deltas = _chunk_deltas(state, machine, overlay, trap, exc)
+            if deltas:
+                return LockstepResult(
+                    outcome=SpecOutcome(status="divergence",
+                                        instret=first),
+                    divergence={"reason": "chunk mismatch",
+                                "retire": first, "pc": hex(entry),
+                                "mnemonic": "<chunk>", "chunk": budget,
+                                "deltas": deltas},
+                    retires=first, mnemonics=tuple(sorted(mnemonics)),
+                    state=state)
+            if trap is not None:
+                return LockstepResult(
+                    outcome=outcome_of(trap, state.instret, state.output),
+                    divergence=None, retires=retires,
+                    mnemonics=tuple(sorted(mnemonics)), state=state)
+    finally:
+        machine._end_run()
+    return LockstepResult(
+        outcome=_limit_outcome(state, max_instructions),
+        divergence=None, retires=retires,
+        mnemonics=tuple(sorted(mnemonics)), state=state)
+
+
+def _chunk_deltas(state: SpecState, machine,
+                  overlay: Dict[int, bytearray],
+                  trap: Optional[SpecTrap],
+                  exc: Optional[BaseException]) -> List[dict]:
+    """Deltas between the spec's state at a chunk end (``trap`` stopped
+    it there, or None) and the machine's (``exc`` stopped it, or None);
+    empty when they agree."""
+    if trap is None and exc is None and _same_registers(state, machine):
+        pages = machine.memory._pages
+        if all(pages.get(index, _ZERO_PAGE) == page
+               for index, page in overlay.items()):
+            return []
+    if trap is not None and exc is not None:
+        deltas = diff_trap(trap, exc, machine.pc)
+    elif trap is not None:
+        deltas = [_delta("trap.kind", trap.kind, None)]
+    elif exc is not None:
+        deltas = [_delta("trap.kind", None, classify_trap(exc))]
+    else:
+        deltas = []
+    return deltas + _register_deltas(state, machine) \
+        + _page_deltas(overlay, machine.memory)
+
+
+def _limit_outcome(state: SpecState, max_instructions: int) -> SpecOutcome:
+    return SpecOutcome(status=STATUS_BY_KIND[KIND_LIMIT],
+                       detail=f"budget {max_instructions}",
+                       instret=state.instret, output=state.output,
+                       trap_class=CLASS_BY_KIND[KIND_LIMIT],
+                       trap_pc=state.pc)
 
 
 def snapshot_state(machine) -> SpecState:
@@ -440,9 +626,4 @@ def run_spec(program, widths: Tuple[int, int, int, int], lock_base: int,
             memory.apply(event)
         state = result
         retired += 1
-    return (SpecOutcome(status=STATUS_BY_KIND[KIND_LIMIT],
-                        detail=f"budget {max_instructions}",
-                        instret=state.instret, output=state.output,
-                        trap_class=CLASS_BY_KIND[KIND_LIMIT],
-                        trap_pc=state.pc),
-            state)
+    return _limit_outcome(state, max_instructions), state

@@ -13,13 +13,17 @@ Four contracts:
   kernels, fuzz programs) diffs the full architectural state at every
   retire and finds nothing; trap classification (class/pc/instret)
   matches across ref, fast and spec, including traps inside the fast
-  engine's fused check pairs.
+  engine's fused check pairs. The chunked driver the campaign runs on
+  the fast engine returns exactly what the per-retire one returns, and
+  a planted divergence comes out of the campaign cell as the per-retire
+  record (or, planted in translated code only, as an engine mismatch).
 * **Determinism** — the ``repro.spec/v1`` report is byte-identical for
   a fixed seed at any ``--jobs``, and the lockstep mnemonic coverage
   of the pinned corpus never shrinks (``tests/data/spec_coverage.json``).
 """
 
 import ast
+import functools
 import json
 import os
 from pathlib import Path
@@ -30,18 +34,25 @@ import repro.spec
 from repro.core.compression import MetadataCompressor, MetadataRangeError
 from repro.core.config import FieldWidths, HwstConfig
 from repro.errors import MemoryFault, SpatialViolation, TemporalViolation
+from repro.harness import conform
 from repro.harness.conform import (
+    CONFORM_SCHEMES,
+    ConformEquivCell,
+    ConformLockstepCell,
     EquivBench,
     build_cells,
     report_to_json,
     run_conform,
 )
 from repro.harness.runner import WORKLOADS
-from repro.isa.instructions import Instr, SPEC_TABLE
+from repro.isa.instructions import Instr, SPEC_TABLE, li_sequence
 from repro.obs.metrics import MetricsRegistry
 from repro.schemes import compile_source
 from repro.sim import make_machine
+from repro.sim.fastmachine import FastMachine
 from repro.sim.machine import Machine
+from repro.sim.memory import DEFAULT_LAYOUT
+from repro.sim.program import Program
 from repro.spec import geometry
 from repro.spec.equiv import (
     all_mnemonics,
@@ -49,7 +60,13 @@ from repro.spec.equiv import (
     run_case,
     run_mnemonic,
 )
-from repro.spec.lockstep import run_lockstep, run_spec, snapshot_state
+from repro.spec.lockstep import (
+    CHUNK,
+    run_chunked,
+    run_lockstep,
+    run_spec,
+    snapshot_state,
+)
 from repro.spec.table import SPEC_EXEC
 
 SPEC_DIR = Path(repro.spec.__file__).resolve().parent
@@ -504,6 +521,302 @@ class TestTrapParity:
         assert lockstep.divergence is None
         assert lockstep.outcome.trap_class == ref.trap_class
         assert lockstep.outcome.trap_pc == ref.trap_pc
+
+
+# ---------------------------------------------------------------------------
+# Chunked lockstep: the fast engine a chunk at a time
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _program(source, scheme):
+    return compile_source(source, scheme, HwstConfig())
+
+
+def _per_retire_and_chunked(program, fast=None, **kwargs):
+    """``run_lockstep`` on a reference machine and ``run_chunked`` on
+    ``fast`` (a new fast machine by default), on one program."""
+    config = HwstConfig()
+    common = dict(widths=_widths(config), lock_base=config.lock_base,
+                  shadow_budget=config.shadow_budget, **kwargs)
+    fast = fast or FastMachine(config, timing=None)
+    return (run_lockstep(Machine(config, timing=None), program, **common),
+            run_chunked(fast, program, **common))
+
+
+def _assert_same_run(program, fast=None, **kwargs):
+    per_retire, chunked = _per_retire_and_chunked(program, fast, **kwargs)
+    assert per_retire.divergence is None, per_retire.divergence
+    assert chunked.divergence is None, chunked.divergence
+    assert chunked.outcome == per_retire.outcome
+    assert chunked.retires == per_retire.retires
+    assert chunked.mnemonics == per_retire.mnemonics
+    return chunked
+
+
+def _sequence_program(instrs):
+    return Program(instrs=list(instrs), entry=DEFAULT_LAYOUT.text_base)
+
+
+EXIT_SEQ = (Instr("addi", rd=17, rs1=0, imm=93), Instr("ecall"))
+
+#: A loop that reads past its 8-element array: under hwst128_tchk the
+#: spatial trap lands in the loop's translated block, mid-chunk.
+HOT_OOB_SOURCE = """
+int main(void) {
+    long *p = (long*)malloc(64);
+    long s = 0;
+    for (int i = 0; i < 64; i = i + 1) { s = s + p[i]; }
+    free(p);
+    return (int)(s & 0);
+}
+"""
+
+
+class TestChunkedLockstep:
+    @pytest.mark.parametrize("scheme", CONFORM_SCHEMES)
+    def test_workload_matches_per_retire(self, scheme):
+        result = _assert_same_run(_program(TREEADD, scheme))
+        assert result.outcome.status == "exit"
+        assert result.retires > CHUNK
+
+    def test_fuzz_sample_matches_per_retire(self):
+        from repro.fuzz.gen import generate_program, plan_programs
+
+        for index, kind in plan_programs(SEED, 12):
+            generated = generate_program(SEED, index, kind)
+            _assert_same_run(_program(generated.source, "hwst128"))
+
+    @pytest.mark.parametrize("source,status", (
+        (OOB_SOURCE, "spatial_violation"),
+        (UAF_SOURCE, "temporal_violation"),
+    ), ids=("oob", "uaf"))
+    def test_trapping_program_matches_per_retire(self, source, status):
+        result = _assert_same_run(_program(source, "hwst128_tchk"))
+        assert result.outcome.status == status
+
+    @pytest.mark.parametrize("budget", (1, CHUNK - 1, CHUNK, CHUNK + 1))
+    def test_budget_matches_per_retire(self, budget):
+        result = _assert_same_run(_program(TREEADD, "hwst128_tchk"),
+                                  max_instructions=budget)
+        assert result.outcome.status == "limit"
+        assert result.retires == budget
+
+    def test_budget_ending_mid_block_matches_per_retire(self):
+        # The smallest budget whose run ends in the reference-loop tail
+        # of a translated block (the block did not fit the budget left).
+        program = _program(TREEADD, "hwst128_tchk")
+        for budget in range(200, CHUNK):
+            fast = FastMachine(HwstConfig(), timing=None)
+            tails = []
+            loop = fast._dispatch_loop
+
+            def spy(n, limit, fast=fast, loop=loop, tails=tails):
+                block = fast._blocks.get(fast.pc)
+                tails.append(block is not None and 0 < n < block.n)
+                return loop(n, limit)
+
+            fast._dispatch_loop = spy
+            result = _assert_same_run(program, fast,
+                                      max_instructions=budget)
+            if tails[-1]:
+                break
+        else:
+            pytest.fail("no budget ends inside a translated block")
+        assert result.outcome.status == "limit"
+
+    def test_in_chunk_loads_see_in_chunk_stores(self):
+        # One chunk, so the machine's memory is still pre-chunk while
+        # the spec runs: every load below reads the spec's own stores
+        # through its overlay, one of them across a page boundary.
+        heap = DEFAULT_LAYOUT.heap_base
+        word = 0x1122334455667788
+        program = _sequence_program([
+            *li_sequence(5, heap),
+            Instr("addi", rd=6, rs1=0, imm=0xAB),
+            Instr("sb", rs1=5, rs2=6, imm=1),       # byte store ...
+            Instr("ld", rd=7, rs1=5, imm=0),        # ... its word
+            *li_sequence(8, word),
+            Instr("sd", rs1=5, rs2=8, imm=8),       # word store ...
+            Instr("lbu", rd=9, rs1=5, imm=8),       # ... its bytes
+            Instr("lbu", rd=10, rs1=5, imm=15),
+            Instr("lb", rd=11, rs1=5, imm=12),
+            *li_sequence(12, heap + 4092),
+            Instr("sd", rs1=12, rs2=8, imm=0),      # straddles a page
+            Instr("ld", rd=13, rs1=12, imm=0),
+            Instr("lbu", rd=14, rs1=12, imm=4),
+            *EXIT_SEQ])
+        result = _assert_same_run(program)
+        regs = result.state.regs
+        assert regs[7] == 0xAB00
+        assert (regs[9], regs[10], regs[11]) == (0x88, 0x11, 0x44)
+        assert (regs[13], regs[14]) == (word, 0x44)
+
+    def test_a_wrong_stored_byte_is_a_page_delta(self, monkeypatch):
+        # A reference ``sd`` that also overwrites the second byte it
+        # stored: registers agree at the chunk end, so only the page
+        # compare sees it; the per-retire driver names the store.
+        loop = Machine._dispatch_loop
+
+        def planted(self, budget, limit):
+            for _ in range(budget):
+                ins = self.program.instr_at(self.pc)
+                loop(self, 1, None)
+                if ins.op == "sd":
+                    addr = self.regs[ins.rs1] + ins.imm
+                    self.memory.store_uint(addr + 1, 1, 0x5A)
+            loop(self, 0, limit)
+
+        monkeypatch.setattr(Machine, "_dispatch_loop", planted)
+        heap = DEFAULT_LAYOUT.heap_base
+        body = [*li_sequence(5, heap),
+                *li_sequence(8, 0x1122334455667788),
+                Instr("sd", rs1=5, rs2=8, imm=0)]
+        # The budget ends the chunk right after the store, not a trap.
+        per_retire, chunked = _per_retire_and_chunked(
+            _sequence_program(body + list(EXIT_SEQ)),
+            max_instructions=len(body))
+        assert chunked.divergence["reason"] == "chunk mismatch"
+        assert chunked.divergence["deltas"] == [
+            {"field": f"mem[{heap + 1:#x}:1]", "spec": "0x77",
+             "iss": "0x5a"}]
+        assert per_retire.divergence["deltas"] == [
+            {"field": f"mem[{heap:#x}:8]", "spec": "0x1122334455667788",
+             "iss": "0x1122334455665a88"}]
+
+    def test_trap_inside_a_chunk_runs_translated(self):
+        # The spec traps mid-chunk; the machine must reach that trap in
+        # its translated block, not in a reference-loop tail, or the
+        # chunked run would check translated traps against nothing.
+        fast = FastMachine(HwstConfig(), timing=None)
+        through_loop = []
+        loop = fast._dispatch_loop
+
+        def spy(n, limit):
+            try:
+                return loop(n, limit)
+            except Exception as exc:
+                through_loop.append(exc)
+                raise
+
+        fast._dispatch_loop = spy
+        result = _assert_same_run(_program(HOT_OOB_SOURCE, "hwst128_tchk"),
+                                  fast)
+        assert result.outcome.status == "spatial_violation"
+        assert result.retires < CHUNK
+        assert fast.fast_stats()["translations"] > 0
+        assert through_loop == []
+
+    def test_cache_lives_for_the_run(self):
+        fast = FastMachine(HwstConfig(), timing=None)
+        cached_at_entry = []
+        exec_loop = fast._exec_loop
+
+        def spy(budget, limit):
+            cached_at_entry.append(len(fast._blocks))
+            return exec_loop(budget, limit)
+
+        fast._exec_loop = spy
+        _assert_same_run(_program(TREEADD, "hwst128_tchk"), fast)
+        assert cached_at_entry[0] == 0 and max(cached_at_entry) > 0
+        assert fast._blocks == {} and fast.memory._store_watch is None
+
+
+def _planted_loop(plant):
+    """A reference ``_dispatch_loop`` that applies ``plant`` once per
+    machine, after a retire from the 50th on (the rows of
+    ``PLANTED_STATE``). Cold entries and budget tails of the chunked
+    run execute it, and so does every step of the per-retire rerun."""
+    loop = Machine._dispatch_loop
+
+    def planted(self, budget, limit):
+        for _ in range(budget):
+            ins = self.program.instr_at(self.pc)
+            loop(self, 1, None)
+            if not getattr(self, "planted", False) and self.instret >= 50:
+                self.planted = plant(self, ins)
+        loop(self, 0, limit)
+
+    return planted
+
+
+def _tp_stuck_in_translated_code(translate):
+    """``FastMachine._translate`` whose blocks set x4's bit 0 after
+    their body: translated code only, and no program reads x4."""
+    def planted(self, pc):
+        block = translate(self, pc)
+        regs = self.regs
+
+        def tp_bit0_stuck():
+            regs[4] |= 1
+
+        block.body += (tp_bit0_stuck,)
+        return block
+
+    return planted
+
+
+ENGINE_MISMATCH = {
+    "reason": "engine mismatch", "retire": 0, "pc": "0x10000",
+    "mnemonic": "<chunk>", "chunk": CHUNK,
+    "deltas": [{"field": "x4", "spec": "0x0", "iss": "0x1"}]}
+
+
+class TestConformCellPlants:
+    def _cell(self):
+        return ConformLockstepCell(tag="t", source=TREEADD,
+                                   scheme="hwst128_tchk").execute()
+
+    @pytest.mark.parametrize("plant,record", PLANTED_STATE,
+                             ids=[plant.__name__ for plant, _
+                                  in PLANTED_STATE])
+    def test_planted_state_comes_out_as_the_per_retire_record(
+            self, monkeypatch, plant, record):
+        monkeypatch.setattr(Machine, "_dispatch_loop", _planted_loop(plant))
+        result = self._cell()
+        assert result.extra["divergence"] == record
+        assert result.status == "divergence"
+
+    def test_plant_in_translated_code_is_an_engine_mismatch(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(FastMachine, "_translate",
+                            _tp_stuck_in_translated_code(
+                                FastMachine._translate))
+        result = self._cell()
+        assert result.extra["divergence"] == ENGINE_MISMATCH
+        assert result.status == "divergence"
+        # The rerun is clean, so the rest of the row is the agreed run.
+        assert result.exit_code == 0 and result.instret > CHUNK
+
+    def test_a_wrong_value_dead_by_the_chunk_end_is_the_sweeps(
+            self, monkeypatch):
+        # A reference ``xori`` that sets bit 20 of its result. The
+        # program overwrites that result before its chunk ends, so the
+        # chunk-end compare cannot see it and nothing reruns; a
+        # per-retire run would see it, and the equivalence sweep — the
+        # conform layer that compares after every single instruction —
+        # does.
+        loop = Machine._dispatch_loop
+
+        def planted(self, budget, limit):
+            for _ in range(budget):
+                ins = self.program.instr_at(self.pc)
+                loop(self, 1, None)
+                if ins.op == "xori" and ins.rd:
+                    self.regs[ins.rd] ^= 1 << 20
+            loop(self, 0, limit)
+
+        monkeypatch.setattr(Machine, "_dispatch_loop", planted)
+        program = _sequence_program([
+            Instr("xori", rd=5, rs1=0, imm=3),
+            Instr("addi", rd=5, rs1=0, imm=0),
+            *EXIT_SEQ])
+        per_retire, chunked = _per_retire_and_chunked(program)
+        assert chunked.divergence is None
+        assert conform.run_lockstep(program, HwstConfig()).divergence \
+            is None
+        assert per_retire.divergence["retire"] == 0
+        sweep = ConformEquivCell(mnemonic="xori", seed=SEED).execute()
+        assert not sweep.ok and sweep.extra["divergences"]
 
 
 # ---------------------------------------------------------------------------

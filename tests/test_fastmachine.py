@@ -788,12 +788,32 @@ class TestLockstepOracles:
         assert extra == {"Machine": 1, "FastMachine": 1}
 
     def test_conform_lockstep_cell(self, built, default_engine):
+        # A clean cell is one chunked lockstep on the fast engine.
         from repro.harness.conform import ConformLockstepCell
 
         cell = ConformLockstepCell(tag="t", source=self.SOURCE,
                                    scheme="hwst128_tchk")
         assert cell.execute().ok
-        assert dict(built) == {"Machine": 1, "FastMachine": 1}
+        assert dict(built) == {"FastMachine": 1}
+
+    def test_mismatching_conform_lockstep_cell(self, built, default_engine,
+                                               monkeypatch):
+        # A chunk mismatch adds the per-retire rerun on the reference.
+        from repro.harness.conform import ConformLockstepCell
+
+        translate = FastMachine._translate
+
+        def x4_stuck(self, pc):
+            block = translate(self, pc)
+            regs = self.regs
+            block.body += (lambda: regs.__setitem__(4, 1),)
+            return block
+
+        monkeypatch.setattr(FastMachine, "_translate", x4_stuck)
+        cell = ConformLockstepCell(tag="t", source=self.SOURCE,
+                                   scheme="hwst128_tchk")
+        assert not cell.execute().ok
+        assert dict(built) == {"FastMachine": 1, "Machine": 1}
 
 
 class TestEngineIdentity:
